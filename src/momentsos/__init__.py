@@ -39,9 +39,9 @@ from .relaxations import (
     SosCertificate,
     Variant,
     build_subproblem,
+    compile_relaxation,
     constraint_half_degree,
     denominator_relaxation,
-    even_power_homogenization,
     homogenize_gmp,
     homogenize_set,
     homogenized_relaxation,
@@ -49,6 +49,7 @@ from .relaxations import (
     moment_relaxation,
     problem_from_json,
     problem_to_json,
+    variant_minimum_order,
 )
 from .certificates import (
     ExtractionError,
@@ -64,11 +65,6 @@ from .certificates import (
     numerical_rank,
     verify_atoms,
 )
-from .hierarchy import (
-    HierarchyResult,
-    OrderRecord,
-    solve_hierarchy,
-    variant_minimum_order,
-)
+from .hierarchy import HierarchyResult, OrderRecord, solve_hierarchy
 
 __version__ = "0.1.0"

@@ -20,17 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import lsq_linear
 
 from .moments import AtomicMeasure, Tms, moment_matrix, tms_from_atoms
-from .polynomials import Polynomial, basis_size, monomial_basis
+from .polynomials import Polynomial, basis_size, monomial_basis, sum_positions
 from .relaxations import (
     CompiledRelaxation,
-    GmpProblem,
     PopProblem,
     SemialgebraicSet,
     Variant,
@@ -155,7 +154,6 @@ def extract_atoms(
     r = int(np.sum(vals > rank_tol * top))
     v = vecs[:, :r]
 
-    basis_t = monomial_basis(n, t)
     n_small = basis_size(n, t - 1)
     _, rmat, piv = sla.qr(v[:n_small].T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rmat))
@@ -170,18 +168,9 @@ def extract_atoms(
     except sla.LinAlgError as exc:
         raise ExtractionError(f"singular pivot submatrix: {exc}") from None
 
-    ops = []
-    for i in range(n):
-        rows = [
-            basis_t.index[
-                tuple(
-                    e + (1 if axis == i else 0)
-                    for axis, e in enumerate(basis_t.exponents[p])
-                )
-            ]
-            for p in piv
-        ]
-        ops.append(coords[rows])
+    # row of x_i * (pivot monomial) in coords; x_i sits at position 1 + i
+    shift = sum_positions(n, 1, t - 1)
+    ops = [coords[shift[1 + i, piv]] for i in range(n)]
 
     rng = np.random.default_rng(seed)
     mix = rng.random(n)
@@ -418,16 +407,11 @@ def certify_relaxation(
 
     if comp.variant is Variant.HOMOGENIZED:
         finite, at_inf = dehomogenize_atoms(raw, comp.homogenize_degree, tau_tol)
-        origin = comp.homogenized_from
-        gmp = origin.as_gmp() if isinstance(origin, PopProblem) else origin
-        pairings = [
-            (ai, float(bi), i < gmp.m1)
-            for i, (ai, bi) in enumerate(zip(gmp.a, gmp.b))
-        ]
+        gmp = comp.source.as_gmp()
         rep = verify_atoms(
             finite,
             gmp.set,
-            pairings=pairings if at_inf.num_atoms == 0 else None,
+            pairings=gmp.pairings if at_inf.num_atoms == 0 else None,
             objective=gmp.objective,
             expected_value=value if at_inf.num_atoms == 0 else None,
             feas_tol=feas_tol,

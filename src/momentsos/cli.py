@@ -30,15 +30,14 @@ import numpy as np
 
 from . import __version__
 from .certificates import check_optimality
-from .hierarchy import solve_hierarchy, variant_minimum_order
+from .hierarchy import solve_hierarchy
 from .relaxations import (
     GmpProblem,
     PopProblem,
     Variant,
-    denominator_relaxation,
-    homogenized_relaxation,
-    moment_relaxation,
+    compile_relaxation,
     problem_from_json,
+    variant_minimum_order,
 )
 from .sdp import write_sparse_sdp
 
@@ -181,18 +180,6 @@ def _print_atoms(atoms: list, label: str) -> None:
         print(f"  {a['weight']:.7f} @ [{pt}]")
 
 
-def _build_relaxation(problem, variant: Variant, k: int):
-    if variant is Variant.PLAIN:
-        return moment_relaxation(problem, k)
-    if variant is Variant.HOMOGENIZED:
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return homogenized_relaxation(problem, k)
-    return denominator_relaxation(problem, k)
-
-
 def _dump_path(template: str, k: int, single: bool) -> str:
     if "{k}" in template:
         return template.format(k=k)
@@ -225,7 +212,7 @@ def _run_hierarchy(args, command: str) -> int:
     if getattr(args, "dump_sdp", None):
         ks = [rec.order for rec in result.records]
         for k in ks:
-            comp = _build_relaxation(problem, variant, k)
+            comp = compile_relaxation(problem, variant, k)
             path = _dump_path(args.dump_sdp, k, len(ks) == 1)
             with open(path, "w") as fh:
                 write_sparse_sdp(comp.sdp, fh)
@@ -310,8 +297,8 @@ def _run_hierarchy(args, command: str) -> int:
             )
     elif result.status == "unresolved":
         print(
-            f"no order certified; best solved value {_fmt(result.value)} "
-            f"at order {result.order}"
+            f"no order certified; value {_fmt(result.value)} "
+            f"at the highest solved order {result.order}"
         )
     else:
         print("no relaxation order could be solved")
@@ -366,7 +353,7 @@ def _run_dump(args) -> int:
         k = args.kmin
         if k is None:
             k = variant_minimum_order(problem, variant)
-        comp = _build_relaxation(problem, variant, k)
+        comp = compile_relaxation(problem, variant, k)
     except ValueError as exc:
         raise _InputError(str(exc))
     if args.out:

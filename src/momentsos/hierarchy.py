@@ -10,7 +10,7 @@ Result statuses:
 
 * converged: some order certified; value, measure, and multipliers are final.
 * unresolved: at least one order solved but none certified; the reported
-  value is the best bound found.
+  value and order are those of the highest solved order.
 * failed: no order produced a usable SDP solution.
 """
 
@@ -24,20 +24,21 @@ import numpy as np
 from .certificates import MomentCertificate, certify_relaxation
 from .moments import AtomicMeasure
 from .relaxations import (
-    CompiledRelaxation,
     GmpProblem,
     PopProblem,
     SosCertificate,
     Variant,
+    compile_relaxation,
+    variant_minimum_order,
+    # bench/tracing.py looks the per-variant compilers up in this module, so
+    # they stay importable here; solve_hierarchy uses compile_relaxation.
     denominator_relaxation,
-    homogenize_gmp,
     homogenized_relaxation,
-    minimum_order,
     moment_relaxation,
 )
 from .sdp import SdpSolution, SdpStatus, solve_sdp
 
-__all__ = ["OrderRecord", "HierarchyResult", "variant_minimum_order", "solve_hierarchy"]
+__all__ = ["OrderRecord", "HierarchyResult", "solve_hierarchy"]
 
 
 @dataclass
@@ -82,31 +83,6 @@ class HierarchyResult:
         return None
 
 
-def variant_minimum_order(
-    problem: Union[GmpProblem, PopProblem], variant: Variant
-) -> int:
-    if variant is Variant.DENOMINATOR:
-        if not isinstance(problem, PopProblem):
-            raise ValueError("the denominator variant applies to POP problems only")
-        return (problem.objective.degree + 1) // 2
-    gmp = problem.as_gmp() if isinstance(problem, PopProblem) else problem
-    if variant is Variant.HOMOGENIZED:
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            return minimum_order(homogenize_gmp(gmp))
-    return minimum_order(gmp)
-
-
-def _build(problem, variant: Variant, k: int) -> CompiledRelaxation:
-    if variant is Variant.PLAIN:
-        return moment_relaxation(problem, k)
-    if variant is Variant.HOMOGENIZED:
-        return homogenized_relaxation(problem, k)
-    return denominator_relaxation(problem, k)
-
-
 def solve_hierarchy(
     problem: Union[GmpProblem, PopProblem],
     variant: Union[Variant, str] = Variant.PLAIN,
@@ -128,13 +104,8 @@ def solve_hierarchy(
     certification pipeline.
     """
     variant = Variant(variant)
-    if variant is Variant.DENOMINATOR and not isinstance(problem, PopProblem):
-        raise ValueError("the denominator variant applies to POP problems only")
-    floor = variant_minimum_order(problem, variant)
     if k_min is None:
-        k_min = floor
-    if k_min < floor:
-        raise ValueError(f"k_min={k_min} is below the minimum order {floor}")
+        k_min = variant_minimum_order(problem, variant)
     if k_max is None:
         k_max = k_min + 2
     if k_max < k_min:
@@ -151,11 +122,7 @@ def solve_hierarchy(
     solved_any = False
     converged_at: Optional[OrderRecord] = None
     for k in range(k_min, k_max + 1):
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            comp = _build(problem, variant, k)
+        comp = compile_relaxation(problem, variant, k)
         sol = solve_sdp(comp.sdp, tol=tol, max_iter=max_iter, verbose=verbose)
         rec = OrderRecord(
             order=k,

@@ -18,12 +18,17 @@ satisfying vec(p)^T L_q[w] vec(p) = <q p^2, w> and (V_q[w])^T vec(p) = <q p, w>.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .polynomials import MonomialBasis, Polynomial, basis_size, monomial_basis
+from .polynomials import (
+    MonomialBasis,
+    Polynomial,
+    basis_size,
+    monomial_basis,
+    sum_positions,
+)
 
 __all__ = [
     "Tms",
@@ -159,34 +164,13 @@ def tms_from_atoms(measure: AtomicMeasure, degree: int) -> Tms:
     return Tms(measure.nvars, degree, vals)
 
 
-@lru_cache(maxsize=None)
-def _moment_index_table(nvars: int, k: int) -> np.ndarray:
-    """Positions of a_i + a_j in the global graded order, for |a| <= k.
-
-    Positions are prefix-stable: the index of an exponent in the graded order
-    does not depend on the ambient degree bound, so one table per (n, k)
-    serves every tms of degree >= 2k.
-    """
-    bk = monomial_basis(nvars, k)
-    b2k = monomial_basis(nvars, 2 * k)
-    side = len(bk)
-    table = np.empty((side, side), dtype=np.int64)
-    for i, a in enumerate(bk.exponents):
-        for j in range(i, side):
-            b = bk.exponents[j]
-            pos = b2k.index[tuple(x + y for x, y in zip(a, b))]
-            table[i, j] = pos
-            table[j, i] = pos
-    return table
-
-
 def moment_matrix(w: Tms, k: int) -> np.ndarray:
     """Moment matrix M_k[w]; requires 2k <= deg(w)."""
     if k < 0:
         raise ValueError("order k must be >= 0")
     if 2 * k > w.degree:
         raise ValueError(f"moment matrix of order {k} needs a tms of degree >= {2 * k}")
-    return w.values[_moment_index_table(w.nvars, k)]
+    return w.values[sum_positions(w.nvars, k, k)]
 
 
 def localizing_matrix(q: Polynomial, w: Tms, k: int) -> np.ndarray:
@@ -204,20 +188,12 @@ def localizing_matrix(q: Polynomial, w: Tms, k: int) -> np.ndarray:
     if q.degree > 2 * k:
         raise ValueError(f"deg(q) = {q.degree} exceeds 2k = {2 * k}")
     s = (2 * k - q.degree) // 2
-    bs = monomial_basis(w.nvars, s)
-    idx = monomial_basis(w.nvars, w.degree).index
-    side = len(bs)
-    out = np.zeros((side, side))
-    vals = w.values
+    pairs = sum_positions(w.nvars, s, s)
+    shifted = sum_positions(w.nvars, q.degree, 2 * s)
+    gpos = monomial_basis(w.nvars, q.degree).index
+    out = np.zeros(pairs.shape)
     for g, c in q.terms.items():
-        for i, a in enumerate(bs.exponents):
-            ga = tuple(x + y for x, y in zip(g, a))
-            for j in range(i, side):
-                b = bs.exponents[j]
-                v = c * vals[idx[tuple(x + y for x, y in zip(ga, b))]]
-                out[i, j] += v
-                if i != j:
-                    out[j, i] += v
+        out += c * w.values[shifted[gpos[g]][pairs]]
     return out
 
 
@@ -231,11 +207,9 @@ def localizing_vector(q: Polynomial, w: Tms, two_k: int) -> np.ndarray:
         raise ValueError(f"degree bound {two_k} exceeds tms degree {w.degree}")
     if q.degree > two_k:
         raise ValueError(f"deg(q) = {q.degree} exceeds the degree bound {two_k}")
-    bs = monomial_basis(w.nvars, two_k - q.degree)
-    idx = monomial_basis(w.nvars, w.degree).index
-    out = np.zeros(len(bs))
-    vals = w.values
+    shifted = sum_positions(w.nvars, q.degree, two_k - q.degree)
+    gpos = monomial_basis(w.nvars, q.degree).index
+    out = np.zeros(shifted.shape[1])
     for g, c in q.terms.items():
-        for i, a in enumerate(bs.exponents):
-            out[i] += c * vals[idx[tuple(x + y for x, y in zip(g, a))]]
+        out += c * w.values[shifted[gpos[g]]]
     return out

@@ -26,6 +26,7 @@ __all__ = [
     "monomial_basis",
     "basis_size",
     "grading_key",
+    "sum_positions",
 ]
 
 
@@ -103,6 +104,28 @@ class MonomialBasis:
 def monomial_basis(nvars: int, degree: int) -> MonomialBasis:
     """Cached monomial basis; repeated relaxation builds share index tables."""
     return MonomialBasis(nvars, degree)
+
+
+@lru_cache(maxsize=None)
+def sum_positions(nvars: int, d1: int, d2: int) -> np.ndarray:
+    """Table whose entry [i, j] is the graded position of a_i + b_j.
+
+    a_i runs over the degree-<=d1 basis and b_j over the degree-<=d2 basis.
+    Positions are prefix-stable (an exponent's position does not depend on
+    the ambient degree bound), so one table serves every moment vector of
+    degree >= d1 + d2.  The cached array is shared by every caller, hence
+    read-only.
+    """
+    index = monomial_basis(nvars, d1 + d2).index
+    table = np.array(
+        [
+            [index[tuple(x + y for x, y in zip(a, b))] for b in monomial_basis(nvars, d2)]
+            for a in monomial_basis(nvars, d1)
+        ],
+        dtype=np.int64,
+    )
+    table.setflags(write=False)
+    return table
 
 
 def _validate_exponent(nvars: int, exponent) -> tuple:

@@ -49,8 +49,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .moments import Tms
-from .polynomials import Polynomial, basis_size, monomial_basis
-from .sdp import PsdBlock, SdpProblem, SdpSolution
+from .polynomials import Polynomial, basis_size, monomial_basis, sum_positions
+from .sdp import PsdBlock, SdpProblem, SdpSolution, _svec_index
 
 __all__ = [
     "SemialgebraicSet",
@@ -61,10 +61,11 @@ __all__ = [
     "minimum_order",
     "homogenize_set",
     "homogenize_gmp",
-    "even_power_homogenization",
     "build_subproblem",
     "CompiledRelaxation",
     "SosCertificate",
+    "variant_minimum_order",
+    "compile_relaxation",
     "moment_relaxation",
     "homogenized_relaxation",
     "denominator_relaxation",
@@ -151,6 +152,17 @@ class GmpProblem:
     def nvars(self) -> int:
         return self.set.nvars
 
+    @property
+    def pairings(self) -> list:
+        """(a_i, b_i, is_equality) for every pairing constraint."""
+        return [
+            (ai, float(bi), i < self.m1) for i, (ai, bi) in enumerate(zip(self.a, self.b))
+        ]
+
+    def as_gmp(self) -> "GmpProblem":
+        """The problem itself, so both problem classes answer as_gmp()."""
+        return self
+
 
 @dataclass(frozen=True)
 class PopProblem:
@@ -198,19 +210,19 @@ def constraint_half_degree(set_: SemialgebraicSet) -> int:
 
 def minimum_order(problem: Union[GmpProblem, PopProblem]) -> int:
     """Smallest k whose relaxation can express all problem data."""
-    gmp = problem.as_gmp() if isinstance(problem, PopProblem) else problem
+    gmp = problem.as_gmp()
     half_pairings = [_half(ai.degree) for ai in gmp.a]
     return max(
         [_half(gmp.objective.degree), constraint_half_degree(gmp.set)] + half_pairings
     )
 
 
-def homogenize_set(set_: SemialgebraicSet, x0_nonneg: bool = True) -> SemialgebraicSet:
+def homogenize_set(set_: SemialgebraicSet) -> SemialgebraicSet:
     """Intersect the homogenized constraints with the unit sphere.
 
     New variable x0 is prepended.  Equalities become their homogenizations
-    plus |xtilde|^2 - 1 = 0; inequalities homogenize likewise and, unless
-    x0_nonneg is disabled, x0 >= 0 restricts to the closed upper half sphere.
+    plus |xtilde|^2 - 1 = 0; inequalities homogenize likewise and x0 >= 0
+    restricts to the closed upper half sphere.
     """
     n1 = set_.nvars + 1
     sphere = Polynomial.from_terms(
@@ -219,9 +231,9 @@ def homogenize_set(set_: SemialgebraicSet, x0_nonneg: bool = True) -> Semialgebr
         + [((0,) * n1, -1.0)],
     )
     eqs = tuple(c.homogenize() for c in set_.equalities) + (sphere,)
-    ineqs = tuple(c.homogenize() for c in set_.inequalities)
-    if x0_nonneg:
-        ineqs = ineqs + (Polynomial.variable(n1, 0),)
+    ineqs = tuple(c.homogenize() for c in set_.inequalities) + (
+        Polynomial.variable(n1, 0),
+    )
     return SemialgebraicSet(
         nvars=n1, equalities=eqs, inequalities=ineqs, archimedean=True
     )
@@ -237,36 +249,6 @@ def homogenize_gmp(gmp: GmpProblem) -> GmpProblem:
         m1=gmp.m1,
         d=gmp.d,
     )
-
-
-def even_power_homogenization(pop: PopProblem) -> PopProblem:
-    """Homogenized problem with even-power inequality lifts and free x0.
-
-    Each inequality c_j >= 0 becomes x0^{t_j} ctilde_j >= 0 with
-    t_j = 2*ceil(deg c_j / 2) - deg c_j, so every inequality has even degree
-    and no x0 >= 0 constraint is needed.  Only even-degree objectives admit
-    this form.
-    """
-    f = pop.objective
-    if f.degree % 2 != 0:
-        raise ValueError(
-            "even-power homogenization requires an even-degree objective; "
-            f"got degree {f.degree}"
-        )
-    base = homogenize_set(pop.set, x0_nonneg=False)
-    n1 = base.nvars
-    x0 = Polynomial.variable(n1, 0)
-    lifted = []
-    for c in pop.set.inequalities:
-        gap = 2 * _half(c.degree) - c.degree
-        lifted.append((x0 ** gap) * c.homogenize())
-    hom_set = SemialgebraicSet(
-        nvars=n1,
-        equalities=base.equalities,
-        inequalities=tuple(lifted),
-        archimedean=True,
-    )
-    return PopProblem(set=hom_set, objective=f.homogenize())
 
 
 def build_subproblem(gmp: GmpProblem, theta: Sequence[float]) -> PopProblem:
@@ -303,15 +285,11 @@ class SosCertificate:
     ideal_multipliers: list
 
     def sos_polynomial(self, nvars: int, gram: np.ndarray, basis_degree: int) -> Polynomial:
-        basis = monomial_basis(nvars, basis_degree)
-        terms: dict = {}
-        side = gram.shape[0]
-        for i in range(side):
-            ei = basis.exponents[i]
-            for j in range(side):
-                e = tuple(x + y for x, y in zip(ei, basis.exponents[j]))
-                terms[e] = terms.get(e, 0.0) + gram[i, j]
-        return Polynomial(nvars, terms)
+        coeffs = np.bincount(
+            sum_positions(nvars, basis_degree, basis_degree).ravel(), weights=gram.ravel()
+        )
+        exponents = monomial_basis(nvars, 2 * basis_degree).exponents
+        return Polynomial(nvars, dict(zip(exponents, coeffs)))
 
 
 @dataclass
@@ -333,7 +311,6 @@ class CompiledRelaxation:
     dK: int
     source: Union[GmpProblem, PopProblem]
     relaxed_set: SemialgebraicSet
-    homogenized_from: Optional[Union[GmpProblem, PopProblem]] = None
     homogenize_degree: Optional[int] = None
 
     @property
@@ -392,68 +369,53 @@ class CompiledRelaxation:
         return max(abs(c) for c in resid.terms.values())
 
 
-def _moment_block(nvars: int, k: int, index: dict) -> PsdBlock:
-    bk = monomial_basis(nvars, k)
-    side = len(bk)
-    var, row, col = [], [], []
-    for i, a in enumerate(bk.exponents):
-        for j in range(i, side):
-            var.append(index[tuple(x + y for x, y in zip(a, bk.exponents[j]))])
-            row.append(i)
-            col.append(j)
-    return PsdBlock(side, var, row, col, np.ones(len(var)))
+def _localizing_block(q: Polynomial, k: int) -> PsdBlock:
+    """PSD block of the order-k localizing matrix of q (moment matrix for q = 1).
 
-
-def _localizing_block(q: Polynomial, nvars: int, k: int, index: dict) -> PsdBlock:
+    Entries are emitted term by term of q, then row-major over the upper
+    triangle, which fixes the order in which PsdBlock merges duplicates.
+    """
+    n = q.nvars
     s = (2 * k - q.degree) // 2
-    bs = monomial_basis(nvars, s)
-    side = len(bs)
-    var, row, col, coef = [], [], [], []
-    for g, cg in q.terms.items():
-        for i, a in enumerate(bs.exponents):
-            ga = tuple(x + y for x, y in zip(g, a))
-            for j in range(i, side):
-                b = bs.exponents[j]
-                var.append(index[tuple(x + y for x, y in zip(ga, b))])
-                row.append(i)
-                col.append(j)
-                coef.append(cg)
-    return PsdBlock(side, var, row, col, coef)
-
-
-def _poly_row(p: Polynomial, index: dict, width: int) -> np.ndarray:
-    row = np.zeros(width)
-    for e, c in p.terms.items():
-        row[index[e]] += c
-    return row
+    side = basis_size(n, s)
+    rows, cols, _ = _svec_index(side)  # cached row-major upper triangle
+    pairs = sum_positions(n, s, s)[rows, cols]
+    shifted = sum_positions(n, q.degree, 2 * s)
+    gpos = monomial_basis(n, q.degree).index
+    terms = q.terms
+    return PsdBlock(
+        side,
+        np.concatenate([shifted[gpos[g], pairs] for g in terms]),
+        np.tile(rows, len(terms)),
+        np.tile(cols, len(terms)),
+        np.repeat(list(terms.values()), len(pairs)),
+    )
 
 
 def _compile(
     variant: Variant,
     source,
-    relaxed_set: SemialgebraicSet,
-    objective_poly: Polynomial,
-    pairings: list,
+    relaxed: GmpProblem,
     order: int,
     block_order: int,
     d0: int,
-    dK: int,
-    homogenized_from=None,
-    homogenize_degree=None,
+    homogenize_degree: Optional[int],
 ) -> CompiledRelaxation:
     """Shared assembly: decision variables are the degree-2*block_order moments."""
-    nvars = relaxed_set.nvars
+    relaxed_set = relaxed.set
+    nvars = relaxed.nvars
     two_k = 2 * block_order
-    index = monomial_basis(nvars, two_k).index
-    width = basis_size(nvars, two_k)
+    basis = monomial_basis(nvars, two_k)
+    width = len(basis)
 
-    objective = _poly_row(objective_poly, index, width)
+    objective = relaxed.objective.coefficient_vector(basis)
 
     eq_rows, eq_rhs = [], []
     ineq_rows, ineq_rhs = [], []
     pairing_eq_rows, pairing_ineq_rows = [], []
+    pairings = relaxed.pairings
     for i, (ai, bi, is_eq) in enumerate(pairings):
-        row = _poly_row(ai, index, width)
+        row = ai.coefficient_vector(basis)
         if is_eq:
             pairing_eq_rows.append((i, len(eq_rows)))
             eq_rows.append(row)
@@ -465,20 +427,20 @@ def _compile(
 
     ideal_rows = []
     for j, c in enumerate(relaxed_set.equalities):
-        vec_basis = monomial_basis(nvars, two_k - c.degree)
-        ideal_rows.append((j, len(eq_rows), vec_basis.degree))
-        for a in vec_basis.exponents:
-            row = np.zeros(width)
-            for g, cg in c.terms.items():
-                row[index[tuple(x + y for x, y in zip(g, a))]] += cg
-            eq_rows.append(row)
-            eq_rhs.append(0.0)
+        shifted = sum_positions(nvars, c.degree, two_k - c.degree)
+        gpos = monomial_basis(nvars, c.degree).index
+        rows = np.zeros((shifted.shape[1], width))
+        for g, cg in c.terms.items():
+            rows[np.arange(len(rows)), shifted[gpos[g]]] += cg
+        ideal_rows.append((j, len(eq_rows), two_k - c.degree))
+        eq_rows.extend(rows)
+        eq_rhs.extend([0.0] * len(rows))
 
-    blocks = [_moment_block(nvars, block_order, index)]
+    blocks = [_localizing_block(Polynomial.constant(nvars, 1.0), block_order)]
     localizing_blocks = []
     for j, c in enumerate(relaxed_set.inequalities):
         localizing_blocks.append((j, len(blocks)))
-        blocks.append(_localizing_block(c, nvars, block_order, index))
+        blocks.append(_localizing_block(c, block_order))
 
     sdp = SdpProblem(
         nfree=width,
@@ -495,44 +457,73 @@ def _compile(
         order=order,
         block_order=block_order,
         nvars=nvars,
-        objective_poly=objective_poly,
+        objective_poly=relaxed.objective,
         pairings=pairings,
         pairing_eq_rows=pairing_eq_rows,
         pairing_ineq_rows=pairing_ineq_rows,
         ideal_rows=ideal_rows,
         localizing_blocks=localizing_blocks,
         d0=d0,
-        dK=dK,
+        dK=constraint_half_degree(relaxed_set),
         source=source,
         relaxed_set=relaxed_set,
-        homogenized_from=homogenized_from,
         homogenize_degree=homogenize_degree,
     )
 
 
-def _gmp_pairings(gmp: GmpProblem) -> list:
-    return [
-        (ai, float(bi), i < gmp.m1) for i, (ai, bi) in enumerate(zip(gmp.a, gmp.b))
-    ]
+def variant_minimum_order(
+    problem: Union[GmpProblem, PopProblem], variant: Union[Variant, str]
+) -> int:
+    """Smallest order k at which the variant's relaxation of problem compiles."""
+    variant = Variant(variant)
+    if variant is Variant.DENOMINATOR:
+        if not isinstance(problem, PopProblem):
+            raise ValueError("the denominator variant applies to POP problems only")
+        # blocks have order k + ceil(deg f / 2), which must cover every constraint
+        df = _half(problem.objective.degree)
+        return max(df, constraint_half_degree(problem.set) - df)
+    gmp = problem.as_gmp()
+    if variant is Variant.HOMOGENIZED:
+        gmp = homogenize_gmp(gmp)
+    return minimum_order(gmp)
+
+
+def compile_relaxation(
+    problem: Union[GmpProblem, PopProblem], variant: Union[Variant, str], k: int
+) -> CompiledRelaxation:
+    """Order-k relaxation of problem in the given variant.
+
+    This is the one place that maps a variant to its relaxation data; the
+    per-variant functions below and the order sweep all come through here.
+    """
+    variant = Variant(variant)
+    d0 = variant_minimum_order(problem, variant)
+    if k < d0:
+        raise ValueError(f"order k={k} is below the minimum order {d0}")
+    block_order, homogenize_degree = k, None
+    if variant is Variant.DENOMINATOR:
+        # moment form: objective theta^k f, normalization <theta^k, w> = 1
+        n = problem.nvars
+        theta = Polynomial.constant(n, 1.0) + sum(
+            (Polynomial.variable(n, i) ** 2 for i in range(n)), Polynomial.zero(n)
+        )
+        theta_k = theta ** k
+        block_order = d0 = k + _half(problem.objective.degree)
+        relaxed = GmpProblem(
+            set=problem.set, objective=theta_k * problem.objective,
+            a=(theta_k,), b=[1.0], m1=1, d=2 * block_order,
+        )
+    else:
+        relaxed = problem.as_gmp()
+        if variant is Variant.HOMOGENIZED:
+            homogenize_degree = relaxed.d
+            relaxed = homogenize_gmp(relaxed)
+    return _compile(variant, problem, relaxed, k, block_order, d0, homogenize_degree)
 
 
 def moment_relaxation(problem: Union[GmpProblem, PopProblem], k: int) -> CompiledRelaxation:
     """Order-k moment relaxation over the problem's own set."""
-    gmp = problem.as_gmp() if isinstance(problem, PopProblem) else problem
-    d0 = minimum_order(gmp)
-    if k < d0:
-        raise ValueError(f"order k={k} is below the minimum order {d0}")
-    return _compile(
-        variant=Variant.PLAIN,
-        source=problem,
-        relaxed_set=gmp.set,
-        objective_poly=gmp.objective,
-        pairings=_gmp_pairings(gmp),
-        order=k,
-        block_order=k,
-        d0=d0,
-        dK=constraint_half_degree(gmp.set),
-    )
+    return compile_relaxation(problem, Variant.PLAIN, k)
 
 
 def homogenized_relaxation(
@@ -544,32 +535,14 @@ def homogenized_relaxation(
     Atom weights scale by tau^d under dehomogenization, where d is the
     problem's degree bound.
     """
-    gmp = problem.as_gmp() if isinstance(problem, PopProblem) else problem
-    if not gmp.set.closed_at_infinity:
+    if not problem.set.closed_at_infinity:
         warnings.warn(
             "homogenized relaxation of a set not asserted closed at infinity: "
             "values remain lower bounds but may not converge to the original "
             "optimum",
             stacklevel=2,
         )
-    hom = homogenize_gmp(gmp)
-    d0 = minimum_order(hom)
-    if k < d0:
-        raise ValueError(f"order k={k} is below the minimum order {d0}")
-    comp = _compile(
-        variant=Variant.HOMOGENIZED,
-        source=problem,
-        relaxed_set=hom.set,
-        objective_poly=hom.objective,
-        pairings=_gmp_pairings(hom),
-        order=k,
-        block_order=k,
-        d0=d0,
-        dK=constraint_half_degree(hom.set),
-        homogenized_from=problem,
-        homogenize_degree=gmp.d,
-    )
-    return comp
+    return compile_relaxation(problem, Variant.HOMOGENIZED, k)
 
 
 def denominator_relaxation(pop: PopProblem, k: int) -> CompiledRelaxation:
@@ -586,37 +559,19 @@ def denominator_relaxation(pop: PopProblem, k: int) -> CompiledRelaxation:
     """
     if not isinstance(pop, PopProblem):
         raise TypeError("the denominator relaxation applies to PopProblem only")
-    f = pop.objective
-    df = _half(f.degree)
-    if k < df:
-        raise ValueError(f"order k={k} is below the minimum order {df}")
-    n = pop.nvars
-    theta = Polynomial.constant(n, 1.0) + sum(
-        (Polynomial.variable(n, i) ** 2 for i in range(n)), Polynomial.zero(n)
-    )
-    theta_k = theta ** k
-    block_order = k + df
-    dK = constraint_half_degree(pop.set)
-    return _compile(
-        variant=Variant.DENOMINATOR,
-        source=pop,
-        relaxed_set=pop.set,
-        objective_poly=theta_k * f,
-        pairings=[(theta_k, 1.0, True)],
-        order=k,
-        block_order=block_order,
-        d0=block_order,
-        dK=dK,
-    )
+    return compile_relaxation(pop, Variant.DENOMINATOR, k)
 
 
 # -- JSON problem schema --------------------------------------------------------
 
 
-def _poly_from_json(nvars: int, data) -> Polynomial:
+def _poly_from_json(nvars: int, data, field: str) -> Polynomial:
     if not isinstance(data, list):
         raise ValueError("polynomial must be a list of term objects")
-    return Polynomial.from_json_terms(nvars, data)
+    poly = Polynomial.from_json_terms(nvars, data)
+    if not all(math.isfinite(c) for c in poly.terms.values()):
+        raise ValueError(f"'{field}' has a non-finite coefficient")
+    return poly
 
 
 def problem_from_json(data: dict) -> Union[GmpProblem, PopProblem]:
@@ -634,12 +589,17 @@ def problem_from_json(data: dict) -> Union[GmpProblem, PopProblem]:
     n = int(data["n"])
     if n < 1:
         raise ValueError("'n' must be a positive integer")
-    f = _poly_from_json(n, data["f"])
+    f = _poly_from_json(n, data["f"], "f")
     raw_set = data.get("set", {})
     set_ = SemialgebraicSet(
         nvars=n,
-        equalities=tuple(_poly_from_json(n, p) for p in raw_set.get("eq", [])),
-        inequalities=tuple(_poly_from_json(n, p) for p in raw_set.get("ineq", [])),
+        equalities=tuple(
+            _poly_from_json(n, p, f"set.eq[{i}]") for i, p in enumerate(raw_set.get("eq", []))
+        ),
+        inequalities=tuple(
+            _poly_from_json(n, p, f"set.ineq[{i}]")
+            for i, p in enumerate(raw_set.get("ineq", []))
+        ),
         archimedean=bool(raw_set.get("archimedean", False)),
         closed_at_infinity=bool(raw_set.get("closed_at_infinity", False)),
     )
@@ -648,11 +608,14 @@ def problem_from_json(data: dict) -> Union[GmpProblem, PopProblem]:
         for key in ("a", "b", "m1", "d"):
             if key not in g:
                 raise ValueError(f"gmp block is missing '{key}'")
+        b = np.asarray(g["b"], dtype=float)
+        if not np.all(np.isfinite(b)):
+            raise ValueError("'gmp.b' has a non-finite entry")
         return GmpProblem(
             set=set_,
             objective=f,
-            a=tuple(_poly_from_json(n, p) for p in g["a"]),
-            b=np.asarray(g["b"], dtype=float),
+            a=tuple(_poly_from_json(n, p, f"gmp.a[{i}]") for i, p in enumerate(g["a"])),
+            b=b,
             m1=int(g["m1"]),
             d=int(g["d"]),
         )

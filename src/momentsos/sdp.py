@@ -374,6 +374,8 @@ def solve_sdp(
     fallback keeps those solves usable while the message records the
     achieved accuracy.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     nfree = prob.nfree
     c = prob.objective
     ml = prob.num_ineq

@@ -6,6 +6,8 @@ coefficients, so the checks do not lean on the arithmetic under test.
 
 import numpy as np
 
+from momentsos import monomial_basis
+
 
 def term_eval(terms, x):
     """Evaluate an exponent->coefficient dict at a point."""
@@ -94,3 +96,71 @@ def random_atoms(rng, n, r, min_sep=0.25, min_weight=0.1):
             break
     wts = rng.uniform(min_weight, 1.0, size=r)
     return wts, pts
+
+
+# -- loop versions of the moment-index arithmetic ------------------------------
+# These enumerate exponent sums one entry at a time, in the order the compiled
+# blocks emit them, and take only the graded order from monomial_basis; the
+# table-driven code does the same arithmetic and must match them exactly.
+
+
+def _add(*exponents):
+    return tuple(sum(parts) for parts in zip(*exponents))
+
+
+def _degree(terms):
+    return max(sum(e) for e in terms)
+
+
+def localizing_matrix(terms, n, values, k):
+    """sum_g q_g * w_{g + a_i + a_j} over |a| <= (2k - deg q) // 2."""
+    bs = monomial_basis(n, (2 * k - _degree(terms)) // 2).exponents
+    idx = monomial_basis(n, 2 * k).index
+    out = np.zeros((len(bs), len(bs)))
+    for g, c in terms.items():
+        for i, a in enumerate(bs):
+            for j in range(i, len(bs)):
+                v = c * values[idx[_add(g, a, bs[j])]]
+                out[i, j] += v
+                if i != j:
+                    out[j, i] += v
+    return out
+
+
+def localizing_vector(terms, n, values, two_k):
+    """sum_g q_g * w_{g + a} over |a| <= two_k - deg q."""
+    bs = monomial_basis(n, two_k - _degree(terms)).exponents
+    idx = monomial_basis(n, two_k).index
+    out = np.zeros(len(bs))
+    for g, c in terms.items():
+        for i, a in enumerate(bs):
+            out[i] += c * values[idx[_add(g, a)]]
+    return out
+
+
+def moment_block_entries(n, k):
+    """(side, var, row, col, coef) of the order-k moment-matrix block."""
+    bk = monomial_basis(n, k).exponents
+    idx = monomial_basis(n, 2 * k).index
+    var, row, col = [], [], []
+    for i, a in enumerate(bk):
+        for j in range(i, len(bk)):
+            var.append(idx[_add(a, bk[j])])
+            row.append(i)
+            col.append(j)
+    return len(bk), var, row, col, np.ones(len(var))
+
+
+def localizing_block_entries(terms, n, k):
+    """(side, var, row, col, coef) of the order-k localizing block of q."""
+    bs = monomial_basis(n, (2 * k - _degree(terms)) // 2).exponents
+    idx = monomial_basis(n, 2 * k).index
+    var, row, col, coef = [], [], [], []
+    for g, c in terms.items():
+        for i, a in enumerate(bs):
+            for j in range(i, len(bs)):
+                var.append(idx[_add(g, a, bs[j])])
+                row.append(i)
+                col.append(j)
+                coef.append(c)
+    return len(bs), var, row, col, coef

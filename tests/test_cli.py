@@ -93,6 +93,46 @@ def test_dump_to_stdout(capsys):
     assert prob.nfree > 0
 
 
+def write_problem(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_solve_dump_sdp_matches_dump(tmp_path):
+    """solve --dump-sdp and dump write the same SDP for every variant."""
+    one = {"c": 1.0, "e": [0]}
+    problem = write_problem(tmp_path / "interval.json", {
+        "n": 1,
+        "f": [{"c": -1.0, "e": [1]}],
+        "set": {"ineq": [[one, {"c": -1.0, "e": [2]}]], "archimedean": True,
+                "closed_at_infinity": True},
+    })
+    for variant in ("plain", "homogenized", "denominator"):
+        solved = tmp_path / f"{variant}-solve.sdp"
+        dumped = tmp_path / f"{variant}-dump.sdp"
+        assert run("solve", problem, "--variant", variant, "--kmin", "2", "--kmax", "2",
+                   "--dump-sdp", str(solved)) == 0
+        assert run("dump", problem, "--variant", variant, "--kmin", "2",
+                   "--out", str(dumped)) == 0
+        assert solved.read_bytes() == dumped.read_bytes(), variant
+
+
+def test_dump_denominator_minimum_order_covers_constraints(tmp_path, capsys):
+    """dump picks order 2 for min x1^2 + x2^2 - x1 on {1 - x1^6 - x2^6 >= 0}."""
+    problem = write_problem(tmp_path / "ball6.json", {
+        "n": 2,
+        "f": [{"c": 1.0, "e": [2, 0]}, {"c": 1.0, "e": [0, 2]}, {"c": -1.0, "e": [1, 0]}],
+        "set": {"ineq": [[{"c": 1.0, "e": [0, 0]}, {"c": -1.0, "e": [6, 0]},
+                          {"c": -1.0, "e": [0, 6]}]]},
+    })
+    out = tmp_path / "ball6.sdp"
+    assert run("dump", problem, "--variant", "denominator", "--out", str(out)) == 0
+    assert "wrote order-2 denominator SDP" in capsys.readouterr().out
+    with open(out) as fh:
+        sol = solve_sdp(read_sparse_sdp(fh))
+    assert abs(sol.obj_primal + 0.25) <= 1e-6
+
+
 def test_solve_dump_sdp_per_order(tmp_path):
     template = str(tmp_path / "relax_{k}.sdp")
     code = run("solve", EX35, "--kmin", "3", "--kmax", "3", "--dump-sdp", template)

@@ -179,6 +179,29 @@ def test_localizing_vector_identity():
         assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
 
+def test_structured_matrices_match_loop_oracles():
+    """Table-driven builders equal the entry-by-entry loops exactly."""
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 4))
+        w = random_tms(rng, n, 2 * k + int(rng.integers(0, 2)))
+        one = {(0,) * n: 1.0}
+        assert np.array_equal(
+            moment_matrix(w, k), oracles.localizing_matrix(one, n, w.values, k)
+        )
+        q = Polynomial(n, oracles.random_terms(rng, n, 2 * k, 5))
+        if q.is_zero:
+            continue
+        assert np.array_equal(
+            localizing_matrix(q, w, k), oracles.localizing_matrix(q.terms, n, w.values, k)
+        )
+        assert np.array_equal(
+            localizing_vector(q, w, 2 * k),
+            oracles.localizing_vector(q.terms, n, w.values, 2 * k),
+        )
+
+
 def test_localizing_rejects_zero_polynomial():
     rng = np.random.default_rng(13)
     w = random_tms(rng, 2, 4)

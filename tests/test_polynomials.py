@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from momentsos import MonomialBasis, Polynomial, basis_size, monomial_basis
+from momentsos.polynomials import (
+    MonomialBasis,
+    Polynomial,
+    basis_size,
+    monomial_basis,
+    sum_positions,
+)
 
 import oracles
 
@@ -213,6 +219,18 @@ def test_basis_prefix_stability():
         for d in range(0, 5):
             small = monomial_basis(n, d)
             assert big.exponents[: len(small)] == small.exponents
+
+
+def test_sum_positions_table():
+    table = sum_positions(2, 2, 1)
+    big = monomial_basis(2, 3)
+    for i, a in enumerate(monomial_basis(2, 2)):
+        for j, b in enumerate(monomial_basis(2, 1)):
+            assert big[table[i, j]] == tuple(x + y for x, y in zip(a, b))
+    # the cached table is shared between callers, so it must not be writable
+    assert sum_positions(2, 2, 1) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
 
 
 def test_basis_expected_order_two_vars():

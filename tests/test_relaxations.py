@@ -9,6 +9,7 @@ from momentsos import (
     GmpProblem,
     Polynomial,
     PopProblem,
+    PsdBlock,
     SdpStatus,
     SemialgebraicSet,
     Variant,
@@ -16,7 +17,6 @@ from momentsos import (
     build_subproblem,
     constraint_half_degree,
     denominator_relaxation,
-    even_power_homogenization,
     homogenize_gmp,
     homogenize_set,
     homogenized_relaxation,
@@ -28,7 +28,10 @@ from momentsos import (
     solve_hierarchy,
     solve_sdp,
     tms_from_atoms,
+    variant_minimum_order,
 )
+
+import oracles
 
 
 def x(n, i):
@@ -189,22 +192,6 @@ def test_homogenize_gmp_pairing_degrees():
     assert hom.objective.is_homogeneous and hom.objective.degree == 4
 
 
-def test_even_power_homogenization():
-    n = 2
-    f = x(n, 0) ** 4 + x(n, 1) ** 2
-    g = x(n, 0) ** 3 - x(n, 1)  # odd degree inequality
-    pop = PopProblem(SemialgebraicSet(n, inequalities=(g,)), f)
-    hom = even_power_homogenization(pop)
-    assert hom.nvars == 3
-    # no x0 >= 0 constraint, and the lifted inequality has even degree
-    assert all(c.degree % 2 == 0 for c in hom.set.inequalities)
-    assert Polynomial.variable(3, 0) not in hom.set.inequalities
-    assert hom.objective.is_homogeneous and hom.objective.degree == 4
-    odd = PopProblem(SemialgebraicSet(n), x(n, 0) ** 3)
-    with pytest.raises(ValueError, match="even-degree"):
-        even_power_homogenization(odd)
-
-
 def test_homogenized_relaxation_warns_without_closure_flag():
     pop = PopProblem(SemialgebraicSet(1), x(1, 0) ** 2)
     with pytest.warns(UserWarning, match="closed at infinity"):
@@ -235,6 +222,24 @@ def test_denominator_relaxation_structure():
     theta_k = comp.pairings[0][0]
     one_plus = Polynomial(1, {(0,): 1.0, (2,): 1.0})
     assert theta_k == one_plus**2
+
+
+def test_denominator_minimum_order_covers_constraints():
+    """min x1^2 + x2^2 - x1 on {1 - x1^6 - x2^6 >= 0}: optimum -1/4 at (1/2, 0).
+
+    The degree-6 constraint needs blocks of order 3 = k + ceil(2/2), so the
+    smallest admissible order is 2, not ceil(deg f / 2) = 1.
+    """
+    x1, x2 = x(2, 0), x(2, 1)
+    ball6 = SemialgebraicSet(2, inequalities=(1.0 - x1**6 - x2**6,))
+    pop = PopProblem(ball6, x1**2 + x2**2 - x1)
+    assert variant_minimum_order(pop, "denominator") == 2
+    with pytest.raises(ValueError, match="below the minimum order 2"):
+        denominator_relaxation(pop, 1)
+    result = solve_hierarchy(pop, "denominator")
+    assert result.status == "converged"
+    assert result.order == 2
+    assert result.value == pytest.approx(-0.25, abs=1e-6)
 
 
 def test_denominator_interval_value():
@@ -280,6 +285,35 @@ def test_solve_hierarchy_unresolved_when_not_flat():
     assert not result.converged
 
 
+def test_compiled_blocks_match_loop_oracles():
+    """Moment and localizing blocks equal the entry-by-entry loop builders."""
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        ineqs = tuple(
+            p
+            for p in (Polynomial(n, oracles.random_terms(rng, n, 4, 4)) for _ in range(2))
+            if not p.is_zero
+        )
+        f = Polynomial(n, oracles.random_terms(rng, n, 4, 5))
+        pop = PopProblem(SemialgebraicSet(n, inequalities=ineqs), f)
+        k = minimum_order(pop) + int(rng.integers(0, 2))
+        blocks = moment_relaxation(pop, k).sdp.psd_blocks
+        want = [PsdBlock(*oracles.moment_block_entries(n, k))] + [
+            PsdBlock(*oracles.localizing_block_entries(c.terms, n, k)) for c in ineqs
+        ]
+        assert len(blocks) == len(want)
+        for got, ref in zip(blocks, want):
+            assert got.side == ref.side
+            for name in ("var", "row", "col", "coef"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+def test_solve_hierarchy_rejects_zero_iterations():
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        solve_hierarchy(interval_pop(), "plain", 1, 1, max_iter=0)
+
+
 def test_json_round_trip_gmp():
     n = 3
     f = x(n, 0) ** 6
@@ -314,3 +348,21 @@ def test_json_rejects_bad_input():
         problem_from_json({"n": 3, "f": [{"c": 1.0, "e": [1, 2]}]})
     with pytest.raises(ValueError, match="malformed"):
         problem_from_json({"n": 1, "f": [{"coef": 1.0}]})
+    # non-finite numbers are rejected naming the field, before any solve
+    good = [{"c": 1.0, "e": [1]}]
+    for bad in (math.nan, math.inf, -math.inf):
+        term = [{"c": bad, "e": [0]}]
+        with pytest.raises(ValueError, match="'f' has a non-finite coefficient"):
+            problem_from_json({"n": 1, "f": good + term})
+        with pytest.raises(ValueError, match=r"'set.ineq\[1\]' has a non-finite"):
+            problem_from_json({"n": 1, "f": good, "set": {"ineq": [good, term]}})
+        with pytest.raises(ValueError, match=r"'set.eq\[0\]' has a non-finite"):
+            problem_from_json({"n": 1, "f": good, "set": {"eq": [term]}})
+        with pytest.raises(ValueError, match=r"'gmp.a\[0\]' has a non-finite"):
+            problem_from_json(
+                {"n": 1, "f": good, "gmp": {"a": [term], "b": [1.0], "m1": 1, "d": 1}}
+            )
+        with pytest.raises(ValueError, match="'gmp.b' has a non-finite entry"):
+            problem_from_json(
+                {"n": 1, "f": good, "gmp": {"a": [good], "b": [bad], "m1": 1, "d": 1}}
+            )

@@ -45,6 +45,13 @@ def test_scalar_bound():
     assert abs(sol.obj_primal - 1.0) < 1e-6
 
 
+def test_max_iter_must_be_positive():
+    blk = PsdBlock(1, [0], [0], [0], [1.0], const=np.array([[-1.0]]))
+    prob = SdpProblem(1, [1.0], psd_blocks=[blk])
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        solve_sdp(prob, max_iter=0)
+
+
 def test_inequality_rows():
     # min w1 + w2 with w1 >= 1, w2 >= 2 as linear rows
     prob = SdpProblem(
