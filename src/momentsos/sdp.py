@@ -18,10 +18,16 @@ so for a moment relaxation the Z_j are exactly the Gram matrices of the
 sums-of-squares certificate and y carries the ideal multipliers.
 
 The algorithm is an infeasible-start path-following method with
-Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  All block
-factorizations are dense; per iteration one Schur complement in the free
-variables is formed and Cholesky-factored, followed by a second (smaller)
-Schur complement over the equality rows.  Infeasibility and unboundedness
+Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  Per
+iteration one Schur complement in the free variables is formed and
+Cholesky-factored, followed by a second (smaller) Schur complement over the
+equality rows.  With W_j = Ginv_j^T Ginv_j from block j's scaling, the
+block adds M_uv = <G_u, W_j G_v W_j> on its active variables; `PsdBlock.schur`
+sums this over the block's stored entries (the formula of Fujisawa, Kojima
+and Nakata, as in SDPA), and the Newton step maps through the same entries
+with `PsdBlock.adjoint` and `PsdBlock.materialize`.  No basis of the block's
+symmetric-matrix space is formed; only the block factorizations (Cholesky,
+SVD, eigenvalues) are dense.  Infeasibility and unboundedness
 are only ever declared from explicit certificates whose violation exceeds
 the certificate residual by a confidence ratio of 1e6; anything less
 decisive ends as MAX_ITERATIONS with the best iterate found.
@@ -54,6 +60,9 @@ _SQRT2 = math.sqrt(2.0)
 # Confidence ratio for declaring infeasibility from a certificate.
 _CERT_RATIO = 1.0e6
 
+# Work arrays of one PsdBlock.schur batch hold at most this many doubles.
+_SCHUR_BUDGET = 1 << 20
+
 
 class SdpStatus(str, Enum):
     OPTIMAL = "optimal"
@@ -71,36 +80,40 @@ def _svec_index(n: int):
     return rows, cols, weights
 
 
-def _svec(x: np.ndarray) -> np.ndarray:
-    r, c, wt = _svec_index(x.shape[0])
-    return x[r, c] * wt
-
-
-def _smat(v: np.ndarray, n: int) -> np.ndarray:
-    r, c, wt = _svec_index(n)
-    x = np.zeros((n, n))
-    x[r, c] = v / wt
-    x = x + x.T
-    x[np.arange(n), np.arange(n)] *= 0.5
-    return x
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in a sorted array."""
+    if not len(keys):
+        return np.zeros(0, dtype=np.int64)
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
 class PsdBlock:
     """Affine symmetric-matrix map w -> const + sum_v w_v G_v.
 
     Stored sparsely as canonical entries (var, row, col, coef) with
-    row <= col; each entry contributes coef to positions (row, col) and
-    (col, row) of G_var.
+    row <= col, sorted by (var, row, col) with duplicates merged; each entry
+    contributes coef to positions (row, col) and (col, row) of G_var.
+
+    The constructor lays out once the index arrays that the per-iteration
+    operations read: the flat positions of the entries in both triangles
+    (one `np.bincount` builds S(w) or a G_v), the sorted `active` variables
+    with the slice of entries of each, and the sorted keys and batches that
+    `schur` uses to form the block's Schur complement term from the stored
+    entries alone.  `scaled_rows`, the dense formation that `schur`
+    replaced, is not used by the solver: it is the tests' reference, and
+    the benchmark's tracer (bench/tracing.py) still looks the name up.
     """
 
     def __init__(self, side: int, var, row, col, coef, const=None):
-        self.side = int(side)
+        self.side = side = int(side)
         var = np.asarray(var, dtype=np.int64)
         row = np.asarray(row, dtype=np.int64)
         col = np.asarray(col, dtype=np.int64)
         coef = np.asarray(coef, dtype=float)
         if not (var.shape == row.shape == col.shape == coef.shape):
             raise ValueError("var/row/col/coef must have identical shapes")
+        if len(var) and var.min() < 0:
+            raise ValueError("variable indices must be non-negative")
         swap = row > col
         row, col = np.where(swap, col, row), np.where(swap, row, col)
         if len(var) and (row.min() < 0 or col.max() >= side):
@@ -109,11 +122,9 @@ class PsdBlock:
         order = np.lexsort((col, row, var))
         var, row, col, coef = var[order], row[order], col[order], coef[order]
         if len(var):
-            key = (var * side + row) * side + col
-            uniq, inverse = np.unique(key, return_inverse=True)
-            merged = np.zeros(len(uniq))
-            np.add.at(merged, inverse, coef)
-            first = np.searchsorted(key, uniq)
+            first = _run_starts((var * side + row) * side + col)
+            inverse = np.repeat(np.arange(len(first)), np.diff(first, append=len(var)))
+            merged = np.bincount(inverse, weights=coef, minlength=len(first))
             var, row, col, coef = var[first], row[first], col[first], merged
             keep = coef != 0.0
             var, row, col, coef = var[keep], row[keep], col[keep], coef[keep]
@@ -126,6 +137,34 @@ class PsdBlock:
         if not np.allclose(const, const.T, atol=1e-12):
             raise ValueError("const must be symmetric")
         self.const = 0.5 * (const + const.T)
+
+        # every entry in both triangles: G_var[tgt, src] += coef
+        off = np.flatnonzero(row != col)
+        ent = np.concatenate([np.arange(len(var)), off])
+        tgt = np.concatenate([row, col[off]])
+        src = np.concatenate([col, row[off]])
+        self._sym_pos = tgt * side + src
+        self._sym_var = var[ent]
+        self._sym_coef = coef[ent]
+        self._flat = row * side + col
+        self._wcoef = coef * np.where(row == col, 1.0, 2.0)
+        self._starts = _run_starts(var)
+        self.active = var[self._starts]
+        # rows of the stacked G_v W, one per (active position of v, tgt)
+        key = np.searchsorted(self.active, self._sym_var) * side + tgt
+        order = np.argsort(key, kind="stable")
+        self._gw_src = src[order]
+        self._gw_coef = self._sym_coef[order]
+        key = key[order]
+        starts = _run_starts(key)
+        self._gw_key = key[starts]
+        self._gw_starts = np.append(starts, len(key))
+        nb = max(1, _SCHUR_BUDGET // max(side * side, len(var), 1))
+        self._batches = []
+        for v0 in range(0, len(self.active), nb):
+            v1 = min(v0 + nb, len(self.active))
+            u0, u1 = np.searchsorted(self._gw_key, [v0 * side, v1 * side])
+            self._batches.append((v0, v1, int(u0), int(u1)))
 
     @classmethod
     def from_dense(cls, const: np.ndarray, coeffs: dict) -> "PsdBlock":
@@ -145,37 +184,62 @@ class PsdBlock:
             coef.extend(g[r, c])
         return cls(side, var, row, col, coef, const)
 
+    def _scatter(self, weights: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        n = self.side
+        # bincount returns integers when there is nothing to count
+        s = np.bincount(pos, weights=weights, minlength=n * n).astype(float, copy=False)
+        return s.reshape(n, n)
+
     def materialize(self, w: np.ndarray, include_const: bool = True) -> np.ndarray:
-        upper = np.zeros((self.side, self.side))
-        np.add.at(upper, (self.row, self.col), self.coef * w[self.var])
-        s = upper + upper.T
-        s[np.arange(self.side), np.arange(self.side)] -= np.diag(upper)
+        s = self._scatter(self._sym_coef * w[self._sym_var], self._sym_pos)
         if include_const:
             s += self.const
         return s
 
     def adjoint(self, z: np.ndarray, nfree: int) -> np.ndarray:
         """Vector with entries <G_v, Z> for each decision variable v."""
-        mult = np.where(self.row == self.col, 1.0, 2.0)
-        vals = self.coef * mult * z[self.row, self.col]
+        vals = self._wcoef * z.ravel()[self._flat]
         return np.bincount(self.var, weights=vals, minlength=nfree)
 
     def coefficient_matrix(self, v: int) -> np.ndarray:
-        mask = self.var == v
-        g = np.zeros((self.side, self.side))
-        np.add.at(g, (self.row[mask], self.col[mask]), self.coef[mask])
-        g = g + g.T
-        g[np.arange(self.side), np.arange(self.side)] /= 2.0
-        return g
+        mask = self._sym_var == v
+        return self._scatter(self._sym_coef[mask], self._sym_pos[mask])
+
+    def schur(self, w: np.ndarray) -> np.ndarray:
+        """Matrix M[a, b] = <G_u, W G_v W> for u = active[a], v = active[b].
+
+        This is the block's term of the Schur complement (W = Ginv^T Ginv
+        for the Nesterov-Todd scaling Ginv), summed over the stored entries
+        (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997).  For a batch of
+        variables v the stacked G_v W is one sorted reduction of scaled rows
+        of W, one batched product gives W G_v W, and reading it at every
+        stored (row, col), reduced per variable u, gives the rows of M.
+        """
+        n, na = self.side, len(self.active)
+        m = np.empty((na, na))
+        for v0, v1, u0, u1 in self._batches:
+            c0, c1 = self._gw_starts[u0], self._gw_starts[u1]
+            part = self._gw_coef[c0:c1, np.newaxis] * w[self._gw_src[c0:c1]]
+            gw = np.zeros(((v1 - v0) * n, n))
+            gw[self._gw_key[u0:u1] - v0 * n] = np.add.reduceat(
+                part, self._gw_starts[u0:u1] - c0, axis=0
+            )
+            wgw = np.matmul(w, gw.reshape(v1 - v0, n, n)).reshape(v1 - v0, n * n)
+            vals = np.take(wgw, self._flat, axis=1)
+            vals *= self._wcoef
+            m[v0:v1] = np.add.reduceat(vals, self._starts, axis=1)
+        return 0.5 * (m + m.T)
 
     def scaled_rows(self, ginv: np.ndarray, nfree: int, chunk: int = 512) -> np.ndarray:
-        """Matrix V with V[v] = svec(Ginv G_v Ginv^T), for the Schur complement.
+        """Matrix V with V[v] = svec(Ginv G_v Ginv^T): the dense Schur formation.
 
         Then sum_v w_v (Ginv G_v Ginv^T) = smat(V^T w) and the block's
-        contribution to the Schur complement is V V^T.
+        contribution to the Schur complement is V V^T.  The solver uses
+        `schur`, `adjoint` and `materialize` instead; the tests compare
+        them with this.
         """
         svr, svc, svw = _svec_index(self.side)
-        v_rows = np.zeros((nfree, len(svw)))
+        out = np.zeros((nfree, len(svw)))
         scale = self.coef * np.where(self.row == self.col, 0.5, 1.0)
         for start in range(0, len(self.var), chunk):
             sl = slice(start, min(start + chunk, len(self.var)))
@@ -184,8 +248,9 @@ class PsdBlock:
             rows = a[:, svr] * b[:, svc] + b[:, svr] * a[:, svc]
             rows *= svw[np.newaxis, :]
             rows *= scale[sl, np.newaxis]
-            np.add.at(v_rows, self.var[sl], rows)
-        return v_rows
+            first = _run_starts(self.var[sl])
+            out[self.var[sl][first]] += np.add.reduceat(rows, first, axis=0)
+        return out
 
 
 class SdpProblem:
@@ -255,8 +320,12 @@ def _cone_order(prob: SdpProblem) -> int:
     return prob.num_ineq + sum(b.side for b in prob.psd_blocks)
 
 
-def _residual_norms(prob: SdpProblem, w, y, z, zpsd) -> dict:
-    """Normalized primal/dual/gap residuals; the solver's own stopping test."""
+def _residual_norms(prob: SdpProblem, w, y, z, zpsd, s_psd, g_psd) -> dict:
+    """Normalized primal/dual/gap residuals; the solver's own stopping test.
+
+    s_psd holds the block values S_j(w) and g_psd the vectors G_j^*(Z_j), so
+    that the caller computes each once per iterate.
+    """
     rhs_scale = 1.0
     if prob.num_eq:
         rhs_scale = max(rhs_scale, np.abs(prob.eq_b).max())
@@ -271,8 +340,7 @@ def _residual_norms(prob: SdpProblem, w, y, z, zpsd) -> dict:
         pres = max(pres, np.abs(prob.eq_a @ w - prob.eq_b).max())
     if prob.num_ineq:
         pres = max(pres, max(0.0, (prob.ineq_d - prob.ineq_b @ w).max()))
-    for blk in prob.psd_blocks:
-        s = blk.materialize(w)
+    for s in s_psd:
         pres = max(pres, max(0.0, -sla.eigvalsh(s, subset_by_index=[0, 0])[0]))
     pres /= 1.0 + rhs_scale
 
@@ -281,8 +349,8 @@ def _residual_norms(prob: SdpProblem, w, y, z, zpsd) -> dict:
         rd -= prob.eq_a.T @ y
     if prob.num_ineq:
         rd -= prob.ineq_b.T @ z
-    for blk, zb in zip(prob.psd_blocks, zpsd):
-        rd -= blk.adjoint(zb, prob.nfree)
+    for g in g_psd:
+        rd -= g
     dres = np.abs(rd).max() if prob.nfree else 0.0
     if prob.num_ineq:
         dres = max(dres, max(0.0, -z.min()))
@@ -308,7 +376,10 @@ def _residual_norms(prob: SdpProblem, w, y, z, zpsd) -> dict:
 
 def compute_residuals(prob: SdpProblem, sol: SdpSolution) -> dict:
     """Recompute primal/dual/gap residuals from scratch for a solution."""
-    r = _residual_norms(prob, sol.x, sol.y_eq, sol.z_ineq, sol.psd_duals)
+    blocks, zpsd = prob.psd_blocks, sol.psd_duals
+    s_psd = [blk.materialize(sol.x) for blk in blocks]
+    g_psd = [blk.adjoint(zb, prob.nfree) for blk, zb in zip(blocks, zpsd)]
+    r = _residual_norms(prob, sol.x, sol.y_eq, sol.z_ineq, zpsd, s_psd, g_psd)
     return {"primal": r["primal"], "dual": r["dual"], "gap": r["gap"]}
 
 
@@ -341,7 +412,7 @@ def _presolve_equalities(prob: SdpProblem, tol: float = 1e-10):
 class _ConeState:
     """Per-iteration Nesterov-Todd scaling data for one PSD block."""
 
-    __slots__ = ("g", "ginv", "lam", "v_rows", "rbar")
+    __slots__ = ("g", "ginv", "lam", "rbar")
 
     def __init__(self, s: np.ndarray, z: np.ndarray):
         ls = sla.cholesky(s, lower=True)
@@ -353,7 +424,6 @@ class _ConeState:
         lsinv = sla.solve_triangular(ls, np.eye(s.shape[0]), lower=True)
         self.ginv = (root[:, np.newaxis] * vt) @ lsinv
         self.lam = sig
-        self.v_rows = None
         self.rbar = None
 
 
@@ -440,7 +510,10 @@ def solve_sdp(
 
     for it in range(1, max_iter + 1):
         yt = y / row_scale if me else y
-        res = _residual_norms(prob, w, _expand(yt, kept, prob.num_eq), z_l, z_b)
+        s_w = [blk.materialize(w) for blk in blocks]
+        g_z = [blk.adjoint(zb, nfree) for blk, zb in zip(blocks, z_b)]
+        y_full = _expand(yt, kept, prob.num_eq)
+        res = _residual_norms(prob, w, y_full, z_l, z_b, s_w, g_z)
         score = max(res["primal"], res["dual"], res["gap"])
         if best is None or score < best_score:
             best_score = score
@@ -459,7 +532,7 @@ def solve_sdp(
         if score <= tol:
             return _finish(SdpStatus.OPTIMAL, prob, kept, w, yt, z_l, z_b, res, it, "")
 
-        cert = _check_infeasibility(prob, a_eq, b_eq, kept, w, y, z_l, z_b)
+        cert = _check_infeasibility(prob, a_eq, b_eq, w, y, z_l, z_b, g_z)
         if cert is not None:
             status, msg = cert
             return _finish(status, prob, kept, w, yt, z_l, z_b, res, it, msg)
@@ -467,14 +540,14 @@ def solve_sdp(
         # resid->target quantities
         r_e = b_eq - a_eq @ w if me else np.zeros(0)
         r_l = (bmat @ w - d - s_l) if ml else np.zeros(0)
-        r_b = [blk.materialize(w) - sb for blk, sb in zip(blocks, s_b)]
+        r_b = [sw - sb for sw, sb in zip(s_w, s_b)]
         r_d = c.copy()
         if me:
             r_d -= a_eq.T @ y
         if ml:
             r_d -= bmat.T @ z_l
-        for blk, zb in zip(blocks, z_b):
-            r_d -= blk.adjoint(zb, nfree)
+        for g in g_z:
+            r_d -= g
 
         mu = (float(z_l @ s_l) if ml else 0.0) + sum(
             float(np.sum(sb * zb)) for sb, zb in zip(s_b, z_b)
@@ -494,8 +567,11 @@ def solve_sdp(
         if ml:
             m += (bmat.T * lin_w2) @ bmat
         for blk, cone, rb in zip(blocks, cones, r_b):
-            cone.v_rows = blk.scaled_rows(cone.ginv, nfree)
-            m += cone.v_rows @ cone.v_rows.T
+            term = blk.schur(cone.ginv.T @ cone.ginv)
+            if len(blk.active) == nfree:  # active is then 0, 1, ..., nfree - 1
+                m += term
+            else:
+                m[np.ix_(blk.active, blk.active)] += term
             cone.rbar = cone.ginv @ rb @ cone.ginv.T
 
         mfac = _factor_with_bump(m)
@@ -517,8 +593,9 @@ def solve_sdp(
             h = -r_d.copy()
             if ml:
                 h += bmat.T @ (rc_lin / s_l) - bmat.T @ (lin_w2 * r_l)
-            for cone in cones:
-                h += cone.v_rows @ (_svec(d_targets[id(cone)]) - _svec(cone.rbar))
+            for blk, cone in zip(blocks, cones):
+                x = d_targets[id(cone)] - cone.rbar
+                h += blk.adjoint(cone.ginv.T @ x @ cone.ginv, nfree)
             t1 = sla.cho_solve(mfac, h)
             if me:
                 dy = sla.cho_solve(afac, r_e - a_eq @ t1)
@@ -537,8 +614,9 @@ def solve_sdp(
             ds_l = (bmat @ dw + r_l) if ml else np.zeros(0)
             dz_l = ((rc_lin - z_l * ds_l) / s_l) if ml else np.zeros(0)
             ds_bar, dz_bar = [], []
-            for cone in cones:
-                dsb = _smat(cone.v_rows.T @ dw, cone.g.shape[0]) + cone.rbar
+            for blk, cone in zip(blocks, cones):
+                dsw = blk.materialize(dw, include_const=False)
+                dsb = cone.ginv @ dsw @ cone.ginv.T + cone.rbar
                 dzb = d_targets[id(cone)] - dsb
                 ds_bar.append(dsb)
                 dz_bar.append(dzb)
@@ -678,8 +756,11 @@ def _mu_after(s_l, z_l, ds_l, dz_l, cones, dsb, dzb, ap, ad) -> float:
     return total
 
 
-def _check_infeasibility(prob, a_eq, b_eq, kept, w, y, z_l, z_b):
-    """Farkas-style certificate checks; None when nothing is decisive."""
+def _check_infeasibility(prob, a_eq, b_eq, w, y, z_l, z_b, g_z):
+    """Farkas-style certificate checks; None when nothing is decisive.
+
+    g_z holds the vectors G_j^*(Z_j) of the current dual iterate.
+    """
     # primal infeasibility: dual ray with positive objective and tiny residual
     viol = (float(b_eq @ y) if len(b_eq) else 0.0) + (
         float(prob.ineq_d @ z_l) if prob.num_ineq else 0.0
@@ -697,8 +778,8 @@ def _check_infeasibility(prob, a_eq, b_eq, kept, w, y, z_l, z_b):
             resid += a_eq.T @ y
         if prob.num_ineq:
             resid += prob.ineq_b.T @ z_l
-        for blk, zb in zip(prob.psd_blocks, z_b):
-            resid += blk.adjoint(zb, prob.nfree)
+        for g in g_z:
+            resid += g
         if np.abs(resid).max() * _CERT_RATIO < viol:
             return SdpStatus.PRIMAL_INFEASIBLE, "dual improving ray found"
 
@@ -731,7 +812,9 @@ def _solve_equality_only(prob, a_eq, b_eq, kept, tol):
     else:
         w = np.zeros(prob.nfree)
         y = np.zeros(0)
-    res = _residual_norms(prob, w, _expand(y, kept, prob.num_eq), np.zeros(0), [])
+    s_w = [blk.materialize(w) for blk in prob.psd_blocks]
+    y_full = _expand(y, kept, prob.num_eq)
+    res = _residual_norms(prob, w, y_full, np.zeros(0), [], s_w, [])
     ok = max(res["primal"], res["dual"], res["gap"]) <= tol
     status = SdpStatus.OPTIMAL if ok else SdpStatus.DUAL_INFEASIBLE
     return _finish(
@@ -804,6 +887,10 @@ def read_sparse_sdp(fh: TextIO) -> SdpProblem:
     sides_tok = tokens[tokens.index("sides") + 1] if "sides" in tokens else ""
     sides = [int(s) for s in sides_tok.split(",") if s]
 
+    for blockid, r, c, v, val in entries:
+        if not 0 <= v <= nfree:
+            raise ValueError(f"variable index {v} out of range in dump line "
+                             f"'{blockid} {r} {c} {v} {val!r}'")
     objective = np.zeros(nfree)
     eq_a, eq_b = np.zeros((me, nfree)), np.zeros(me)
     ineq_b, ineq_d = np.zeros((ml, nfree)), np.zeros(ml)

@@ -164,3 +164,18 @@ def localizing_block_entries(terms, n, k):
                 col.append(j)
                 coef.append(c)
     return len(bs), var, row, col, coef
+
+
+def svec(x):
+    """Upper triangle of a symmetric matrix, row-major, off-diagonal times sqrt 2."""
+    r, c = np.triu_indices(x.shape[0])
+    return x[r, c] * np.where(r == c, 1.0, np.sqrt(2.0))
+
+
+def smat(v, n):
+    """Inverse of svec."""
+    r, c = np.triu_indices(n)
+    x = np.zeros((n, n))
+    x[r, c] = v / np.where(r == c, 1.0, np.sqrt(2.0))
+    x[c, r] = x[r, c]
+    return x

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,9 @@ from momentsos import (
     solve_sdp,
     write_sparse_sdp,
 )
+from momentsos import sdp as sdp_module
+
+import oracles
 
 
 def random_psd_problem(rng, nfree=4, side=3, num_eq=2):
@@ -199,3 +203,97 @@ def test_dump_rejects_garbage():
         read_sparse_sdp(io.StringIO("0 1 2\n"))
     with pytest.raises(ValueError):
         read_sparse_sdp(io.StringIO("1 0 0 1 2.0\n"))  # no header
+
+
+def random_block(rng, side, nfree, nent):
+    """Block with duplicate, mirrored and exactly cancelling entries.
+
+    Only every other variable appears, so `active` is a proper subset.
+    """
+    var = 2 * rng.integers(0, (nfree + 1) // 2, nent)
+    row = rng.integers(0, side, nent)
+    col = rng.integers(0, side, nent)
+    coef = rng.uniform(-1, 1, nent)
+    # a duplicate of every third entry, given in the lower triangle
+    dup = np.arange(0, nent, 3)
+    # entries that cancel an earlier one exactly
+    cancel = np.arange(1, nent, 5)
+    return PsdBlock(
+        side,
+        np.concatenate([var, var[dup], var[cancel]]),
+        np.concatenate([row, col[dup], row[cancel]]),
+        np.concatenate([col, row[dup], col[cancel]]),
+        np.concatenate([coef, coef[dup], -coef[cancel]]),
+    )
+
+
+def random_scaling(rng, side):
+    a = rng.uniform(-1, 1, (side, side))
+    return a + side * np.eye(side)
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300) if want.size else 0.0
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 16])
+def test_schur_matches_dense_reference(monkeypatch, budget):
+    """blk.schur(Ginv^T Ginv) is V V^T on the active variables, V = scaled_rows."""
+    monkeypatch.setattr(sdp_module, "_SCHUR_BUDGET", budget)  # 16 forces many batches
+    rng = np.random.default_rng(11)
+    sizes = ((1, 1), (4, 6), (9, 40))  # (nfree, entries before duplication)
+    for side, (nfree, nent) in itertools.product((1, 2, 3, 5, 8), sizes):
+        blk = random_block(rng, side, nfree, nent)
+        ginv = random_scaling(rng, side)
+        v = blk.scaled_rows(ginv, nfree)
+        want = (v @ v.T)[np.ix_(blk.active, blk.active)]
+        got = blk.schur(ginv.T @ ginv)
+        assert got.shape == (len(blk.active),) * 2
+        assert np.array_equal(got, got.T)
+        assert relative_error(got, want) <= 1e-12
+        assert not np.any(v[np.setdiff1d(np.arange(nfree), blk.active)])
+
+
+def test_schur_of_block_without_entries():
+    blk = PsdBlock(3, [0, 0], [0, 0], [1, 1], [1.0, -1.0], const=np.eye(3))
+    assert len(blk.var) == 0 and len(blk.active) == 0
+    assert blk.schur(np.eye(3)).shape == (0, 0)
+    assert blk.materialize(np.zeros(2)).tolist() == np.eye(3).tolist()
+    assert blk.adjoint(np.ones((3, 3)), 2).tolist() == [0.0, 0.0]
+
+
+def test_newton_identities_match_svec_reference():
+    """V svec(X) = G^*(Ginv^T X Ginv) and smat(V^T dw) = Ginv G(dw) Ginv^T."""
+    rng = np.random.default_rng(12)
+    for side in (1, 2, 4, 7):
+        for nfree, nent in ((1, 1), (5, 12), (12, 60)):
+            blk = random_block(rng, side, nfree, nent)
+            ginv = random_scaling(rng, side)
+            v = blk.scaled_rows(ginv, nfree)
+            xm = rng.uniform(-1, 1, (side, side))
+            x = xm + xm.T
+            got = blk.adjoint(ginv.T @ x @ ginv, nfree)
+            assert relative_error(got, v @ oracles.svec(x)) <= 1e-12
+            dw = rng.uniform(-1, 1, nfree)
+            got = ginv @ blk.materialize(dw, include_const=False) @ ginv.T
+            assert relative_error(got, oracles.smat(v.T @ dw, side)) <= 1e-12
+
+
+def test_constant_only_block():
+    # min w s.t. w - 1 >= 0, next to a block that no variable touches
+    scalar = PsdBlock(1, [0], [0], [0], [1.0], const=np.array([[-1.0]]))
+    fixed = PsdBlock(2, [], [], [], [], const=np.array([[2.0, 1.0], [1.0, 2.0]]))
+    prob = SdpProblem(1, [1.0], psd_blocks=[scalar, fixed])
+    sol = solve_sdp(prob)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert abs(sol.x[0] - 1.0) < 1e-6
+    assert np.abs(sol.psd_duals[1]).max() < 1e-6
+
+
+def test_negative_variable_index_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        PsdBlock(2, [-1], [0], [1], [1.0])
+    header = "# nvars 2 eq 0 ineq 0 psd 1 sides 2\n"
+    for line in ("3 0 1 -1 1.0\n", "0 0 0 -1 1.0\n", "3 0 0 3 1.0\n"):
+        with pytest.raises(ValueError):
+            read_sparse_sdp(io.StringIO(header + line))
