@@ -134,8 +134,9 @@ def extract_atoms(
     Factorizes the order-t moment matrix, selects pivot monomials of degree
     <= t-1 by column-pivoted QR, forms the coordinate multiplication
     operators, and reads atom coordinates from a joint real Schur
-    triangularization of a random positive mixture.  Weights are fit by least
-    squares against the degree-2t moments.
+    triangularization of a random positive mixture.  The atoms are listed in
+    lexicographic order of their coordinates (rounded to 6 decimals), and
+    their weights are fit by least squares against the degree-2t moments.
 
     Raises ExtractionError when the pivot basis is rank deficient or the
     mixed operator has complex eigenvalues; these indicate the sequence is
@@ -189,6 +190,9 @@ def extract_atoms(
         qv = q[:, ell]
         for i in range(n):
             points[ell, i] = qv @ ops[i] @ qv
+    # list the atoms in lexicographic order, so that builds whose rounding
+    # differs list them alike; coordinates equal to 6 decimals tie
+    points = points[np.lexsort(np.round(points, 6).T[::-1])]
 
     w2t = w.truncate(2 * t)
     basis_2t = monomial_basis(n, 2 * t)

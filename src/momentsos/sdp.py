@@ -27,7 +27,12 @@ sums this over the block's stored entries (the formula of Fujisawa, Kojima
 and Nakata, as in SDPA), and the Newton step maps through the same entries
 with `PsdBlock.adjoint` and `PsdBlock.materialize`.  No basis of the block's
 symmetric-matrix space is formed; only the block factorizations (Cholesky,
-SVD, eigenvalues) are dense.  Infeasibility and unboundedness
+SVD, eigenvalues) are dense.  With M = L L^T, the equality Schur complement
+A M^-1 A^T is X^T X for X = L^-1 A^T (one triangular solve), and the Newton
+solves apply M^-1 A^T v as L^-T (X v).  The dense kernels of the loop call
+the LAPACK drivers (dsyevr, dpotrf, dpotrs, dgesdd, dtrtrs) directly rather
+than through the scipy.linalg front ends, whose per-call overhead dominates
+on small blocks.  Infeasibility and unboundedness
 are only ever declared from explicit certificates whose violation exceeds
 the certificate residual by a confidence ratio of 1e6; anything less
 decisive ends as MAX_ITERATIONS with the best iterate found.
@@ -43,6 +48,15 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import (
+    dgesdd,
+    dgesdd_lwork,
+    dpotrf,
+    dpotrs,
+    dsyevr,
+    dsyevr_lwork,
+    dtrtrs,
+)
 
 __all__ = [
     "PsdBlock",
@@ -112,6 +126,8 @@ class PsdBlock:
         coef = np.asarray(coef, dtype=float)
         if not (var.shape == row.shape == col.shape == coef.shape):
             raise ValueError("var/row/col/coef must have identical shapes")
+        if not np.isfinite(coef).all():
+            raise ValueError("psd block 'coef' has a non-finite entry")
         if len(var) and var.min() < 0:
             raise ValueError("variable indices must be non-negative")
         swap = row > col
@@ -134,6 +150,8 @@ class PsdBlock:
         const = np.asarray(const, dtype=float)
         if const.shape != (side, side):
             raise ValueError("const has the wrong shape")
+        if not np.isfinite(const).all():
+            raise ValueError("psd block 'const' has a non-finite entry")
         if not np.allclose(const, const.T, atol=1e-12):
             raise ValueError("const must be symmetric")
         self.const = 0.5 * (const + const.T)
@@ -288,6 +306,9 @@ class SdpProblem:
             raise ValueError("equality data shapes disagree")
         if self.ineq_b.shape != (len(self.ineq_d), nfree):
             raise ValueError("inequality data shapes disagree")
+        for name in ("objective", "eq_a", "eq_b", "ineq_b", "ineq_d"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"'{name}' has a non-finite entry")
         self.psd_blocks = list(psd_blocks)
         for blk in self.psd_blocks:
             if len(blk.var) and blk.var.max() >= nfree:
@@ -341,7 +362,7 @@ def _residual_norms(prob: SdpProblem, w, y, z, zpsd, s_psd, g_psd) -> dict:
     if prob.num_ineq:
         pres = max(pres, max(0.0, (prob.ineq_d - prob.ineq_b @ w).max()))
     for s in s_psd:
-        pres = max(pres, max(0.0, -sla.eigvalsh(s, subset_by_index=[0, 0])[0]))
+        pres = max(pres, max(0.0, -_min_eig(s)))
     pres /= 1.0 + rhs_scale
 
     rd = prob.objective.copy()
@@ -355,7 +376,7 @@ def _residual_norms(prob: SdpProblem, w, y, z, zpsd, s_psd, g_psd) -> dict:
     if prob.num_ineq:
         dres = max(dres, max(0.0, -z.min()))
     for zb in zpsd:
-        dres = max(dres, max(0.0, -sla.eigvalsh(zb, subset_by_index=[0, 0])[0]))
+        dres = max(dres, max(0.0, -_min_eig(zb)))
     dres /= 1.0 + np.abs(prob.objective).max() if prob.nfree else 1.0
 
     pobj = float(prob.objective @ w)
@@ -409,19 +430,117 @@ def _presolve_equalities(prob: SdpProblem, tol: float = 1e-10):
     return kept, False
 
 
+# -- dense kernels of the solve loop ------------------------------------------
+#
+# Each helper calls the LAPACK driver that its scipy.linalg front end calls,
+# with the same arguments, so the results agree bit for bit; on the small
+# blocks of a typical relaxation the front ends' argument handling costs
+# several times the factorization itself.  Failures raise what the front ends
+# raise: ValueError for a non-finite input, np.linalg.LinAlgError for a
+# failed factorization.  A factor passed back in (`_cho_solve`, `_tri_solve`)
+# is not checked again: it is checked where it is made.
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _check_info(info: int, driver: str) -> None:
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{driver} failed with info={info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {driver}")
+
+
+@lru_cache(maxsize=None)
+def _syevr_lwork(n: int):
+    work, iwork, info = dsyevr_lwork(n, lower=1)
+    _check_info(info, "dsyevr_lwork")
+    return int(work), int(iwork)
+
+
+@lru_cache(maxsize=None)
+def _gesdd_lwork(n: int) -> int:
+    work, info = dgesdd_lwork(n, n, compute_uv=1, full_matrices=1)
+    _check_info(info, "dgesdd_lwork")
+    return int(work)
+
+
+def _min_eig(a: np.ndarray) -> float:
+    """Smallest eigenvalue of symmetric a: sla.eigvalsh(a, subset_by_index=[0, 0])[0].
+
+    A 0x0 matrix has no eigenvalue and no cone to leave; its minimum is inf.
+    """
+    n = a.shape[0]
+    if n == 0:
+        return math.inf
+    lwork, liwork = _syevr_lwork(n)
+    w, _, _, _, info = dsyevr(
+        _finite(a), compute_v=0, range="I", lower=1, il=1, iu=1,
+        lwork=lwork, liwork=liwork,
+    )
+    _check_info(info, "dsyevr")
+    return float(w[0])
+
+
+def _cholesky(a: np.ndarray, clean: int = 1) -> np.ndarray:
+    """Lower Cholesky factor of a, not checked for finiteness.
+
+    clean=1 gives sla.cholesky(a, lower=True); clean=0 gives
+    sla.cho_factor(a, lower=True)[0], whose upper triangle is a's.
+    """
+    c, info = dpotrf(a, lower=1, clean=clean)
+    _check_info(info, "dpotrf")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sla.cho_solve((c, True), b) for a lower Cholesky factor c."""
+    x, info = dpotrs(c, _finite(b), lower=1)
+    _check_info(info, "dpotrs")
+    return x
+
+
+def _tri_solve(l: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """L^-1 b (trans=0) or L^-T b (trans=1) for a lower factor L.
+
+    For L in Fortran order, as dpotrf returns it, this is
+    sla.solve_triangular(l, b, lower=True, trans=trans).
+    """
+    if l.shape[0] == 0:  # dtrtrs rejects an empty right-hand side
+        return np.zeros(b.shape)
+    x, info = dtrtrs(l, _finite(b), lower=1, trans=trans)
+    _check_info(info, "dtrtrs")
+    return x
+
+
+def _svd(a: np.ndarray):
+    """u, s, vt = sla.svd(a) for square a; empty factors for a 0x0 matrix."""
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0))
+    u, s, vt, info = dgesdd(
+        _finite(a), compute_uv=1, full_matrices=1, lwork=_gesdd_lwork(n)
+    )
+    _check_info(info, "dgesdd")
+    return u, s, vt
+
+
 class _ConeState:
     """Per-iteration Nesterov-Todd scaling data for one PSD block."""
 
     __slots__ = ("g", "ginv", "lam", "rbar")
 
     def __init__(self, s: np.ndarray, z: np.ndarray):
-        ls = sla.cholesky(s, lower=True)
-        lz = sla.cholesky(z, lower=True)
-        u, sig, vt = sla.svd(lz.T @ ls)
+        ls = _cholesky(_finite(s))
+        lz = _cholesky(_finite(z))
+        u, sig, vt = _svd(lz.T @ ls)
         sig = np.maximum(sig, 1e-300)
         root = np.sqrt(sig)
         self.g = ls @ (vt.T / root[np.newaxis, :])
-        lsinv = sla.solve_triangular(ls, np.eye(s.shape[0]), lower=True)
+        lsinv = _tri_solve(ls, np.eye(s.shape[0]))
         self.ginv = (root[:, np.newaxis] * vt) @ lsinv
         self.lam = sig
         self.rbar = None
@@ -578,10 +697,10 @@ def solve_sdp(
         if mfac is None:
             message = "Schur complement factorization failed"
             break
-        minv_at = sla.cho_solve(mfac, a_eq.T) if me else None
+        # with mfac = L L^T: A M^-1 A^T = X^T X and M^-1 A^T v = L^-T (X v)
+        x_at = _tri_solve(mfac, a_eq.T) if me else None
         if me:
-            schur_a = a_eq @ minv_at
-            afac = _factor_with_bump(schur_a)
+            afac = _factor_with_bump(x_at.T @ x_at)
             if afac is None:
                 message = "equality Schur factorization failed"
                 break
@@ -596,21 +715,21 @@ def solve_sdp(
             for blk, cone in zip(blocks, cones):
                 x = d_targets[id(cone)] - cone.rbar
                 h += blk.adjoint(cone.ginv.T @ x @ cone.ginv, nfree)
-            t1 = sla.cho_solve(mfac, h)
+            t1 = _cho_solve(mfac, h)
             if me:
-                dy = sla.cho_solve(afac, r_e - a_eq @ t1)
-                dw = t1 + minv_at @ dy
+                dy = _cho_solve(afac, r_e - a_eq @ t1)
+                dw = t1 + _tri_solve(mfac, x_at @ dy, trans=1)
                 # one refinement pass on the saddle system; recovers accuracy
                 # lost to diagonal bumps and late-stage ill conditioning
                 res_w = h - (m @ dw - a_eq.T @ dy)
                 res_y = r_e - a_eq @ dw
-                t1c = sla.cho_solve(mfac, res_w)
-                ddy = sla.cho_solve(afac, res_y - a_eq @ t1c)
-                dw = dw + t1c + minv_at @ ddy
+                t1c = _cho_solve(mfac, res_w)
+                ddy = _cho_solve(afac, res_y - a_eq @ t1c)
+                dw = dw + t1c + _tri_solve(mfac, x_at @ ddy, trans=1)
                 dy = dy + ddy
             else:
                 dy = np.zeros(0)
-                dw = t1 + sla.cho_solve(mfac, h - m @ t1)
+                dw = t1 + _cho_solve(mfac, h - m @ t1)
             ds_l = (bmat @ dw + r_l) if ml else np.zeros(0)
             dz_l = ((rc_lin - z_l * ds_l) / s_l) if ml else np.zeros(0)
             ds_bar, dz_bar = [], []
@@ -714,15 +833,14 @@ def _finish(status, prob, kept, w, y, z_l, z_b, res, iterations, message):
 
 
 def _factor_with_bump(m: np.ndarray):
-    """Cholesky with escalating diagonal regularization."""
+    """Lower Cholesky factor with escalating diagonal regularization, or None."""
     if m.shape[0] == 0:
         return None
     bump = 1e-13 * (1.0 + np.abs(np.diag(m)).max())
     for _ in range(4):
         try:
-            return sla.cho_factor(
-                m + bump * np.eye(m.shape[0]), lower=True, check_finite=False
-            )
+            # checked once here; the solves with it do not check it again
+            return _finite(_cholesky(m + bump * np.eye(m.shape[0]), clean=0))
         except np.linalg.LinAlgError:
             bump *= 1e4
     return None
@@ -738,7 +856,7 @@ def _max_step(lin, dlin, cones, dbars, dual: bool = False) -> float:
     for cone, dbar in zip(cones, dbars):
         root = np.sqrt(cone.lam)
         scaled = dbar / root[:, np.newaxis] / root[np.newaxis, :]
-        lo = sla.eigvalsh(scaled, subset_by_index=[0, 0])[0]
+        lo = _min_eig(scaled)
         if lo < 0:
             alpha = min(alpha, -1.0 / lo)
     return alpha
@@ -796,9 +914,7 @@ def _check_infeasibility(prob, a_eq, b_eq, w, y, z_l, z_b, g_z):
                 quality = max(quality, max(0.0, -(prob.ineq_b @ ray).min()))
             for blk in prob.psd_blocks:
                 hom = blk.materialize(ray, include_const=False)
-                quality = max(
-                    quality, max(0.0, -sla.eigvalsh(hom, subset_by_index=[0, 0])[0])
-                )
+                quality = max(quality, max(0.0, -_min_eig(hom)))
             if quality * _CERT_RATIO < -drop:
                 return SdpStatus.DUAL_INFEASIBLE, "primal improving ray found"
     return None
@@ -817,8 +933,9 @@ def _solve_equality_only(prob, a_eq, b_eq, kept, tol):
     res = _residual_norms(prob, w, y_full, np.zeros(0), [], s_w, [])
     ok = max(res["primal"], res["dual"], res["gap"]) <= tol
     status = SdpStatus.OPTIMAL if ok else SdpStatus.DUAL_INFEASIBLE
+    zpsd = [np.zeros((0, 0)) for _ in prob.psd_blocks]  # every block has side 0
     return _finish(
-        status, prob, kept, w, y, np.zeros(0), [], res, 0,
+        status, prob, kept, w, y, np.zeros(0), zpsd, res, 0,
         "" if ok else "objective unbounded over the affine feasible set",
     )
 

@@ -90,6 +90,15 @@ def test_ex35_plain_order3_certified_minimum(run_ex35):
     assert elapsed < 30.0
 
 
+def test_ex35_atoms_in_fixed_order(run_ex35):
+    """Atoms are listed lexicographically, whatever the rounding of the build."""
+    _, result, _ = run_ex35
+    s = 1.0 / math.sqrt(3.0)
+    assert np.allclose(result.measure.points, [(-s, -s, -s), (s, s, s)], atol=1e-4)
+    raw = result.records[0].certificate.raw_measure.points
+    assert np.allclose(raw, [(-s, -s, -s), (s, s, s)], atol=1e-4)
+
+
 def test_ex36_plain_order3_symmetric_minimizers(run_ex36):
     """Six-variable GMP: value (2+2sqrt2)/3, atoms on the symmetric orbit."""
     _, result, elapsed = run_ex36

@@ -114,6 +114,21 @@ def test_extract_atoms_round_trip_small():
             assert abs(got.weights[j] - lam) < 1e-7
 
 
+def test_extract_atoms_lists_atoms_lexicographically():
+    # ties in the first coordinate are decided by the second; the noise
+    # added to the moments must not decide them
+    rng = np.random.default_rng(5)
+    pts = np.array([[0.0, 1.0], [1.0, -1.0], [0.0, -1.0], [-1.0, 0.5]])
+    wts = np.array([1.0, 2.0, 3.0, 4.0])
+    for perm in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] * 4:
+        w = tms_from_atoms(AtomicMeasure(wts[perm], pts[perm]), 6)
+        noise = 1e-9 * rng.standard_normal(len(w.values))
+        got = extract_atoms(Tms(w.nvars, w.degree, w.values + noise), 3)
+        assert np.allclose(got.points, [[-1.0, 0.5], [0.0, -1.0], [0.0, 1.0], [1.0, -1.0]],
+                           atol=1e-7)
+        assert np.allclose(got.weights, [4.0, 3.0, 1.0, 2.0], atol=1e-7)
+
+
 def test_extract_atoms_needs_enough_degree():
     mu = AtomicMeasure(np.array([1.0]), np.array([[0.5]]))
     w = tms_from_atoms(mu, 2)

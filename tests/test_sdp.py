@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from momentsos import (
     PsdBlock,
@@ -297,3 +298,127 @@ def test_negative_variable_index_is_rejected():
     for line in ("3 0 1 -1 1.0\n", "0 0 0 -1 1.0\n", "3 0 0 3 1.0\n"):
         with pytest.raises(ValueError):
             read_sparse_sdp(io.StringIO(header + line))
+
+
+def test_non_finite_data_is_rejected():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="'coef'"):
+        PsdBlock(2, [0], [0], [1], [nan])
+    with pytest.raises(ValueError, match="'const'"):
+        PsdBlock(1, [0], [0], [0], [1.0], const=[[math.inf]])
+    blk = PsdBlock(1, [0], [0], [0], [1.0])
+    good = dict(objective=[1.0], eq_a=[[1.0]], eq_b=[1.0], ineq_b=[[1.0]], ineq_d=[0.0])
+    for name in good:
+        data = dict(good)
+        data[name] = np.full(np.shape(data[name]), nan)
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            SdpProblem(1, psd_blocks=[blk], **data)
+    header = "# nvars 1 eq 1 ineq 0 psd 1 sides 1\n"
+    for line in ("0 0 0 1 nan\n", "1 0 0 0 inf\n", "3 0 0 1 nan\n", "3 0 0 0 -inf\n"):
+        with pytest.raises(ValueError, match="non-finite"):
+            read_sparse_sdp(io.StringIO(header + line))
+
+
+@pytest.mark.parametrize("with_cone", [False, True])
+def test_block_of_side_zero(with_cone):
+    # min w s.t. w = 2; the empty block has no cone, the 1x1 one takes the IPM path
+    blocks = [PsdBlock(0, [], [], [], [])]
+    if with_cone:
+        blocks.append(PsdBlock(1, [0], [0], [0], [1.0]))
+    prob = SdpProblem(1, [1.0], eq_a=[[1.0]], eq_b=[2.0], psd_blocks=blocks)
+    sol = solve_sdp(prob)
+    assert sol.status is SdpStatus.OPTIMAL, sol.message
+    assert abs(sol.x[0] - 2.0) < 1e-6
+    assert [z.shape for z in sol.psd_duals] == [(b.side, b.side) for b in blocks]
+    assert compute_residuals(prob, sol)["primal"] < 1e-6
+
+
+# -- the solver's LAPACK kernels against the scipy.linalg front ends -----------
+
+KERNEL_SIDES = (1, 2, 3, 6, 10, 28, 84)
+
+
+def random_spd(rng, side):
+    a = rng.standard_normal((side, side))
+    return a @ a.T + side * np.eye(side)
+
+
+def random_symmetric(rng, side):
+    a = rng.standard_normal((side, side))
+    return a + a.T
+
+
+@pytest.mark.parametrize("side", KERNEL_SIDES)
+def test_lapack_kernels_equal_scipy_front_ends(side):
+    rng = np.random.default_rng(side)
+    sym = random_symmetric(rng, side)
+    assert sdp_module._min_eig(sym) == sla.eigvalsh(sym, subset_by_index=[0, 0])[0]
+    spd = random_spd(rng, side)
+    lower = sdp_module._cholesky(spd)
+    assert np.array_equal(lower, sla.cholesky(spd, lower=True))
+    factor = sdp_module._cholesky(spd, clean=0)
+    assert np.array_equal(factor, sla.cho_factor(spd, lower=True)[0])
+    for rhs in (rng.standard_normal(side), rng.standard_normal((side, 5))):
+        got = sdp_module._cho_solve(factor, rhs)
+        assert np.array_equal(got, sla.cho_solve((factor, True), rhs))
+        for trans in (0, 1):
+            got = sdp_module._tri_solve(lower, rhs, trans=trans)
+            want = sla.solve_triangular(lower, rhs, lower=True, trans=trans)
+            assert np.array_equal(got, want)
+    got = sdp_module._tri_solve(lower, np.eye(side))
+    assert np.array_equal(got, sla.solve_triangular(lower, np.eye(side), lower=True))
+    square = rng.standard_normal((side, side))
+    for got, want in zip(sdp_module._svd(square), sla.svd(square)):
+        assert np.array_equal(got, want)
+
+
+def test_lapack_kernels_fail_like_scipy():
+    nan_sym = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    not_pd = np.array([[1.0, 2.0], [2.0, 1.0]])
+    lower = np.linalg.cholesky(np.eye(2) * 4.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp_module._cholesky(not_pd)
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp_module._ConeState(not_pd, np.eye(2))
+    with pytest.raises(np.linalg.LinAlgError):  # singular triangular factor
+        sdp_module._tri_solve(np.asfortranarray([[1.0, 0.0], [1.0, 0.0]]), np.ones(2))
+    assert sdp_module._factor_with_bump(-np.eye(2)) is None
+    with pytest.raises(ValueError):
+        sdp_module._min_eig(nan_sym)
+    with pytest.raises(ValueError):
+        sdp_module._svd(nan_sym)
+    with pytest.raises(ValueError):
+        sdp_module._ConeState(nan_sym, np.eye(2))
+    with pytest.raises(ValueError):
+        sdp_module._ConeState(np.eye(2), nan_sym)
+    with pytest.raises(ValueError):
+        sdp_module._cho_solve(lower, np.array([1.0, np.nan]))
+    with pytest.raises(ValueError):
+        sdp_module._tri_solve(lower, np.array([np.inf, 1.0]), trans=1)
+    # the factor is checked where it is made, not in every solve with it; a
+    # NaN above the diagonal is not read by dpotrf but is kept in the factor
+    for bad in ([[4.0, np.nan], [1.0, 4.0]], [[np.nan, 1.0], [1.0, 4.0]]):
+        with pytest.raises(ValueError):
+            sdp_module._factor_with_bump(np.array(bad))
+
+
+def test_empty_cone_kernels():
+    empty = np.zeros((0, 0))
+    assert sdp_module._min_eig(empty) == math.inf
+    cone = sdp_module._ConeState(empty, empty)
+    assert cone.g.shape == cone.ginv.shape == (0, 0) and cone.lam.shape == (0,)
+
+
+def test_equality_schur_from_one_triangular_solve():
+    """X^T X = A M^-1 A^T and L^-T (X v) = M^-1 A^T v for M = L L^T, X = L^-1 A^T."""
+    rng = np.random.default_rng(21)
+    for nfree, me in ((1, 1), (7, 3), (60, 40)):
+        m = random_spd(rng, nfree)
+        a = rng.standard_normal((me, nfree))
+        v = rng.standard_normal(me)
+        mfac = sdp_module._factor_with_bump(m)
+        x = sdp_module._tri_solve(mfac, a.T)
+        minv_at = np.linalg.solve(m, a.T)
+        assert relative_error(x.T @ x, a @ minv_at) <= 1e-12
+        got = sdp_module._tri_solve(mfac, x @ v, trans=1)
+        assert relative_error(got, minv_at @ v) <= 1e-12
