@@ -17,11 +17,19 @@ inequality row and a PSD matrix Z_j per block, with stationarity
 so for a moment relaxation the Z_j are exactly the Gram matrices of the
 sums-of-squares certificate and y carries the ideal multipliers.
 
+The solver has one cone type.  The inequality rows are handed to it as one
+more PSD block, diag(B w - d), whose dual's diagonal is z (SDPA treats LP
+rows as diagonal blocks in the same way); every residual, step length,
+centering and infeasibility rule is the PSD one.  The block is dense, so m
+inequality rows cost one m-by-m block per iteration; relaxations carry at
+most a few.
+
 The algorithm is an infeasible-start path-following method with
 Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  Per
 iteration one Schur complement in the free variables is formed and
 Cholesky-factored, followed by a second (smaller) Schur complement over the
-equality rows.  With W_j = Ginv_j^T Ginv_j from block j's scaling, the
+equality rows; one Newton solve serves every number of equality rows,
+including none.  With W_j = Ginv_j^T Ginv_j from block j's scaling, the
 block adds M_uv = <G_u, W_j G_v W_j> on its active variables; `PsdBlock.schur`
 sums this over the block's stored entries (the formula of Fujisawa, Kojima
 and Nakata, as in SDPA), and the Newton step maps through the same entries
@@ -44,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 import scipy.linalg as sla
@@ -337,53 +345,47 @@ class SdpSolution:
     message: str = ""
 
 
-def _cone_order(prob: SdpProblem) -> int:
-    return prob.num_ineq + sum(b.side for b in prob.psd_blocks)
+def _cone_blocks(prob: SdpProblem) -> list:
+    """The blocks the solver iterates on: the caller's, then the inequality rows.
+
+    B w >= d is one more block, diag(B w - d) PSD, with entries
+    (v, i, i, B[i, v]) and const -diag(d); its dual's diagonal is z.
+    """
+    if not prob.num_ineq:
+        return prob.psd_blocks
+    i, v = np.nonzero(prob.ineq_b)
+    rows = PsdBlock(prob.num_ineq, v, i, i, prob.ineq_b[i, v], -np.diag(prob.ineq_d))
+    return prob.psd_blocks + [rows]
 
 
-def _residual_norms(prob: SdpProblem, w, y, z, zpsd, s_psd, g_psd) -> dict:
+def _residual_norms(prob: SdpProblem, blocks, w, y, zpsd, s_psd, g_psd) -> dict:
     """Normalized primal/dual/gap residuals; the solver's own stopping test.
 
-    s_psd holds the block values S_j(w) and g_psd the vectors G_j^*(Z_j), so
-    that the caller computes each once per iterate.
+    blocks are the cone blocks (`_cone_blocks`), zpsd their duals, s_psd the
+    block values S_j(w) and g_psd the vectors G_j^*(Z_j), so that the caller
+    computes each once per iterate.
     """
-    rhs_scale = 1.0
-    if prob.num_eq:
-        rhs_scale = max(rhs_scale, np.abs(prob.eq_b).max())
-    if prob.num_ineq:
-        rhs_scale = max(rhs_scale, np.abs(prob.ineq_d).max())
-    for blk in prob.psd_blocks:
-        if blk.side:
-            rhs_scale = max(rhs_scale, np.abs(blk.const).max())
+    rhs_scale = max(
+        [1.0, np.abs(prob.eq_b).max(initial=0.0)]
+        + [np.abs(blk.const).max(initial=0.0) for blk in blocks]
+    )
 
-    pres = 0.0
-    if prob.num_eq:
-        pres = max(pres, np.abs(prob.eq_a @ w - prob.eq_b).max())
-    if prob.num_ineq:
-        pres = max(pres, max(0.0, (prob.ineq_d - prob.ineq_b @ w).max()))
+    pres = np.abs(prob.eq_a @ w - prob.eq_b).max(initial=0.0)
     for s in s_psd:
         pres = max(pres, max(0.0, -_min_eig(s)))
     pres /= 1.0 + rhs_scale
 
-    rd = prob.objective.copy()
-    if prob.num_eq:
-        rd -= prob.eq_a.T @ y
-    if prob.num_ineq:
-        rd -= prob.ineq_b.T @ z
+    rd = prob.objective - prob.eq_a.T @ y
     for g in g_psd:
         rd -= g
-    dres = np.abs(rd).max() if prob.nfree else 0.0
-    if prob.num_ineq:
-        dres = max(dres, max(0.0, -z.min()))
+    dres = np.abs(rd).max(initial=0.0)
     for zb in zpsd:
         dres = max(dres, max(0.0, -_min_eig(zb)))
-    dres /= 1.0 + np.abs(prob.objective).max() if prob.nfree else 1.0
+    dres /= 1.0 + np.abs(prob.objective).max(initial=0.0)
 
     pobj = float(prob.objective @ w)
-    dobj = float(prob.eq_b @ y) if prob.num_eq else 0.0
-    if prob.num_ineq:
-        dobj += float(prob.ineq_d @ z)
-    for blk, zb in zip(prob.psd_blocks, zpsd):
+    dobj = float(prob.eq_b @ y)
+    for blk, zb in zip(blocks, zpsd):
         dobj -= float(np.sum(blk.const * zb))
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return {
@@ -397,10 +399,13 @@ def _residual_norms(prob: SdpProblem, w, y, z, zpsd, s_psd, g_psd) -> dict:
 
 def compute_residuals(prob: SdpProblem, sol: SdpSolution) -> dict:
     """Recompute primal/dual/gap residuals from scratch for a solution."""
-    blocks, zpsd = prob.psd_blocks, sol.psd_duals
+    blocks = _cone_blocks(prob)
+    zpsd = list(sol.psd_duals)
+    if prob.num_ineq:
+        zpsd.append(np.diag(sol.z_ineq))
     s_psd = [blk.materialize(sol.x) for blk in blocks]
     g_psd = [blk.adjoint(zb, prob.nfree) for blk, zb in zip(blocks, zpsd)]
-    r = _residual_norms(prob, sol.x, sol.y_eq, sol.z_ineq, zpsd, s_psd, g_psd)
+    r = _residual_norms(prob, blocks, sol.x, sol.y_eq, zpsd, s_psd, g_psd)
     return {"primal": r["primal"], "dual": r["dual"], "gap": r["gap"]}
 
 
@@ -498,6 +503,8 @@ def _cholesky(a: np.ndarray, clean: int = 1) -> np.ndarray:
 
 def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sla.cho_solve((c, True), b) for a lower Cholesky factor c."""
+    if c.shape[0] == 0:  # dpotrs rejects an empty system
+        return np.zeros(b.shape)
     x, info = dpotrs(c, _finite(b), lower=1)
     _check_info(info, "dpotrs")
     return x
@@ -551,25 +558,25 @@ def solve_sdp(
     tol: float = 1e-8,
     max_iter: int = 200,
     verbose: bool = False,
-    accept_tol: Optional[float] = None,
 ) -> SdpSolution:
     """Solve the SDP to the requested tolerance.
 
     Status is OPTIMAL when primal feasibility, dual feasibility and the
     relative duality gap all reach tol, or, if iteration stops early (loss of
     cone definiteness, stalled steps, iteration cap), when the best iterate
-    seen meets accept_tol (default max(100*tol, 1e-6)).  Problems whose
-    optimal cone variables are singular routinely stall around 1e-7; the
-    fallback keeps those solves usable while the message records the
-    achieved accuracy.
+    seen meets max(100*tol, 1e-6).  Problems whose optimal cone variables are
+    singular routinely stall around 1e-7; the fallback keeps those solves
+    usable while the message records the achieved accuracy.
+
+    The inequality rows are solved as one more PSD block, diag(B w - d), so
+    m rows cost one dense m-by-m block per iteration.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     nfree = prob.nfree
     c = prob.objective
-    ml = prob.num_ineq
-    blocks = prob.psd_blocks
-    nu = _cone_order(prob)
+    blocks = _cone_blocks(prob)
+    nu = sum(b.side for b in blocks)
 
     kept, inconsistent = _presolve_equalities(prob)
     if inconsistent:
@@ -579,47 +586,37 @@ def solve_sdp(
             obj_primal=math.nan,
             obj_dual=math.inf,
             y_eq=np.zeros(prob.num_eq),
-            z_ineq=np.zeros(ml),
-            psd_duals=[np.zeros((b.side, b.side)) for b in blocks],
+            z_ineq=np.zeros(prob.num_ineq),
+            psd_duals=[np.zeros((b.side, b.side)) for b in prob.psd_blocks],
             residuals={"primal": math.inf, "dual": math.inf, "gap": math.inf},
             iterations=0,
             message="equality rows are inconsistent",
         )
     a_eq = prob.eq_a[kept]
     b_eq = prob.eq_b[kept]
-    me = len(b_eq)
 
     if nu == 0:
         return _solve_equality_only(prob, a_eq, b_eq, kept, tol)
 
     # equilibrate equality rows; multipliers are unscaled on the way out
-    if me:
-        row_scale = np.abs(a_eq).max(axis=1)
-        row_scale[row_scale == 0] = 1.0
-        a_eq = a_eq / row_scale[:, None]
-        b_eq = b_eq / row_scale
-    else:
-        row_scale = np.ones(0)
-
-    bmat, d = prob.ineq_b, prob.ineq_d
+    row_scale = np.abs(a_eq).max(axis=1, initial=0.0)
+    row_scale[row_scale == 0] = 1.0
+    a_eq = a_eq / row_scale[:, None]
+    b_eq = b_eq / row_scale
 
     # -- initial iterate ----------------------------------------------------
     data_scale = 1.0 + max(
-        [np.abs(d).max() if ml else 0.0]
-        + [np.abs(b.const).max() if b.side else 0.0 for b in blocks]
-        + [np.abs(b_eq).max() if me else 0.0]
+        [np.abs(b.const).max(initial=0.0) for b in blocks]
+        + [np.abs(b_eq).max(initial=0.0)]
     )
     beta_p = 10.0 * data_scale
-    beta_d = 1.0 + (np.abs(c).max() if nfree else 0.0)
+    beta_d = 1.0 + np.abs(c).max(initial=0.0)
     w = np.zeros(nfree)
-    y = np.zeros(me)
-    s_l = np.full(ml, beta_p)
-    z_l = np.full(ml, beta_d)
+    y = np.zeros(len(b_eq))
     s_b = [beta_p * np.eye(b.side) for b in blocks]
     z_b = [beta_d * np.eye(b.side) for b in blocks]
 
-    if accept_tol is None:
-        accept_tol = max(100.0 * tol, 1e-6)
+    accept_tol = max(100.0 * tol, 1e-6)
     best = None
     best_score = math.inf
     stalls = 0
@@ -628,15 +625,15 @@ def solve_sdp(
     message = ""
 
     for it in range(1, max_iter + 1):
-        yt = y / row_scale if me else y
+        yt = y / row_scale
         s_w = [blk.materialize(w) for blk in blocks]
         g_z = [blk.adjoint(zb, nfree) for blk, zb in zip(blocks, z_b)]
         y_full = _expand(yt, kept, prob.num_eq)
-        res = _residual_norms(prob, w, y_full, z_l, z_b, s_w, g_z)
+        res = _residual_norms(prob, blocks, w, y_full, z_b, s_w, g_z)
         score = max(res["primal"], res["dual"], res["gap"])
         if best is None or score < best_score:
             best_score = score
-            best = (w.copy(), yt.copy(), z_l.copy(), [zz.copy() for zz in z_b], res)
+            best = (w.copy(), yt.copy(), [zz.copy() for zz in z_b], res)
             no_improve = 0
         else:
             no_improve += 1
@@ -649,29 +646,21 @@ def solve_sdp(
                 f"  pres {res['primal']:.2e}  dres {res['dual']:.2e}  gap {res['gap']:.2e}"
             )
         if score <= tol:
-            return _finish(SdpStatus.OPTIMAL, prob, kept, w, yt, z_l, z_b, res, it, "")
+            return _finish(SdpStatus.OPTIMAL, prob, kept, w, yt, z_b, res, it, "")
 
-        cert = _check_infeasibility(prob, a_eq, b_eq, w, y, z_l, z_b, g_z)
+        cert = _check_infeasibility(prob, blocks, a_eq, b_eq, w, y, z_b, g_z)
         if cert is not None:
             status, msg = cert
-            return _finish(status, prob, kept, w, yt, z_l, z_b, res, it, msg)
+            return _finish(status, prob, kept, w, yt, z_b, res, it, msg)
 
         # resid->target quantities
-        r_e = b_eq - a_eq @ w if me else np.zeros(0)
-        r_l = (bmat @ w - d - s_l) if ml else np.zeros(0)
+        r_e = b_eq - a_eq @ w
         r_b = [sw - sb for sw, sb in zip(s_w, s_b)]
-        r_d = c.copy()
-        if me:
-            r_d -= a_eq.T @ y
-        if ml:
-            r_d -= bmat.T @ z_l
+        r_d = c - a_eq.T @ y
         for g in g_z:
             r_d -= g
 
-        mu = (float(z_l @ s_l) if ml else 0.0) + sum(
-            float(np.sum(sb * zb)) for sb, zb in zip(s_b, z_b)
-        )
-        mu /= nu
+        mu = sum(float(np.sum(sb * zb)) for sb, zb in zip(s_b, z_b)) / nu
 
         # -- scalings and Schur complement -----------------------------------
         try:
@@ -679,12 +668,8 @@ def solve_sdp(
         except np.linalg.LinAlgError:
             message = "cone iterate lost definiteness"
             break
-        lin_w2 = z_l / s_l if ml else np.zeros(0)
-        lam_l = np.sqrt(s_l * z_l) if ml else np.zeros(0)
 
         m = np.zeros((nfree, nfree))
-        if ml:
-            m += (bmat.T * lin_w2) @ bmat
         for blk, cone, rb in zip(blocks, cones, r_b):
             term = blk.schur(cone.ginv.T @ cone.ginv)
             if len(blk.active) == nfree:  # active is then 0, 1, ..., nfree - 1
@@ -698,73 +683,62 @@ def solve_sdp(
             message = "Schur complement factorization failed"
             break
         # with mfac = L L^T: A M^-1 A^T = X^T X and M^-1 A^T v = L^-T (X v)
-        x_at = _tri_solve(mfac, a_eq.T) if me else None
-        if me:
-            afac = _factor_with_bump(x_at.T @ x_at)
-            if afac is None:
-                message = "equality Schur factorization failed"
-                break
-        else:
-            afac = None
+        x_at = _tri_solve(mfac, a_eq.T)
+        afac = _factor_with_bump(x_at.T @ x_at)
+        if afac is None:
+            message = "equality Schur factorization failed"
+            break
 
-        def newton(d_targets, rc_lin):
-            """Solve one Newton system for given scaled complementarity targets."""
+        def newton(d_targets):
+            """Solve one Newton system for given scaled complementarity targets.
+
+            With no equality rows every term of dy is empty and dw is the
+            refined M^-1 h.
+            """
             h = -r_d.copy()
-            if ml:
-                h += bmat.T @ (rc_lin / s_l) - bmat.T @ (lin_w2 * r_l)
-            for blk, cone in zip(blocks, cones):
-                x = d_targets[id(cone)] - cone.rbar
+            for blk, cone, dt in zip(blocks, cones, d_targets):
+                x = dt - cone.rbar
                 h += blk.adjoint(cone.ginv.T @ x @ cone.ginv, nfree)
             t1 = _cho_solve(mfac, h)
-            if me:
-                dy = _cho_solve(afac, r_e - a_eq @ t1)
-                dw = t1 + _tri_solve(mfac, x_at @ dy, trans=1)
-                # one refinement pass on the saddle system; recovers accuracy
-                # lost to diagonal bumps and late-stage ill conditioning
-                res_w = h - (m @ dw - a_eq.T @ dy)
-                res_y = r_e - a_eq @ dw
-                t1c = _cho_solve(mfac, res_w)
-                ddy = _cho_solve(afac, res_y - a_eq @ t1c)
-                dw = dw + t1c + _tri_solve(mfac, x_at @ ddy, trans=1)
-                dy = dy + ddy
-            else:
-                dy = np.zeros(0)
-                dw = t1 + _cho_solve(mfac, h - m @ t1)
-            ds_l = (bmat @ dw + r_l) if ml else np.zeros(0)
-            dz_l = ((rc_lin - z_l * ds_l) / s_l) if ml else np.zeros(0)
+            dy = _cho_solve(afac, r_e - a_eq @ t1)
+            dw = t1 + _tri_solve(mfac, x_at @ dy, trans=1)
+            # one refinement pass on the saddle system; recovers accuracy
+            # lost to diagonal bumps and late-stage ill conditioning
+            res_w = h - (m @ dw - a_eq.T @ dy)
+            res_y = r_e - a_eq @ dw
+            t1c = _cho_solve(mfac, res_w)
+            ddy = _cho_solve(afac, res_y - a_eq @ t1c)
+            dw = dw + t1c + _tri_solve(mfac, x_at @ ddy, trans=1)
+            dy = dy + ddy
             ds_bar, dz_bar = [], []
-            for blk, cone in zip(blocks, cones):
+            for blk, cone, dt in zip(blocks, cones, d_targets):
                 dsw = blk.materialize(dw, include_const=False)
                 dsb = cone.ginv @ dsw @ cone.ginv.T + cone.rbar
-                dzb = d_targets[id(cone)] - dsb
                 ds_bar.append(dsb)
-                dz_bar.append(dzb)
-            return dw, dy, ds_l, dz_l, ds_bar, dz_bar
+                dz_bar.append(dt - dsb)
+            return dw, dy, ds_bar, dz_bar
 
         # -- predictor --------------------------------------------------------
-        d_aff = {id(cone): -np.diag(cone.lam) for cone in cones}
-        rc_aff = -s_l * z_l if ml else np.zeros(0)
-        dw_a, dy_a, ds_la, dz_la, dsb_a, dzb_a = newton(d_aff, rc_aff)
+        d_aff = [-np.diag(cone.lam) for cone in cones]
+        _, _, dsb_a, dzb_a = newton(d_aff)
 
-        ap_aff = _max_step(s_l, ds_la, cones, dsb_a)
-        ad_aff = _max_step(z_l, dz_la, cones, dzb_a, dual=True)
-        mu_aff = _mu_after(s_l, z_l, ds_la, dz_la, cones, dsb_a, dzb_a, ap_aff, ad_aff)
-        mu_aff /= nu
+        ap_aff = _max_step(cones, dsb_a)
+        ad_aff = _max_step(cones, dzb_a)
+        mu_aff = _mu_after(cones, dsb_a, dzb_a, ap_aff, ad_aff) / nu
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-8)) if mu > 0 else 0.1
 
         # -- corrector --------------------------------------------------------
-        d_corr = {}
+        d_corr = []
         for cone, dsb, dzb in zip(cones, dsb_a, dzb_a):
             lam = cone.lam
             cross = 0.5 * (dsb @ dzb + dzb @ dsb)
             rc_full = sigma * mu * np.eye(len(lam)) - np.diag(lam * lam) - cross
             denom = 0.5 * (lam[:, np.newaxis] + lam[np.newaxis, :])
-            d_corr[id(cone)] = rc_full / denom
-        rc_lin = (sigma * mu - s_l * z_l - ds_la * dz_la) if ml else np.zeros(0)
-        dw, dy, ds_l, dz_l, dsb, dzb = newton(d_corr, rc_lin)
+            d_corr.append(rc_full / denom)
+        dw, dy, dsb, dzb = newton(d_corr)
 
-        ap = _max_step(s_l, ds_l, cones, dsb)
-        ad = _max_step(z_l, dz_l, cones, dzb, dual=True)
+        ap = _max_step(cones, dsb)
+        ad = _max_step(cones, dzb)
         tau = min(0.99, 0.9 + 0.09 * min(1.0, ap_aff, ad_aff))
         ap = min(1.0, tau * ap)
         ad = min(1.0, tau * ad)
@@ -777,11 +751,7 @@ def solve_sdp(
             stalls = 0
 
         w += ap * dw
-        if me:
-            y += ad * dy
-        if ml:
-            s_l += ap * ds_l
-            z_l += ad * dz_l
+        y += ad * dy
         for i, (cone, dsb_i, dzb_i) in enumerate(zip(cones, dsb, dzb)):
             step_s = cone.g @ (ap * dsb_i) @ cone.g.T
             step_z = cone.ginv.T @ (ad * dzb_i) @ cone.ginv
@@ -789,25 +759,15 @@ def solve_sdp(
             z_b[i] = 0.5 * ((z_b[i] + step_z) + (z_b[i] + step_z).T)
 
     # out of iterations or numerics broke down; fall back to the best iterate
-    w, y, z_l, z_b, res = best
+    w, y, z_b, res = best
     if best_score <= accept_tol:
         detail = f" ({message})" if message else ""
-        return _finish(
-            SdpStatus.OPTIMAL,
-            prob,
-            kept,
-            w,
-            y,
-            z_l,
-            z_b,
-            res,
-            it,
-            f"reduced accuracy: residual {best_score:.2e}{detail}",
-        )
+        message = f"reduced accuracy: residual {best_score:.2e}{detail}"
+        return _finish(SdpStatus.OPTIMAL, prob, kept, w, y, z_b, res, it, message)
     status = SdpStatus.NUMERICAL_FAILURE if message else SdpStatus.MAX_ITERATIONS
     if not message:
         message = f"stopped after {it} iterations with residual {best_score:.2e}"
-    return _finish(status, prob, kept, w, y, z_l, z_b, res, it, message)
+    return _finish(status, prob, kept, w, y, z_b, res, it, message)
 
 
 def _expand(y: np.ndarray, kept: np.ndarray, me_full: int) -> np.ndarray:
@@ -817,15 +777,17 @@ def _expand(y: np.ndarray, kept: np.ndarray, me_full: int) -> np.ndarray:
     return full
 
 
-def _finish(status, prob, kept, w, y, z_l, z_b, res, iterations, message):
+def _finish(status, prob, kept, w, y, z_b, res, iterations, message):
+    """Solution for the caller: z_b holds the duals of `_cone_blocks(prob)`."""
+    npsd = len(prob.psd_blocks)
     return SdpSolution(
         status=status,
         x=w,
         obj_primal=res["obj_primal"],
         obj_dual=res["obj_dual"],
         y_eq=_expand(y, kept, prob.num_eq),
-        z_ineq=z_l,
-        psd_duals=z_b,
+        z_ineq=np.diag(z_b[npsd]).copy() if prob.num_ineq else np.zeros(0),
+        psd_duals=z_b[:npsd],
         residuals={"primal": res["primal"], "dual": res["dual"], "gap": res["gap"]},
         iterations=iterations,
         message=message,
@@ -834,9 +796,7 @@ def _finish(status, prob, kept, w, y, z_l, z_b, res, iterations, message):
 
 def _factor_with_bump(m: np.ndarray):
     """Lower Cholesky factor with escalating diagonal regularization, or None."""
-    if m.shape[0] == 0:
-        return None
-    bump = 1e-13 * (1.0 + np.abs(np.diag(m)).max())
+    bump = 1e-13 * (1.0 + np.abs(np.diag(m)).max(initial=0.0))
     for _ in range(4):
         try:
             # checked once here; the solves with it do not check it again
@@ -846,13 +806,9 @@ def _factor_with_bump(m: np.ndarray):
     return None
 
 
-def _max_step(lin, dlin, cones, dbars, dual: bool = False) -> float:
+def _max_step(cones, dbars) -> float:
     """Largest alpha keeping the cone iterate strictly feasible (scaled frame)."""
     alpha = math.inf
-    if len(lin):
-        neg = dlin < 0
-        if neg.any():
-            alpha = min(alpha, float((-lin[neg] / dlin[neg]).min()))
     for cone, dbar in zip(cones, dbars):
         root = np.sqrt(cone.lam)
         scaled = dbar / root[:, np.newaxis] / root[np.newaxis, :]
@@ -862,57 +818,41 @@ def _max_step(lin, dlin, cones, dbars, dual: bool = False) -> float:
     return alpha
 
 
-def _mu_after(s_l, z_l, ds_l, dz_l, cones, dsb, dzb, ap, ad) -> float:
+def _mu_after(cones, dsb, dzb, ap, ad) -> float:
     ap = min(1.0, ap)
     ad = min(1.0, ad)
     total = 0.0
-    if len(s_l):
-        total += float((s_l + ap * ds_l) @ (z_l + ad * dz_l))
     for cone, dsb_i, dzb_i in zip(cones, dsb, dzb):
         lam = np.diag(cone.lam)
         total += float(np.sum((lam + ap * dsb_i) * (lam + ad * dzb_i)))
     return total
 
 
-def _check_infeasibility(prob, a_eq, b_eq, w, y, z_l, z_b, g_z):
+def _check_infeasibility(prob, blocks, a_eq, b_eq, w, y, z_b, g_z):
     """Farkas-style certificate checks; None when nothing is decisive.
 
-    g_z holds the vectors G_j^*(Z_j) of the current dual iterate.
+    z_b holds the duals of the cone blocks and g_z the vectors G_j^*(Z_j).
     """
     # primal infeasibility: dual ray with positive objective and tiny residual
-    viol = (float(b_eq @ y) if len(b_eq) else 0.0) + (
-        float(prob.ineq_d @ z_l) if prob.num_ineq else 0.0
-    )
-    for blk, zb in zip(prob.psd_blocks, z_b):
+    viol = float(b_eq @ y)
+    for blk, zb in zip(blocks, z_b):
         viol -= float(np.sum(blk.const * zb))
-    ray_norm = max(
-        [np.abs(y).max() if len(y) else 0.0]
-        + [np.abs(z_l).max() if len(z_l) else 0.0]
-        + [np.abs(zb).max() if zb.size else 0.0 for zb in z_b]
-    )
+    ray_norm = max([np.abs(y).max(initial=0.0)] + [np.abs(zb).max(initial=0.0) for zb in z_b])
     if viol > 1e-6 * (1.0 + ray_norm):
-        resid = np.zeros(prob.nfree)
-        if len(b_eq):
-            resid += a_eq.T @ y
-        if prob.num_ineq:
-            resid += prob.ineq_b.T @ z_l
+        resid = a_eq.T @ y
         for g in g_z:
             resid += g
-        if np.abs(resid).max() * _CERT_RATIO < viol:
+        if np.abs(resid).max(initial=0.0) * _CERT_RATIO < viol:
             return SdpStatus.PRIMAL_INFEASIBLE, "dual improving ray found"
 
     # dual infeasibility: primal ray with negative objective
-    wnorm = np.abs(w).max() if prob.nfree else 0.0
+    wnorm = np.abs(w).max(initial=0.0)
     if wnorm > 1e5:
         ray = w / wnorm
         drop = float(prob.objective @ ray)
         if drop < 0:
-            quality = 0.0
-            if len(b_eq):
-                quality = max(quality, np.abs(a_eq @ ray).max())
-            if prob.num_ineq:
-                quality = max(quality, max(0.0, -(prob.ineq_b @ ray).min()))
-            for blk in prob.psd_blocks:
+            quality = np.abs(a_eq @ ray).max(initial=0.0)
+            for blk in blocks:
                 hom = blk.materialize(ray, include_const=False)
                 quality = max(quality, max(0.0, -_min_eig(hom)))
             if quality * _CERT_RATIO < -drop:
@@ -928,14 +868,15 @@ def _solve_equality_only(prob, a_eq, b_eq, kept, tol):
     else:
         w = np.zeros(prob.nfree)
         y = np.zeros(0)
-    s_w = [blk.materialize(w) for blk in prob.psd_blocks]
+    blocks = prob.psd_blocks  # every block has side 0 and there are no rows
+    zpsd = [np.zeros((0, 0)) for _ in blocks]
+    s_w = [blk.materialize(w) for blk in blocks]
     y_full = _expand(y, kept, prob.num_eq)
-    res = _residual_norms(prob, w, y_full, np.zeros(0), [], s_w, [])
+    res = _residual_norms(prob, blocks, w, y_full, zpsd, s_w, [])
     ok = max(res["primal"], res["dual"], res["gap"]) <= tol
     status = SdpStatus.OPTIMAL if ok else SdpStatus.DUAL_INFEASIBLE
-    zpsd = [np.zeros((0, 0)) for _ in prob.psd_blocks]  # every block has side 0
     return _finish(
-        status, prob, kept, w, y, np.zeros(0), zpsd, res, 0,
+        status, prob, kept, w, y, zpsd, res, 0,
         "" if ok else "objective unbounded over the affine feasible set",
     )
 
@@ -993,7 +934,7 @@ def read_sparse_sdp(fh: TextIO) -> SdpProblem:
         if len(parts) != 5:
             raise ValueError(f"malformed dump line: {line!r}")
         entries.append(
-            (int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]))
+            (int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), line)
         )
     if header is None:
         raise ValueError("dump is missing its header line")
@@ -1004,15 +945,22 @@ def read_sparse_sdp(fh: TextIO) -> SdpProblem:
     sides_tok = tokens[tokens.index("sides") + 1] if "sides" in tokens else ""
     sides = [int(s) for s in sides_tok.split(",") if s]
 
-    for blockid, r, c, v, val in entries:
-        if not 0 <= v <= nfree:
-            raise ValueError(f"variable index {v} out of range in dump line "
-                             f"'{blockid} {r} {c} {v} {val!r}'")
+    # (rows, columns) of each section; the objective and the rows have one column
+    shapes = [(1, 1), (me, 1), (ml, 1)] + [(s, s) for s in sides]
+    for blockid, r, c, v, val, line in entries:
+        if not 0 <= blockid < len(shapes):
+            raise ValueError(f"section {blockid} out of range in dump line '{line}'")
+        nrows, ncols = shapes[blockid]
+        if not (0 <= r < nrows and 0 <= c < ncols):
+            raise ValueError(f"position ({r}, {c}) out of range in dump line '{line}'")
+        first_var = 1 if blockid == 0 else 0  # the objective has no constant
+        if not first_var <= v <= nfree:
+            raise ValueError(f"variable index {v} out of range in dump line '{line}'")
     objective = np.zeros(nfree)
     eq_a, eq_b = np.zeros((me, nfree)), np.zeros(me)
     ineq_b, ineq_d = np.zeros((ml, nfree)), np.zeros(ml)
     block_data = [([], np.zeros((s, s))) for s in sides]
-    for blockid, r, c, v, val in entries:
+    for blockid, r, c, v, val, _ in entries:
         if blockid == 0:
             objective[v - 1] = val
         elif blockid == 1:

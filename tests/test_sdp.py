@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,60 @@ def test_inequality_rows():
     assert sol.status is SdpStatus.OPTIMAL
     assert np.allclose(sol.x, [1.0, 2.0], atol=1e-6)
     assert np.all(sol.z_ineq >= -1e-9)
+
+
+def random_mixed_problem(rng, nfree=5, side=3, num_eq=2, num_ineq=3):
+    """Equality rows, inequality rows and psd blocks, strictly feasible at w0."""
+    prob, w0 = random_psd_problem(rng, nfree, side, num_eq)
+    ineq_b = rng.uniform(-1, 1, (num_ineq, nfree))
+    ineq_d = ineq_b @ w0 - rng.uniform(0.1, 1.0, num_ineq)
+    return SdpProblem(
+        nfree, prob.objective, prob.eq_a, prob.eq_b, ineq_b, ineq_d, prob.psd_blocks
+    )
+
+
+def test_random_problems_with_inequality_rows():
+    """Optimality, weak duality, stationarity and complementarity with B w >= d."""
+    rng = np.random.default_rng(5)
+    tol = 1e-8
+    for trial in range(8):
+        prob = random_mixed_problem(rng, num_eq=trial % 3, num_ineq=1 + trial % 4)
+        sol = solve_sdp(prob, tol=tol)
+        assert sol.status is SdpStatus.OPTIMAL, sol.message
+        assert sol.obj_dual <= sol.obj_primal + 1e-7 * (1.0 + abs(sol.obj_primal))
+        again = compute_residuals(prob, sol)
+        for key in ("primal", "dual", "gap"):
+            assert again[key] <= sol.residuals[key] + 10 * tol
+        resid = prob.objective - prob.eq_a.T @ sol.y_eq - prob.ineq_b.T @ sol.z_ineq
+        for blk, z in zip(prob.psd_blocks, sol.psd_duals):
+            resid = resid - blk.adjoint(z, prob.nfree)
+        assert np.abs(resid).max() < 1e-6
+        assert sol.z_ineq.shape == (prob.num_ineq,)
+        assert len(sol.psd_duals) == len(prob.psd_blocks)
+        assert np.all(sol.z_ineq >= -tol)
+        slack = prob.ineq_b @ sol.x - prob.ineq_d
+        assert np.abs(sol.z_ineq * slack).max() < 1e-6
+
+
+def test_linear_program_without_psd_block():
+    # min w1 + 2 w2 with w >= (1, -3); the multipliers are the costs
+    prob = SdpProblem(2, [1.0, 2.0], ineq_b=np.eye(2), ineq_d=[1.0, -3.0])
+    sol = solve_sdp(prob)
+    assert sol.status is SdpStatus.OPTIMAL, sol.message
+    assert np.allclose(sol.x, [1.0, -3.0], atol=1e-6)
+    assert np.allclose(sol.z_ineq, [1.0, 2.0], atol=1e-6)
+    assert sol.psd_duals == []
+
+
+def test_infeasible_inequality_rows():
+    # w >= 1 and -w >= 0 cannot both hold
+    prob = SdpProblem(1, [1.0], ineq_b=[[1.0], [-1.0]], ineq_d=[1.0, 0.0])
+    assert solve_sdp(prob).status is SdpStatus.PRIMAL_INFEASIBLE
+
+
+def test_unbounded_over_inequality_rows():
+    prob = SdpProblem(1, [-1.0], ineq_b=[[1.0]], ineq_d=[0.0])
+    assert solve_sdp(prob).status is SdpStatus.DUAL_INFEASIBLE
 
 
 def test_equality_and_block():
@@ -294,10 +349,28 @@ def test_constant_only_block():
 def test_negative_variable_index_is_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         PsdBlock(2, [-1], [0], [1], [1.0])
-    header = "# nvars 2 eq 0 ineq 0 psd 1 sides 2\n"
-    for line in ("3 0 1 -1 1.0\n", "0 0 0 -1 1.0\n", "3 0 0 3 1.0\n"):
-        with pytest.raises(ValueError):
-            read_sparse_sdp(io.StringIO(header + line))
+    header = "# nvars 2 eq 1 ineq 1 psd 1 sides 2\n"
+    bad_lines = (
+        "3 0 1 -1 1.0",  # negative variable
+        "0 0 0 -1 1.0",
+        "3 0 0 3 1.0",  # variable beyond nvars
+        "0 0 0 0 1.0",  # the objective has no constant
+        "1 -1 0 1 5.0",  # negative equality row
+        "1 1 0 1 5.0",  # equality row beyond eq
+        "2 1 0 0 5.0",  # inequality row beyond ineq
+        "2 0 1 1 5.0",  # a row section has no column
+        "0 1 0 1 5.0",  # nor does the objective have rows
+        "3 -1 0 0 7.0",  # negative psd row
+        "3 0 2 1 7.0",  # psd column beyond the side
+        "4 0 0 0 1.0",  # section beyond the declared blocks
+        "-1 0 0 0 1.0",
+    )
+    for line in bad_lines:
+        with pytest.raises(ValueError, match=re.escape(f"'{line}'")):
+            read_sparse_sdp(io.StringIO(header + line + "\n"))
+    good = read_sparse_sdp(io.StringIO(header + "1 0 0 2 5.0\n3 1 0 0 7.0\n"))
+    assert good.eq_a.tolist() == [[0.0, 5.0]]
+    assert good.psd_blocks[0].const.tolist() == [[0.0, 7.0], [7.0, 0.0]]
 
 
 def test_non_finite_data_is_rejected():
@@ -407,6 +480,20 @@ def test_empty_cone_kernels():
     assert sdp_module._min_eig(empty) == math.inf
     cone = sdp_module._ConeState(empty, empty)
     assert cone.g.shape == cone.ginv.shape == (0, 0) and cone.lam.shape == (0,)
+    # the Newton solve of a problem without equality rows runs on these
+    factor = sdp_module._factor_with_bump(empty)
+    assert factor.shape == (0, 0)
+    assert sdp_module._cho_solve(factor, np.zeros(0)).shape == (0,)
+    lower = sdp_module._cholesky(np.eye(3))
+    assert sdp_module._tri_solve(lower, np.zeros((3, 0))).shape == (3, 0)
+
+
+@pytest.mark.parametrize("sign, status", [(1.0, "optimal"), (-1.0, "primal_infeasible")])
+def test_problem_without_free_variables(sign, status):
+    # a constant block is the whole problem: feasible iff the constant is PSD
+    blk = PsdBlock(2, [], [], [], [], const=sign * np.eye(2))
+    sol = solve_sdp(SdpProblem(0, [], psd_blocks=[blk]))
+    assert sol.status.value == status, sol.message
 
 
 def test_equality_schur_from_one_triangular_solve():
