@@ -14,12 +14,17 @@ atoms verify against the problem data.  The pieces are usable separately:
   stationarity, strict complementarity, second-order sufficiency) for a
   candidate minimizer of a polynomial optimization problem.
 * certify_relaxation: glue that runs the pipeline on a solved relaxation.
+  One path serves every variant: flat truncation, extraction (the zero
+  measure when the moment matrix vanishes), the moment error, verification
+  against the relaxed problem, an atom map back to the source problem
+  (dehomogenization for the homogenized variant, the identity otherwise)
+  with verification there, and one certified/reason decision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,12 +33,7 @@ from scipy.optimize import lsq_linear
 
 from .moments import AtomicMeasure, Tms, moment_matrix, tms_from_atoms
 from .polynomials import Polynomial, basis_size, monomial_basis, sum_positions
-from .relaxations import (
-    CompiledRelaxation,
-    PopProblem,
-    SemialgebraicSet,
-    Variant,
-)
+from .relaxations import CompiledRelaxation, PopProblem, SemialgebraicSet, Variant
 from .sdp import SdpSolution
 
 __all__ = [
@@ -354,10 +354,15 @@ def certify_relaxation(
 ) -> MomentCertificate:
     """Run flat truncation, extraction, and verification on a solved SDP.
 
-    For the homogenized variant the raw sphere atoms are checked against the
-    homogenized data, then mapped back and checked against the original
-    problem; mass at infinity blocks certification but is reported rather
-    than discarded.
+    Every variant takes the same path.  The atoms extracted at the flat
+    order (none for the zero measure) are checked against the relaxed
+    problem `comp.relaxed` (raw_report), then mapped to the source problem's
+    coordinates and checked there (report).  The map is dehomogenization for
+    the homogenized variant: sphere atoms (tau, v) become v/tau, and mass at
+    infinity blocks certification but is reported rather than discarded.
+    For the other variants the relaxed problem has the source's variables,
+    the map is the identity and the raw report serves as the report.  For a
+    POP every recovered atom must attain the value.
     """
     w = comp.tms(sol)
     value = comp.moment_value(sol)
@@ -369,28 +374,6 @@ def certify_relaxation(
             value=value,
             flat=flat,
         )
-    if flat.zero_measure:
-        raw = AtomicMeasure.empty(comp.nvars)
-        raw_rep = verify_atoms(
-            raw,
-            comp.relaxed_set,
-            pairings=comp.pairings,
-            objective=comp.objective_poly,
-            expected_value=value,
-            feas_tol=feas_tol,
-        )
-        return MomentCertificate(
-            certified=raw_rep.ok,
-            reason="flat with the zero measure"
-            if raw_rep.ok
-            else "zero measure conflicts with the pairing data",
-            value=value,
-            flat=flat,
-            measure=raw,
-            raw_measure=raw,
-            raw_report=raw_rep,
-            report=raw_rep,
-        )
     try:
         raw = extract_atoms(w, flat.order, rank_tol, seed=seed)
     except ExtractionError as exc:
@@ -400,68 +383,63 @@ def certify_relaxation(
     recon = tms_from_atoms(raw, 2 * flat.order)
     w_flat = w.truncate(2 * flat.order)
     moment_error = float(np.max(np.abs(recon.values - w_flat.values)))
+    relaxed = comp.relaxed
     raw_rep = verify_atoms(
         raw,
-        comp.relaxed_set,
-        pairings=comp.pairings,
-        objective=comp.objective_poly,
+        relaxed.set,
+        pairings=relaxed.pairings,
+        objective=relaxed.objective,
         expected_value=value,
         feas_tol=feas_tol,
     )
 
     if comp.variant is Variant.HOMOGENIZED:
-        finite, at_inf = dehomogenize_atoms(raw, comp.homogenize_degree, tau_tol)
+        measure, at_inf = dehomogenize_atoms(raw, relaxed.d, tau_tol)
         gmp = comp.source.as_gmp()
+        finite = at_inf.num_atoms == 0
         rep = verify_atoms(
-            finite,
+            measure,
             gmp.set,
-            pairings=gmp.pairings if at_inf.num_atoms == 0 else None,
+            pairings=gmp.pairings if finite else None,
             objective=gmp.objective,
-            expected_value=value if at_inf.num_atoms == 0 else None,
+            expected_value=value if finite else None,
             feas_tol=feas_tol,
         )
-        certified = bool(
-            raw_rep.ok and rep.ok and at_inf.num_atoms == 0 and moment_error <= feas_tol
-        )
-        if at_inf.num_atoms:
-            reason = "measure carries mass at infinity"
-        elif not certified:
-            reason = "extracted atoms fail verification"
-        else:
-            reason = "atomic measure extracted and verified"
-        return MomentCertificate(
-            certified=certified,
-            reason=reason,
-            value=value,
-            flat=flat,
-            measure=finite,
-            raw_measure=raw,
-            atoms_at_infinity=at_inf,
-            moment_error=moment_error,
-            raw_report=raw_rep,
-            report=rep,
-        )
+    else:
+        measure, at_inf, rep, finite = raw, None, raw_rep, True
 
-    certified = bool(raw_rep.ok and moment_error <= feas_tol)
+    certified = bool(raw_rep.ok and rep.ok and finite and moment_error <= feas_tol)
     if certified and isinstance(comp.source, PopProblem):
         f = comp.source.objective
-        spread = max(
-            abs(f.evaluate(p) - value) for p in raw.points
+        certified = all(
+            abs(f.evaluate(p) - value) <= feas_tol * (1.0 + abs(value))
+            for p in measure.points
         )
-        if spread > feas_tol * (1.0 + abs(value)):
-            certified = False
+    if not finite:
+        reason = "measure carries mass at infinity"
+    elif flat.zero_measure:
+        reason = (
+            "flat with the zero measure"
+            if certified
+            else "zero measure conflicts with the pairing data"
+        )
+    else:
+        reason = (
+            "atomic measure extracted and verified"
+            if certified
+            else "extracted atoms fail verification"
+        )
     return MomentCertificate(
         certified=certified,
-        reason="atomic measure extracted and verified"
-        if certified
-        else "extracted atoms fail verification",
+        reason=reason,
         value=value,
         flat=flat,
-        measure=raw,
+        measure=measure,
         raw_measure=raw,
+        atoms_at_infinity=at_inf,
         moment_error=moment_error,
         raw_report=raw_rep,
-        report=raw_rep,
+        report=rep,
     )
 
 

@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -294,24 +294,30 @@ class SosCertificate:
 
 @dataclass
 class CompiledRelaxation:
-    """An SDP together with the bookkeeping to interpret its solutions."""
+    """An SDP together with the moment problem it relaxes.
+
+    `relaxed` is the problem whose order-block_order relaxation the SDP is:
+    the source problem itself (plain), its homogenization (homogenized) or
+    its theta^k-weighted form (denominator).  The SDP follows its data in
+    order: the first m1 equality rows are its equality pairings and the
+    inequality rows its other pairings; the ideal rows of set equality j
+    start at ideal_rows[j][0].  PSD block 0 is the moment matrix and block
+    1 + j the localizing matrix of set inequality j.
+    """
 
     sdp: SdpProblem
     variant: Variant
     order: int
     block_order: int
-    nvars: int
-    objective_poly: Polynomial
-    pairings: list
-    pairing_eq_rows: list
-    pairing_ineq_rows: list
     ideal_rows: list
-    localizing_blocks: list
     d0: int
     dK: int
     source: Union[GmpProblem, PopProblem]
-    relaxed_set: SemialgebraicSet
-    homogenize_degree: Optional[int] = None
+    relaxed: GmpProblem
+
+    @property
+    def nvars(self) -> int:
+        return self.relaxed.nvars
 
     @property
     def tms_degree(self) -> int:
@@ -328,42 +334,35 @@ class CompiledRelaxation:
 
     def sos_certificate(self, sol: SdpSolution) -> SosCertificate:
         """Dual readoff: pairing multipliers, Gram blocks, ideal multipliers."""
-        theta = np.zeros(len(self.pairings))
-        for i, row in self.pairing_eq_rows:
-            theta[i] = sol.y_eq[row]
-        for i, row in self.pairing_ineq_rows:
-            theta[i] = sol.z_ineq[row]
         ideal = []
-        for j, row_start, basis_degree in self.ideal_rows:
+        for row_start, basis_degree in self.ideal_rows:
             basis = monomial_basis(self.nvars, basis_degree)
             coeffs = {
                 e: sol.y_eq[row_start + pos] for pos, e in enumerate(basis.exponents)
             }
             ideal.append(Polynomial(self.nvars, coeffs))
-        gram_loc = [sol.psd_duals[pos] for _, pos in self.localizing_blocks]
         return SosCertificate(
-            theta=theta,
+            theta=np.concatenate([sol.y_eq[: self.relaxed.m1], sol.z_ineq]),
             value=float(sol.obj_dual),
             gram_moment=sol.psd_duals[0],
-            gram_localizing=gram_loc,
+            gram_localizing=sol.psd_duals[1:],
             ideal_multipliers=ideal,
         )
 
     def certificate_residual(self, cert: SosCertificate) -> float:
         """max |coefficient| of f - sum theta a - sum phi c - sigma_0 - sum sigma c."""
-        resid = self.objective_poly
-        for t, (ai, _, _) in zip(cert.theta, self.pairings):
+        relaxed = self.relaxed
+        resid = relaxed.objective
+        for t, ai in zip(cert.theta, relaxed.a):
             resid = resid - float(t) * ai
-        eqs = self.relaxed_set.equalities
-        for phi, (j, _, _) in zip(cert.ideal_multipliers, self.ideal_rows):
-            resid = resid - phi * eqs[j]
+        for phi, c in zip(cert.ideal_multipliers, relaxed.set.equalities):
+            resid = resid - phi * c
         resid = resid - cert.sos_polynomial(
             self.nvars, cert.gram_moment, self.block_order
         )
-        ineqs = self.relaxed_set.inequalities
-        for gram, (j, _) in zip(cert.gram_localizing, self.localizing_blocks):
-            s = (2 * self.block_order - ineqs[j].degree) // 2
-            resid = resid - cert.sos_polynomial(self.nvars, gram, s) * ineqs[j]
+        for gram, c in zip(cert.gram_localizing, relaxed.set.inequalities):
+            s = (2 * self.block_order - c.degree) // 2
+            resid = resid - cert.sos_polynomial(self.nvars, gram, s) * c
         if resid.is_zero:
             return 0.0
         return max(abs(c) for c in resid.terms.values())
@@ -399,10 +398,8 @@ def _compile(
     order: int,
     block_order: int,
     d0: int,
-    homogenize_degree: Optional[int],
 ) -> CompiledRelaxation:
     """Shared assembly: decision variables are the degree-2*block_order moments."""
-    relaxed_set = relaxed.set
     nvars = relaxed.nvars
     two_k = 2 * block_order
     basis = monomial_basis(nvars, two_k)
@@ -410,37 +407,25 @@ def _compile(
 
     objective = relaxed.objective.coefficient_vector(basis)
 
-    eq_rows, eq_rhs = [], []
-    ineq_rows, ineq_rhs = [], []
-    pairing_eq_rows, pairing_ineq_rows = [], []
-    pairings = relaxed.pairings
-    for i, (ai, bi, is_eq) in enumerate(pairings):
-        row = ai.coefficient_vector(basis)
-        if is_eq:
-            pairing_eq_rows.append((i, len(eq_rows)))
-            eq_rows.append(row)
-            eq_rhs.append(bi)
-        else:
-            pairing_ineq_rows.append((i, len(ineq_rows)))
-            ineq_rows.append(row)
-            ineq_rhs.append(bi)
+    # equality pairings first, so that equality row i < m1 is pairing i
+    m1 = relaxed.m1
+    pairing_rows = [ai.coefficient_vector(basis) for ai in relaxed.a]
+    eq_rows, eq_rhs = pairing_rows[:m1], list(relaxed.b[:m1])
+    ineq_rows, ineq_rhs = pairing_rows[m1:], list(relaxed.b[m1:])
 
     ideal_rows = []
-    for j, c in enumerate(relaxed_set.equalities):
+    for c in relaxed.set.equalities:
         shifted = sum_positions(nvars, c.degree, two_k - c.degree)
         gpos = monomial_basis(nvars, c.degree).index
         rows = np.zeros((shifted.shape[1], width))
         for g, cg in c.terms.items():
             rows[np.arange(len(rows)), shifted[gpos[g]]] += cg
-        ideal_rows.append((j, len(eq_rows), two_k - c.degree))
+        ideal_rows.append((len(eq_rows), two_k - c.degree))
         eq_rows.extend(rows)
         eq_rhs.extend([0.0] * len(rows))
 
     blocks = [_localizing_block(Polynomial.constant(nvars, 1.0), block_order)]
-    localizing_blocks = []
-    for j, c in enumerate(relaxed_set.inequalities):
-        localizing_blocks.append((j, len(blocks)))
-        blocks.append(_localizing_block(c, block_order))
+    blocks += [_localizing_block(c, block_order) for c in relaxed.set.inequalities]
 
     sdp = SdpProblem(
         nfree=width,
@@ -456,18 +441,11 @@ def _compile(
         variant=variant,
         order=order,
         block_order=block_order,
-        nvars=nvars,
-        objective_poly=relaxed.objective,
-        pairings=pairings,
-        pairing_eq_rows=pairing_eq_rows,
-        pairing_ineq_rows=pairing_ineq_rows,
         ideal_rows=ideal_rows,
-        localizing_blocks=localizing_blocks,
         d0=d0,
-        dK=constraint_half_degree(relaxed_set),
+        dK=constraint_half_degree(relaxed.set),
         source=source,
-        relaxed_set=relaxed_set,
-        homogenize_degree=homogenize_degree,
+        relaxed=relaxed,
     )
 
 
@@ -500,7 +478,7 @@ def compile_relaxation(
     d0 = variant_minimum_order(problem, variant)
     if k < d0:
         raise ValueError(f"order k={k} is below the minimum order {d0}")
-    block_order, homogenize_degree = k, None
+    block_order = k
     if variant is Variant.DENOMINATOR:
         # moment form: objective theta^k f, normalization <theta^k, w> = 1
         n = problem.nvars
@@ -516,9 +494,8 @@ def compile_relaxation(
     else:
         relaxed = problem.as_gmp()
         if variant is Variant.HOMOGENIZED:
-            homogenize_degree = relaxed.d
             relaxed = homogenize_gmp(relaxed)
-    return _compile(variant, problem, relaxed, k, block_order, d0, homogenize_degree)
+    return _compile(variant, problem, relaxed, k, block_order, d0)
 
 
 def moment_relaxation(problem: Union[GmpProblem, PopProblem], k: int) -> CompiledRelaxation:

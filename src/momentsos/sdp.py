@@ -939,11 +939,18 @@ def read_sparse_sdp(fh: TextIO) -> SdpProblem:
     if header is None:
         raise ValueError("dump is missing its header line")
     tokens = header.replace("#", "").split()
-    nfree = int(tokens[tokens.index("nvars") + 1])
-    me = int(tokens[tokens.index("eq") + 1])
-    ml = int(tokens[tokens.index("ineq") + 1])
-    sides_tok = tokens[tokens.index("sides") + 1] if "sides" in tokens else ""
-    sides = [int(s) for s in sides_tok.split(",") if s]
+    values = dict(zip(tokens, tokens[1:]))  # a dump without blocks ends on "sides"
+    try:
+        nfree, me, ml, npsd = (int(values[key]) for key in ("nvars", "eq", "ineq", "psd"))
+        sides = [int(s) for s in values.get("sides", "").split(",") if s]
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"dump header {header!r} needs integer nvars, eq, ineq, psd and sides"
+        ) from None
+    if min([nfree, me, ml, npsd] + sides) < 0 or npsd != len(sides):
+        raise ValueError(
+            f"dump header {header!r} needs non-negative counts and one side per psd block"
+        )
 
     # (rows, columns) of each section; the objective and the rows have one column
     shapes = [(1, 1), (me, 1), (ml, 1)] + [(s, s) for s in sides]

@@ -18,6 +18,7 @@ from momentsos import (
     dehomogenize_atoms,
     extract_atoms,
     flat_truncation,
+    homogenized_relaxation,
     moment_relaxation,
     numerical_rank,
     pair,
@@ -220,20 +221,39 @@ def test_certify_relaxation_interval():
     json.dumps(cert.as_json())
 
 
+def zero_measure_interval():
+    """<1 + x^2, y> over measures on [-1, 1] with <1, y> >= 0."""
+    one = Polynomial.constant(1, 1.0)
+    k = SemialgebraicSet(1, inequalities=(1.0 - x(1, 0) ** 2,), archimedean=True)
+    gmp = GmpProblem(k, one + x(1, 0) ** 2, a=(one,), b=[0.0], m1=0, d=2)
+    return moment_relaxation(gmp, 1)
+
+
+def zero_measure_line():
+    """<1 + x^2, y> over measures on the line with <-1, y> >= -1, homogenized."""
+    one = Polynomial.constant(1, 1.0)
+    k = SemialgebraicSet(1, closed_at_infinity=True)
+    gmp = GmpProblem(k, one + x(1, 0) ** 2, a=(-1.0 * one,), b=[-1.0], m1=0, d=2)
+    return homogenized_relaxation(gmp, 2)
+
+
 def test_certify_relaxation_zero_measure():
-    """A feasible GMP whose optimal measure is the zero measure."""
-    n = 1
-    one = Polynomial.constant(n, 1.0)
-    f = one + x(n, 0) ** 2
-    k = SemialgebraicSet(n, inequalities=(1.0 - x(n, 0) ** 2,), archimedean=True)
-    gmp = GmpProblem(k, f, a=(one,), b=[0.0], m1=0, d=2)  # <1, y> >= 0
-    comp = moment_relaxation(gmp, 1)
-    sol = solve_sdp(comp.sdp)
-    cert = certify_relaxation(comp, sol)
-    assert cert.certified
-    assert cert.flat.zero_measure
-    assert cert.measure.num_atoms == 0
-    assert cert.value == pytest.approx(0.0, abs=1e-6)
+    """Feasible GMPs whose optimal measure is the zero measure."""
+    for comp in (zero_measure_interval(), zero_measure_line()):
+        sol = solve_sdp(comp.sdp)
+        cert = certify_relaxation(comp, sol)
+        assert cert.certified
+        assert cert.flat.zero_measure
+        assert cert.value == pytest.approx(0.0, abs=1e-6)
+        # the measure is reported in the source problem's variables
+        assert cert.measure.num_atoms == 0
+        assert cert.measure.nvars == comp.source.nvars
+        assert cert.raw_measure.nvars == comp.nvars
+        assert cert.moment_error <= 1e-6
+        assert cert.report.ok and cert.raw_report.ok
+        if comp.nvars != comp.source.nvars:
+            assert cert.atoms_at_infinity.num_atoms == 0
+        json.dumps(cert.as_json())
 
 
 def test_check_optimality_sphere_subproblem():

@@ -15,6 +15,7 @@ from momentsos import (
     Variant,
     basis_size,
     build_subproblem,
+    compile_relaxation,
     constraint_half_degree,
     denominator_relaxation,
     homogenize_gmp,
@@ -32,6 +33,7 @@ from momentsos import (
 )
 
 import oracles
+from conftest import load_problem
 
 
 def x(n, i):
@@ -147,6 +149,41 @@ def test_sos_certificate_replay():
     assert comp.certificate_residual(cert) <= 1e-6
 
 
+def test_sos_certificate_reads_inequality_pairings():
+    """min <x^2, y> over probability measures on [-1, 1] with <x, y> >= 1/2.
+
+    The optimum is the Dirac at 1/2; its certificate x^2 + 1/4 - x = (x - 1/2)^2
+    has theta = (-1/4, 1), the second entry from the inequality pairing row.
+    """
+    g = 1.0 - x(1, 0) ** 2
+    k = SemialgebraicSet(1, inequalities=(g,), archimedean=True)
+    one = Polynomial.constant(1, 1.0)
+    gmp = GmpProblem(k, x(1, 0) ** 2, a=(one, x(1, 0)), b=[1.0, 0.5], m1=1, d=2)
+    comp = moment_relaxation(gmp, 2)
+    sol = solve_sdp(comp.sdp)
+    cert = comp.sos_certificate(sol)
+    assert cert.value == pytest.approx(0.25, abs=1e-6)
+    assert np.allclose(cert.theta, [-0.25, 1.0], atol=1e-5)
+    assert comp.certificate_residual(cert) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "name, variant, k",
+    [
+        ("ex43.json", "homogenized", 2),  # a GMP with an inequality pairing
+        ("ex46.json", "homogenized", 3),
+        ("ex48.json", "denominator", 3),
+    ],
+)
+def test_sos_certificate_replay_on_variants(name, variant, k):
+    comp = compile_relaxation(load_problem(name), variant, k)
+    sol = solve_sdp(comp.sdp)
+    cert = comp.sos_certificate(sol)
+    assert len(cert.theta) == len(comp.relaxed.a)
+    assert len(cert.gram_localizing) == len(comp.relaxed.set.inequalities)
+    assert comp.certificate_residual(cert) <= 1e-6
+
+
 def test_sphere_quadratic_gmp():
     # minimize <x1^2, y> over probability measures on the unit circle
     n = 2
@@ -219,7 +256,7 @@ def test_denominator_relaxation_structure():
     assert comp.block_order == 2 + half
     assert comp.d0 == comp.block_order
     # normalization pairs against (1 + |x|^2)^k
-    theta_k = comp.pairings[0][0]
+    theta_k = comp.relaxed.a[0]
     one_plus = Polynomial(1, {(0,): 1.0, (2,): 1.0})
     assert theta_k == one_plus**2
 

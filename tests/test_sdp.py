@@ -259,6 +259,25 @@ def test_dump_rejects_garbage():
         read_sparse_sdp(io.StringIO("0 1 2\n"))
     with pytest.raises(ValueError):
         read_sparse_sdp(io.StringIO("1 0 0 1 2.0\n"))  # no header
+    for header in (
+        "# nvars 2 eq 0 ineq 0 psd 2 sides 1",  # fewer sides than blocks
+        "# nvars 2 ineq 0 psd 1 sides 1",  # no eq count
+        "# nvars 2 eq 0 ineq 0 psd 1 sides -1",
+        "# nvars -1 eq 0 ineq 0 psd 1 sides 1",
+    ):
+        with pytest.raises(ValueError, match=re.escape(repr(header))):
+            read_sparse_sdp(io.StringIO(header + "\n0 0 0 1 1.0\n"))
+
+
+def test_dump_round_trip_without_psd_block():
+    prob = SdpProblem(2, [1.0, 2.0], ineq_b=np.eye(2), ineq_d=[1.0, -3.0])
+    buf = io.StringIO()
+    write_sparse_sdp(prob, buf)
+    buf.seek(0)
+    back = read_sparse_sdp(buf)
+    assert back.psd_blocks == []
+    assert np.array_equal(back.ineq_b, prob.ineq_b)
+    assert np.array_equal(back.ineq_d, prob.ineq_d)
 
 
 def random_block(rng, side, nfree, nent):
