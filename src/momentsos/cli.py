@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -146,8 +147,9 @@ def _load_problem(path: str):
 def _check_tols(args) -> None:
     for name in ("tol", "rank_tol", "feas_tol", "tau_tol", "act_tol"):
         val = getattr(args, name, None)
-        if val is not None and val <= 0:
-            raise _InputError(f"--{name.replace('_', '-')} must be positive")
+        if val is not None and not (math.isfinite(val) and val > 0):
+            flag = "--" + name.replace("_", "-")
+            raise _InputError(f"{flag} must be a positive finite number")
 
 
 def _report_header(command: str, args) -> dict:
@@ -191,6 +193,8 @@ def _dump_path(template: str, k: int, single: bool) -> str:
 
 def _run_hierarchy(args, command: str) -> int:
     _check_tols(args)
+    if args.seed < 0:
+        raise _InputError("--seed must be non-negative")
     problem = _load_problem(args.problem)
     variant = Variant(args.variant)
     try:
@@ -210,12 +214,10 @@ def _run_hierarchy(args, command: str) -> int:
         raise _InputError(str(exc))
 
     if getattr(args, "dump_sdp", None):
-        ks = [rec.order for rec in result.records]
-        for k in ks:
-            comp = compile_relaxation(problem, variant, k)
-            path = _dump_path(args.dump_sdp, k, len(ks) == 1)
+        for rec in result.records:
+            path = _dump_path(args.dump_sdp, rec.order, len(result.records) == 1)
             with open(path, "w") as fh:
-                write_sparse_sdp(comp.sdp, fh)
+                write_sparse_sdp(rec.sdp, fh)
 
     kind = "gmp" if isinstance(problem, GmpProblem) else "pop"
     report = _report_header(command, args)

@@ -36,7 +36,7 @@ from .relaxations import (
     homogenized_relaxation,
     moment_relaxation,
 )
-from .sdp import SdpSolution, SdpStatus, solve_sdp
+from .sdp import SdpProblem, SdpStatus, solve_sdp
 
 __all__ = ["OrderRecord", "HierarchyResult", "solve_hierarchy"]
 
@@ -54,6 +54,7 @@ class OrderRecord:
     message: str = ""
     certificate: Optional[MomentCertificate] = None
     sos: Optional[SosCertificate] = None
+    sdp: Optional[SdpProblem] = None  # the compiled SDP that was solved
 
     @property
     def certified(self) -> bool:
@@ -132,6 +133,7 @@ def solve_hierarchy(
             iterations=sol.iterations,
             residuals=dict(sol.residuals),
             message=sol.message,
+            sdp=comp.sdp,
         )
         records.append(rec)
         if sol.status is not SdpStatus.OPTIMAL:

@@ -30,14 +30,17 @@ iteration one Schur complement in the free variables is formed and
 Cholesky-factored, followed by a second (smaller) Schur complement over the
 equality rows; one Newton solve serves every number of equality rows,
 including none.  With W_j = Ginv_j^T Ginv_j from block j's scaling, the
-block adds M_uv = <G_u, W_j G_v W_j> on its active variables; `PsdBlock.schur`
-sums this over the block's stored entries (the formula of Fujisawa, Kojima
-and Nakata, as in SDPA), and the Newton step maps through the same entries
-with `PsdBlock.adjoint` and `PsdBlock.materialize`.  No basis of the block's
-symmetric-matrix space is formed; only the block factorizations (Cholesky,
-SVD, eigenvalues) are dense.  With M = L L^T, the equality Schur complement
-A M^-1 A^T is X^T X for X = L^-1 A^T (one triangular solve), and the Newton
-solves apply M^-1 A^T v as L^-T (X v).  The dense kernels of the loop call
+block adds M_uv = <G_u, W_j G_v W_j> on its active variables (the formula of
+Fujisawa, Kojima and Nakata, as in SDPA).  `PsdBlock.schur` forms each
+W G_v W from the stored entries alone, as W[:, tgt] diag(coef) W[src, :]
+over v's r_v entries, at side^2 r_v instead of side^3 per variable, and reads
+M off with one sparse product with a CSR matrix of the entries.  The Newton
+step maps through the same entries with `PsdBlock.adjoint` and
+`PsdBlock.materialize`.  No basis of the block's symmetric-matrix space is
+formed; only the block factorizations (Cholesky, SVD, eigenvalues) are dense.
+With M = L L^T, the equality Schur complement A M^-1 A^T is X^T X for
+X = L^-1 A^T (one triangular solve), and the Newton solves apply M^-1 A^T v
+as L^-T (X v).  The dense kernels of the loop call
 the LAPACK drivers (dsyevr, dpotrf, dpotrs, dgesdd, dtrtrs) directly rather
 than through the scipy.linalg front ends, whose per-call overhead dominates
 on small blocks.  Infeasibility and unboundedness
@@ -56,6 +59,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 import scipy.linalg as sla
+from scipy import sparse
 from scipy.linalg.lapack import (
     dgesdd,
     dgesdd_lwork,
@@ -82,7 +86,10 @@ _SQRT2 = math.sqrt(2.0)
 # Confidence ratio for declaring infeasibility from a certificate.
 _CERT_RATIO = 1.0e6
 
-# Work arrays of one PsdBlock.schur batch hold at most this many doubles.
+# Multiply-adds of one PsdBlock.schur batch: the batch's variables times its
+# largest entry count (both triangles, the padding included) times side^2
+# stay within this, unless the batch is a single variable.  It also bounds the
+# batch's W G_v W stack to this many doubles.
 _SCHUR_BUDGET = 1 << 20
 
 
@@ -118,12 +125,15 @@ class PsdBlock:
 
     The constructor lays out once the index arrays that the per-iteration
     operations read: the flat positions of the entries in both triangles
-    (one `np.bincount` builds S(w) or a G_v), the sorted `active` variables
-    with the slice of entries of each, and the sorted keys and batches that
-    `schur` uses to form the block's Schur complement term from the stored
-    entries alone.  `scaled_rows`, the dense formation that `schur`
-    replaced, is not used by the solver: it is the tests' reference, and
-    the benchmark's tracer (bench/tracing.py) still looks the name up.
+    (one `np.bincount` builds S(w) or a G_v), the sorted `active` variables,
+    a CSR matrix R of shape (active, side^2) that holds each active
+    variable's weighted upper entries at their flat positions, so that
+    R vec(X) = (<G_u, X>)_u, and the batches of `schur`: the active
+    variables sorted by entry count, each batch's entry lists in both
+    triangles padded with zero coefficients to its largest count.
+    `scaled_rows`, the dense formation that `schur` replaced, is not used by
+    the solver: it is the tests' reference, and the benchmark's tracer
+    (bench/tracing.py) still looks the name up.
     """
 
     def __init__(self, side: int, var, row, col, coef, const=None):
@@ -146,9 +156,10 @@ class PsdBlock:
         order = np.lexsort((col, row, var))
         var, row, col, coef = var[order], row[order], col[order], coef[order]
         if len(var):
-            first = _run_starts((var * side + row) * side + col)
-            inverse = np.repeat(np.arange(len(first)), np.diff(first, append=len(var)))
-            merged = np.bincount(inverse, weights=coef, minlength=len(first))
+            key = (var * side + row) * side + col
+            new = np.concatenate(([True], key[1:] != key[:-1]))
+            merged = np.bincount(np.cumsum(new) - 1, weights=coef)
+            first = np.flatnonzero(new)
             var, row, col, coef = var[first], row[first], col[first], merged
             keep = coef != 0.0
             var, row, col, coef = var[keep], row[keep], col[keep], coef[keep]
@@ -160,7 +171,9 @@ class PsdBlock:
             raise ValueError("const has the wrong shape")
         if not np.isfinite(const).all():
             raise ValueError("psd block 'const' has a non-finite entry")
-        if not np.allclose(const, const.T, atol=1e-12):
+        # np.allclose(const, const.T, atol=1e-12) for finite const, at a
+        # fraction of its cost on the small blocks a relaxation has many of
+        if (np.abs(const - const.T) > 1e-12 + 1e-5 * np.abs(const.T)).any():
             raise ValueError("const must be symmetric")
         self.const = 0.5 * (const + const.T)
 
@@ -174,23 +187,32 @@ class PsdBlock:
         self._sym_coef = coef[ent]
         self._flat = row * side + col
         self._wcoef = coef * np.where(row == col, 1.0, 2.0)
-        self._starts = _run_starts(var)
-        self.active = var[self._starts]
-        # rows of the stacked G_v W, one per (active position of v, tgt)
-        key = np.searchsorted(self.active, self._sym_var) * side + tgt
-        order = np.argsort(key, kind="stable")
-        self._gw_src = src[order]
-        self._gw_coef = self._sym_coef[order]
-        key = key[order]
-        starts = _run_starts(key)
-        self._gw_key = key[starts]
-        self._gw_starts = np.append(starts, len(key))
-        nb = max(1, _SCHUR_BUDGET // max(side * side, len(var), 1))
+        starts = _run_starts(var)
+        self.active = var[starts]
+        self._readoff = sparse.csr_array(
+            (self._wcoef, self._flat, np.append(starts, len(var))),
+            shape=(len(self.active), side * side),
+        )
+        # the batches: runs of the active variables in order of entry count
+        # (both triangles), each as long as _SCHUR_BUDGET allows
+        by_var = np.argsort(self._sym_var, kind="stable")
+        count = np.bincount(self._sym_var)[self.active]
+        offset = np.cumsum(count) - count
+        by_count = np.argsort(count, kind="stable")
+        count, offset = count[by_count], offset[by_count]
         self._batches = []
-        for v0 in range(0, len(self.active), nb):
-            v1 = min(v0 + nb, len(self.active))
-            u0, u1 = np.searchsorted(self._gw_key, [v0 * side, v1 * side])
-            self._batches.append((v0, v1, int(u0), int(u1)))
+        b0 = 0
+        while b0 < len(count):
+            # padded[j]: padded entries of a batch of the next j + 1 variables
+            padded = np.arange(1, len(count) - b0 + 1) * count[b0:]
+            fits = np.searchsorted(padded, _SCHUR_BUDGET // side**2, "right")
+            b1 = b0 + max(1, int(fits))
+            pad = np.arange(count[b1 - 1])
+            real = pad < count[b0:b1, np.newaxis]
+            ent = by_var[np.where(real, offset[b0:b1, np.newaxis] + pad, 0)]
+            coef_b = np.where(real, self._sym_coef[ent], 0.0)[:, :, np.newaxis]
+            self._batches.append((by_count[b0:b1], tgt[ent], src[ent], coef_b))
+            b0 = b1
 
     @classmethod
     def from_dense(cls, const: np.ndarray, coeffs: dict) -> "PsdBlock":
@@ -235,25 +257,21 @@ class PsdBlock:
         """Matrix M[a, b] = <G_u, W G_v W> for u = active[a], v = active[b].
 
         This is the block's term of the Schur complement (W = Ginv^T Ginv
-        for the Nesterov-Todd scaling Ginv), summed over the stored entries
-        (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997).  For a batch of
-        variables v the stacked G_v W is one sorted reduction of scaled rows
-        of W, one batched product gives W G_v W, and reading it at every
-        stored (row, col), reduced per variable u, gives the rows of M.
+        for the Nesterov-Todd scaling Ginv), the formula of Fujisawa, Kojima
+        and Nakata (Math. Prog. 79, 1997) applied to the stored entries
+        instead of a dense G_v.  With v's r_v entries (tgt, src, coef) in
+        both triangles, W G_v W = W[:, tgt] diag(coef) W[src, :], which costs
+        side^2 r_v instead of side^3; one batched product forms it for a
+        batch of variables, and one sparse product reads their columns of M
+        off as R [vec(W G_v W)]_v, R as in the class docstring.
         """
-        n, na = self.side, len(self.active)
+        na = len(self.active)
         m = np.empty((na, na))
-        for v0, v1, u0, u1 in self._batches:
-            c0, c1 = self._gw_starts[u0], self._gw_starts[u1]
-            part = self._gw_coef[c0:c1, np.newaxis] * w[self._gw_src[c0:c1]]
-            gw = np.zeros(((v1 - v0) * n, n))
-            gw[self._gw_key[u0:u1] - v0 * n] = np.add.reduceat(
-                part, self._gw_starts[u0:u1] - c0, axis=0
-            )
-            wgw = np.matmul(w, gw.reshape(v1 - v0, n, n)).reshape(v1 - v0, n * n)
-            vals = np.take(wgw, self._flat, axis=1)
-            vals *= self._wcoef
-            m[v0:v1] = np.add.reduceat(vals, self._starts, axis=1)
+        for cols, tgt, src, coef in self._batches:
+            # W[:, tgt] = W[tgt, :]^T, as W is symmetric
+            wgw = np.matmul((coef * w[tgt]).transpose(0, 2, 1), w[src])
+            # stored as rows, which is faster; m is symmetrized below
+            m[cols] = (self._readoff @ wgw.reshape(len(cols), -1).T).T
         return 0.5 * (m + m.T)
 
     def scaled_rows(self, ginv: np.ndarray, nfree: int, chunk: int = 512) -> np.ndarray:
@@ -573,6 +591,8 @@ def solve_sdp(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number")
     nfree = prob.nfree
     c = prob.objective
     blocks = _cone_blocks(prob)

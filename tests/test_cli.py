@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from momentsos import read_sparse_sdp, solve_sdp
+from momentsos import (
+    compile_relaxation,
+    problem_from_json,
+    read_sparse_sdp,
+    solve_sdp,
+    write_sparse_sdp,
+)
+from momentsos import cli, hierarchy
 from momentsos.cli import main
 
 from conftest import PROBLEMS
@@ -142,6 +149,31 @@ def test_solve_dump_sdp_per_order(tmp_path):
     assert prob.num_eq > 0
 
 
+def test_solve_dump_sdp_writes_the_solved_sdps(tmp_path, monkeypatch):
+    """Each order is compiled once; the dumps are the SDPs that were solved."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return compile_relaxation(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "compile_relaxation", counted)
+    monkeypatch.setattr(cli, "compile_relaxation", counted)
+    data = {"n": 1, "f": [{"c": -1.0, "e": [1]}],
+            "set": {"ineq": [[{"c": 1.0, "e": [0]}, {"c": -1.0, "e": [2]}]]}}
+    path = write_problem(tmp_path / "interval.json", data)
+    template = str(tmp_path / "relax_{k}.sdp")
+    # an impossible rank tolerance keeps the sweep going through every order
+    assert run("solve", path, "--kmin", "1", "--kmax", "3", "--rank-tol", "1e-30",
+               "--dump-sdp", template) == 2
+    assert calls == [1, 2, 3]
+    problem = problem_from_json(data)
+    for k in (1, 2, 3):
+        buf = io.StringIO()
+        write_sparse_sdp(compile_relaxation(problem, "plain", k).sdp, buf)
+        assert (tmp_path / f"relax_{k}.sdp").read_text() == buf.getvalue()
+
+
 def test_unresolved_exit_code(tmp_path):
     # an impossible rank tolerance keeps every order uncertified
     code = run("solve", EX35, "--kmin", "3", "--kmax", "3", "--rank-tol", "1e-30")
@@ -169,6 +201,18 @@ def test_input_error_exits(tmp_path, capsys):
     assert run("check-kkt", EX35_SUB, "--point", "a,b,c") == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--rank-tol", "inf"), ("--seed", "-5"),
+])
+def test_bad_option_values_fail_before_solving(monkeypatch, capsys, flag, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite a bad option value")
+
+    monkeypatch.setattr(hierarchy, "solve_sdp", no_solve)
+    assert run("solve", EX35, "--kmin", "3", "--kmax", "3", flag, value) == 1
+    assert flag in capsys.readouterr().err
 
 
 def test_schema_error_names_offending_term(tmp_path, capsys):

@@ -11,7 +11,9 @@ from momentsos import (
     PsdBlock,
     SdpProblem,
     SdpStatus,
+    compile_relaxation,
     compute_residuals,
+    problem_from_json,
     read_sparse_sdp,
     solve_sdp,
     write_sparse_sdp,
@@ -19,6 +21,7 @@ from momentsos import (
 from momentsos import sdp as sdp_module
 
 import oracles
+from conftest import load_problem
 
 
 def random_psd_problem(rng, nfree=4, side=3, num_eq=2):
@@ -56,6 +59,15 @@ def test_max_iter_must_be_positive():
     prob = SdpProblem(1, [1.0], psd_blocks=[blk])
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
         solve_sdp(prob, max_iter=0)
+
+
+@pytest.mark.parametrize("tol", [math.inf, 0.0, -1e-8, math.nan])
+def test_tol_must_be_positive_and_finite(tol):
+    # inf accepted any iterate at iteration 1; the others iterated to overflow
+    blk = PsdBlock(1, [0], [0], [0], [1.0], const=np.array([[-1.0]]))
+    prob = SdpProblem(1, [1.0], psd_blocks=[blk])
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        solve_sdp(prob, tol=tol)
 
 
 def test_inequality_rows():
@@ -329,6 +341,42 @@ def test_schur_matches_dense_reference(monkeypatch, budget):
         assert not np.any(v[np.setdiff1d(np.arange(nfree), blk.active)])
 
 
+def relaxation_blocks():
+    """Blocks of real relaxations, whose variables carry uneven entry counts.
+
+    The ex48 moment block (side 56) and the localizing block of the unit ball
+    at n = 3, k = 3 (side 10).
+    """
+    ex48 = compile_relaxation(load_problem("ex48.json"), "denominator", 3)
+    ball = [{"c": 1.0, "e": [0, 0, 0]}] + [
+        {"c": -1.0, "e": [2 if j == i else 0 for j in range(3)]} for i in range(3)
+    ]
+    on_ball = problem_from_json(
+        {"n": 3, "f": [{"c": 1.0, "e": [1, 0, 0]}], "set": {"ineq": [ball]}}
+    )
+    localizing = compile_relaxation(on_ball, "plain", 3).sdp.psd_blocks[1]
+    return ex48.sdp.psd_blocks[0], localizing
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 1])
+def test_schur_matches_dense_reference_on_relaxation_blocks(monkeypatch, budget):
+    """As above on real blocks; budget 1 puts one variable in each batch."""
+    monkeypatch.setattr(sdp_module, "_SCHUR_BUDGET", budget)
+    rng = np.random.default_rng(13)
+    for blk, side in zip(relaxation_blocks(), (56, 10)):
+        assert blk.side == side
+        count = np.bincount(blk._sym_var)[blk.active]
+        assert count.min() < count.max()
+        if budget == 1:
+            assert len(blk._batches) == len(blk.active)
+        ginv = random_scaling(rng, side)
+        v = blk.scaled_rows(ginv, int(blk.var.max()) + 1)
+        want = (v @ v.T)[np.ix_(blk.active, blk.active)]
+        got = blk.schur(ginv.T @ ginv)
+        assert np.array_equal(got, got.T)
+        assert relative_error(got, want) <= 1e-12
+
+
 def test_schur_of_block_without_entries():
     blk = PsdBlock(3, [0, 0], [0, 0], [1, 1], [1.0, -1.0], const=np.eye(3))
     assert len(blk.var) == 0 and len(blk.active) == 0
@@ -352,6 +400,19 @@ def test_newton_identities_match_svec_reference():
             dw = rng.uniform(-1, 1, nfree)
             got = ginv @ blk.materialize(dw, include_const=False) @ ginv.T
             assert relative_error(got, oracles.smat(v.T @ dw, side)) <= 1e-12
+
+
+@pytest.mark.parametrize("entry, delta", [
+    (0.5, 0.0), (0.5, 2e-12), (0.5, 1e-6), (0.5, 1e-4), (0.0, 5e-13), (0.0, 2e-12),
+])
+def test_const_symmetry_check_is_allclose(entry, delta):
+    """const is accepted exactly when np.allclose(const, const.T, atol=1e-12)."""
+    const = np.array([[1.0, entry], [entry + delta, 2.0]])
+    if np.allclose(const, const.T, atol=1e-12):
+        PsdBlock(2, [], [], [], [], const=const)
+    else:
+        with pytest.raises(ValueError, match="const must be symmetric"):
+            PsdBlock(2, [], [], [], [], const=const)
 
 
 def test_constant_only_block():
