@@ -16,6 +16,7 @@ Result statuses:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -102,8 +103,19 @@ def solve_hierarchy(
 
     k_min defaults to the smallest order the variant admits; k_max defaults
     to k_min + 2.  All tolerances are forwarded to the SDP solver and the
-    certification pipeline.
+    certification pipeline.  A tolerance that is not a positive finite
+    number, max_iter < 1 or a negative seed raises ValueError before any
+    relaxation is compiled.
     """
+    for name, value in (
+        ("tol", tol), ("rank_tol", rank_tol), ("feas_tol", feas_tol), ("tau_tol", tau_tol)
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a positive finite number")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     variant = Variant(variant)
     if k_min is None:
         k_min = variant_minimum_order(problem, variant)

@@ -26,27 +26,38 @@ most a few.
 
 The algorithm is an infeasible-start path-following method with
 Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  Per
-iteration one Schur complement in the free variables is formed and
-Cholesky-factored, followed by a second (smaller) Schur complement over the
-equality rows; one Newton solve serves every number of equality rows,
-including none.  With W_j = Ginv_j^T Ginv_j from block j's scaling, the
-block adds M_uv = <G_u, W_j G_v W_j> on its active variables (the formula of
-Fujisawa, Kojima and Nakata, as in SDPA).  `PsdBlock.schur` forms each
-W G_v W from the stored entries alone, as W[:, tgt] diag(coef) W[src, :]
-over v's r_v entries, at side^2 r_v instead of side^3 per variable, and reads
-M off with one sparse product with a CSR matrix of the entries.  The Newton
-step maps through the same entries with `PsdBlock.adjoint` and
-`PsdBlock.materialize`.  No basis of the block's symmetric-matrix space is
-formed; only the block factorizations (Cholesky, SVD, eigenvalues) are dense.
-With M = L L^T, the equality Schur complement A M^-1 A^T is X^T X for
-X = L^-1 A^T (one triangular solve), and the Newton solves apply M^-1 A^T v
-as L^-T (X v).  The dense kernels of the loop call
-the LAPACK drivers (dsyevr, dpotrf, dpotrs, dgesdd, dtrtrs) directly rather
-than through the scipy.linalg front ends, whose per-call overhead dominates
-on small blocks.  Infeasibility and unboundedness
-are only ever declared from explicit certificates whose violation exceeds
-the certificate residual by a confidence ratio of 1e6; anything less
-decisive ends as MAX_ITERATIONS with the best iterate found.
+iteration one Schur complement M in the free variables is formed.  With
+W_j = Ginv_j^T Ginv_j from block j's scaling, the block adds
+M_uv = <G_u, W_j G_v W_j> on its active variables (the formula of Fujisawa,
+Kojima and Nakata, as in SDPA).  `PsdBlock.schur` forms each W G_v W from
+the stored entries alone, as W[:, tgt] diag(coef) W[src, :] over v's r_v
+entries, at side^2 r_v instead of side^3 per variable, and reads M off with
+one sparse product with a CSR matrix of the entries.  The Newton step maps
+through the same entries with `PsdBlock.adjoint` and `PsdBlock.materialize`.
+No basis of the block's symmetric-matrix space is formed; only the block
+factorizations (Cholesky, SVD, eigenvalues) are dense.
+
+The equality rows are factored once per solve, not once per iteration.
+LU with partial pivoting of A^T picks r basic variables B with A_B
+nonsingular; the others, F, are free, and N = [T; I] on (B, F) with
+T = -A_B^-1 A_F (sparse when it is) spans the null space of A.  Each Newton
+system [[M, -A^T], [A, 0]] (dw, dy) = (h, e) is then solved as
+dw = dw_p + N du, with dw_p[B] = A_B^-1 e, N^T M N du = N^T (h - M dw_p)
+and A_B^T dy = (M dw - h)[B], which is the step of the range-space form
+(M^-1 and A M^-1 A^T) in exact arithmetic.  The reduced Schur complement
+N^T M N, nfree - r wide, is the only matrix Cholesky-factored per
+iteration; with one row y_0 = 1 it is M without its first row and column.
+Without equality rows N = I, so one Newton solve serves every equality
+count.  Laurent ("Semidefinite representations for finite varieties", Math.
+Prog. 109, 2007) works in R[x]/I for the same reason; eliminating inside the
+Newton solve keeps the start point and the iterates of the unreduced
+problem.  The dense kernels of the loop call the LAPACK drivers (dsyevr,
+dpotrf, dpotrs, dgesdd, dtrtrs, dgetrf, dgetrs) directly rather than
+through the scipy.linalg front ends, whose per-call overhead dominates on
+small blocks.  Infeasibility and unboundedness are only ever declared from
+explicit certificates whose violation exceeds the certificate residual by a
+confidence ratio of 1e6; anything less decisive ends as MAX_ITERATIONS with
+the best iterate found.
 """
 
 from __future__ import annotations
@@ -63,6 +74,8 @@ from scipy import sparse
 from scipy.linalg.lapack import (
     dgesdd,
     dgesdd_lwork,
+    dgetrf,
+    dgetrs,
     dpotrf,
     dpotrs,
     dsyevr,
@@ -85,6 +98,16 @@ _SQRT2 = math.sqrt(2.0)
 
 # Confidence ratio for declaring infeasibility from a certificate.
 _CERT_RATIO = 1.0e6
+
+# Most passes of one Newton solve: the first solve and its refinements.
+_NEWTON_PASSES = 4
+
+_EPS = float(np.finfo(float).eps)
+
+# The null-space block T is stored dense when more than this share of its
+# entries is nonzero: sparse products pay a fixed cost per call that dense
+# ones on a small or filled T do not.
+_DENSE_T = 0.1
 
 # Multiply-adds of one PsdBlock.schur batch: the batch's variables times its
 # largest entry count (both triangles, the padding included) times side^2
@@ -430,27 +453,162 @@ def compute_residuals(prob: SdpProblem, sol: SdpSolution) -> dict:
 def _presolve_equalities(prob: SdpProblem, tol: float = 1e-10):
     """Select a maximal independent subset of equality rows; check consistency.
 
-    Returns (kept_indices, inconsistent: bool).  Dropped rows receive zero
+    Returns (kept, row_scale, space): the indices of the kept rows, their
+    equilibration scales (each row's largest magnitude) and the `_NullSpace`
+    of the kept rows divided by those scales.  space is None when the dropped
+    rows are inconsistent: the basic solution of the kept rows misses some
+    row by more than 1e-8 (1 + max|b|).  Dropped rows receive zero
     multipliers in the reported dual.
     """
     a, b = prob.eq_a, prob.eq_b
     me = len(b)
-    if me == 0:
-        return np.zeros(0, dtype=int), False
-    r = sla.qr(a.T, mode="r", pivoting=True)
-    rmat, piv = r[0], r[1]
-    diag = np.abs(np.diag(rmat))
-    if len(diag) == 0 or diag[0] == 0.0:
-        rank = 0
+    rank = 0
+    if me:
+        r = sla.qr(a.T, mode="r", pivoting=True)
+        rmat, piv = r[0], r[1]
+        diag = np.abs(np.diag(rmat))
+        if len(diag) and diag[0] != 0.0:
+            rank = int(np.sum(diag > tol * diag[0]))
+        kept = np.sort(piv[:rank])
     else:
-        rank = int(np.sum(diag > tol * diag[0]))
-    kept = np.sort(piv[:rank])
+        kept = np.zeros(0, dtype=int)
+    row_scale = np.abs(a[kept]).max(axis=1, initial=0.0)
+    space = _NullSpace(a[kept] / row_scale[:, np.newaxis])
     if rank < me:
-        sol, *_ = np.linalg.lstsq(a[kept], b[kept], rcond=None)
-        err = np.abs(a @ sol - b).max() if rank else np.abs(b).max()
-        if err > 1e-8 * (1.0 + np.abs(b).max()):
-            return kept, True
-    return kept, False
+        w = space.particular(b[kept] / row_scale)
+        if np.abs(a @ w - b).max() > 1e-8 * (1.0 + np.abs(b).max()):
+            return kept, row_scale, None
+    return kept, row_scale, space
+
+
+class _NullSpace:
+    """Equality rows A w = e of full row rank, in basic and free variables.
+
+    LU with partial pivoting of A^T (dgetrf) orders the variables so that
+    A^T[order] = [L1; L2] U with L1 unit lower triangular: the first r
+    variables B (`basic`) have A_B^T = L1 U nonsingular, the other ones F
+    (`free`, ascending; a slice when they are contiguous) are free.  The
+    columns of N, with N[F] = I and N[B] = T = -A_B^-1 A_F = -(L2 L1^-1)^T,
+    span the null space of A, so every solution of A w = e is w_p + N u with
+    w_p[B] = A_B^-1 e and w_p[F] = 0.  T is kept as T and T^T: sparse (CSR)
+    when at most _DENSE_T of its entries are nonzero, dense otherwise, and
+    None when it is zero, as for rows that touch only basic variables.
+    """
+
+    def __init__(self, a: np.ndarray):
+        r, n = a.shape
+        self.nfree = n
+        order = list(range(n))
+        if r:
+            lu, piv = _lu_factor(a.T)
+            for i, p in enumerate(piv.tolist()):
+                order[i], order[p] = order[p], order[i]
+        else:
+            lu = np.zeros((n, 0), order="F")
+        order = np.array(order, dtype=np.int64)
+        self.basic = order[:r]
+        by_index = np.argsort(order[r:])
+        free = order[r:][by_index]
+        # dgetrs with this factor and no interchanges solves with A_B^T, A_B
+        self.lu = lu[:r]
+        self.piv = np.arange(r, dtype=np.int32)
+        if n - r and free[-1] - free[0] == n - r - 1:
+            self.free = slice(int(free[0]), int(free[-1]) + 1)
+        else:
+            self.free = free
+        # T^T = -L2 L1^-1, one row per free variable
+        tt = -_tri_solve(lu[:r], lu[r:][by_index].T, trans=1, unitdiag=1).T
+        nnz = np.count_nonzero(tt)
+        self.tt = self.t = None
+        if nnz > _DENSE_T * tt.size:
+            self.tt, self.t = tt, np.ascontiguousarray(tt.T)
+        elif nnz:
+            self.tt, self.t = sparse.csr_array(tt), sparse.csr_array(tt.T)
+
+    def solve_basic(self, e: np.ndarray, trans: int = 1) -> np.ndarray:
+        """A_B^-1 e (trans=1) or A_B^-T e (trans=0)."""
+        return _lu_solve(self.lu, self.piv, e, trans=trans)
+
+    def particular(self, e: np.ndarray) -> np.ndarray:
+        """The basic solution of A w = e: A_B^-1 e on B, zero on F."""
+        w = np.zeros(self.nfree)
+        w[self.basic] = self.solve_basic(e)
+        return w
+
+    def null(self, u: np.ndarray) -> np.ndarray:
+        """N u."""
+        w = np.empty(self.nfree)
+        w[self.free] = u
+        w[self.basic] = 0.0 if self.t is None else self.t @ u
+        return w
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """N^T v."""
+        if self.tt is None:
+            return v[self.free]
+        return v[self.free] + self.tt @ v[self.basic]
+
+    def schur(self, m: np.ndarray):
+        """(N^T M N, (N^T M)[:, B]) for symmetric M.
+
+        Without T the first is M[F, F], a view of m when F is a slice.
+        """
+        p = m[self.free]
+        if self.tt is not None:
+            p = p + self.tt @ m[self.basic]
+        pb = p[:, self.basic]
+        k = p[:, self.free]
+        if self.tt is not None:
+            k = k + (self.tt @ pb.T).T
+        return k, pb
+
+
+class _NewtonSystem:
+    """The Newton systems [[M, -A^T], [A, 0]] (dw, dy) = (h, e) of one iteration.
+
+    They are solved in the null space of A (`_NullSpace`): dw = dw_p + N du
+    with dw_p[B] = A_B^-1 e, so A dw = e holds to the accuracy of the LU
+    solve; N^T M N du = N^T (h - M dw_p); and A_B^T dy = (M dw - h)[B].
+    N^T M N, nfree - rank wide, is the one matrix factored per iteration;
+    `kfac` is None when even a bumped Cholesky of it fails.
+    """
+
+    def __init__(self, space: _NullSpace, m: np.ndarray):
+        self.space, self.m = space, m
+        kmat, self.mnb = space.schur(m)
+        self.kfac = _factor_with_bump(kmat)
+        self.m_max = m.diagonal().max(initial=0.0)  # M is PSD: its largest entry
+
+    def solve(self, h: np.ndarray, e: np.ndarray):
+        """(dw, dy) for the right-hand side (h, e).
+
+        The first solve is refined at least once on the reduced residual
+        N^T (h - M dw), which recovers accuracy lost to the diagonal bump and
+        to late-stage ill conditioning.  Further passes follow while the
+        residual at least halves and stays above twice the rounding level of
+        h - M dw; a pass that does not reduce it is discarded.
+        """
+        space, m = self.space, self.m
+
+        def refine(dw, q):
+            dw = dw + space.null(_cho_solve(self.kfac, q))
+            mdw = m @ dw
+            q = space.reduce(h - mdw)
+            return dw, mdw, q, np.abs(q).max(initial=0.0)
+
+        dw = space.particular(e)
+        q = space.reduce(h) - self.mnb @ dw[space.basic]
+        dw, mdw, q, err = refine(dw, q)
+        floor = 2.0 * _EPS * self.m_max * np.abs(dw).max(initial=0.0)
+        for _ in range(_NEWTON_PASSES - 1):
+            trial = refine(dw, q)
+            if not trial[-1] < err:
+                break
+            prev = err
+            dw, mdw, q, err = trial
+            if not (err < 0.5 * prev and err > floor):
+                break
+        return dw, space.solve_basic((mdw - h)[space.basic], trans=0)
 
 
 # -- dense kernels of the solve loop ------------------------------------------
@@ -508,13 +666,14 @@ def _min_eig(a: np.ndarray) -> float:
     return float(w[0])
 
 
-def _cholesky(a: np.ndarray, clean: int = 1) -> np.ndarray:
+def _cholesky(a: np.ndarray, clean: int = 1, overwrite: int = 0) -> np.ndarray:
     """Lower Cholesky factor of a, not checked for finiteness.
 
     clean=1 gives sla.cholesky(a, lower=True); clean=0 gives
     sla.cho_factor(a, lower=True)[0], whose upper triangle is a's.
+    overwrite=1 factors a Fortran-ordered a in place.
     """
-    c, info = dpotrf(a, lower=1, clean=clean)
+    c, info = dpotrf(a, lower=1, clean=clean, overwrite_a=overwrite)
     _check_info(info, "dpotrf")
     return c
 
@@ -528,16 +687,36 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _tri_solve(l: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+def _tri_solve(l: np.ndarray, b: np.ndarray, trans: int = 0, unitdiag: int = 0) -> np.ndarray:
     """L^-1 b (trans=0) or L^-T b (trans=1) for a lower factor L.
 
     For L in Fortran order, as dpotrf returns it, this is
-    sla.solve_triangular(l, b, lower=True, trans=trans).
+    sla.solve_triangular(l, b, lower=True, trans=trans, unit_diagonal=unitdiag);
+    unitdiag=1 takes L's diagonal to be ones, as in the L of an LU factor.
     """
     if l.shape[0] == 0:  # dtrtrs rejects an empty right-hand side
         return np.zeros(b.shape)
-    x, info = dtrtrs(l, _finite(b), lower=1, trans=trans)
+    x, info = dtrtrs(l, _finite(b), lower=1, trans=trans, unitdiag=unitdiag)
     _check_info(info, "dtrtrs")
+    return x
+
+
+def _lu_factor(a: np.ndarray):
+    """lu, piv = sla.lu_factor(a), with partial pivoting; a may be taller than wide.
+
+    An exactly zero pivot raises np.linalg.LinAlgError, where lu_factor warns.
+    """
+    lu, piv, info = dgetrf(_finite(a))
+    _check_info(info, "dgetrf")
+    return lu, piv
+
+
+def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """sla.lu_solve((lu, piv), b, trans=trans) for a square LU factor."""
+    if lu.shape[0] == 0:  # dgetrs rejects an empty system
+        return np.zeros(b.shape)
+    x, info = dgetrs(lu, piv, _finite(b), trans=trans)
+    _check_info(info, "dgetrs")
     return x
 
 
@@ -598,8 +777,8 @@ def solve_sdp(
     blocks = _cone_blocks(prob)
     nu = sum(b.side for b in blocks)
 
-    kept, inconsistent = _presolve_equalities(prob)
-    if inconsistent:
+    kept, row_scale, space = _presolve_equalities(prob)
+    if space is None:
         return SdpSolution(
             status=SdpStatus.PRIMAL_INFEASIBLE,
             x=np.zeros(nfree),
@@ -612,17 +791,12 @@ def solve_sdp(
             iterations=0,
             message="equality rows are inconsistent",
         )
-    a_eq = prob.eq_a[kept]
-    b_eq = prob.eq_b[kept]
+    # equilibrated rows; multipliers are unscaled on the way out
+    a_eq = prob.eq_a[kept] / row_scale[:, np.newaxis]
+    b_eq = prob.eq_b[kept] / row_scale
 
     if nu == 0:
-        return _solve_equality_only(prob, a_eq, b_eq, kept, tol)
-
-    # equilibrate equality rows; multipliers are unscaled on the way out
-    row_scale = np.abs(a_eq).max(axis=1, initial=0.0)
-    row_scale[row_scale == 0] = 1.0
-    a_eq = a_eq / row_scale[:, None]
-    b_eq = b_eq / row_scale
+        return _solve_equality_only(prob, space, kept, row_scale, b_eq, tol)
 
     # -- initial iterate ----------------------------------------------------
     data_scale = 1.0 + max(
@@ -635,6 +809,10 @@ def solve_sdp(
     y = np.zeros(len(b_eq))
     s_b = [beta_p * np.eye(b.side) for b in blocks]
     z_b = [beta_d * np.eye(b.side) for b in blocks]
+
+    # the Schur complement, rebuilt in place: the last iteration's Newton
+    # system holds it until the next one replaces it
+    m = np.empty((nfree, nfree))
 
     accept_tol = max(100.0 * tol, 1e-6)
     best = None
@@ -689,7 +867,7 @@ def solve_sdp(
             message = "cone iterate lost definiteness"
             break
 
-        m = np.zeros((nfree, nfree))
+        m.fill(0.0)
         for blk, cone, rb in zip(blocks, cones, r_b):
             term = blk.schur(cone.ginv.T @ cone.ginv)
             if len(blk.active) == nfree:  # active is then 0, 1, ..., nfree - 1
@@ -698,38 +876,18 @@ def solve_sdp(
                 m[np.ix_(blk.active, blk.active)] += term
             cone.rbar = cone.ginv @ rb @ cone.ginv.T
 
-        mfac = _factor_with_bump(m)
-        if mfac is None:
+        system = _NewtonSystem(space, m)
+        if system.kfac is None:
             message = "Schur complement factorization failed"
-            break
-        # with mfac = L L^T: A M^-1 A^T = X^T X and M^-1 A^T v = L^-T (X v)
-        x_at = _tri_solve(mfac, a_eq.T)
-        afac = _factor_with_bump(x_at.T @ x_at)
-        if afac is None:
-            message = "equality Schur factorization failed"
             break
 
         def newton(d_targets):
-            """Solve one Newton system for given scaled complementarity targets.
-
-            With no equality rows every term of dy is empty and dw is the
-            refined M^-1 h.
-            """
+            """Solve one Newton system for given scaled complementarity targets."""
             h = -r_d.copy()
             for blk, cone, dt in zip(blocks, cones, d_targets):
                 x = dt - cone.rbar
                 h += blk.adjoint(cone.ginv.T @ x @ cone.ginv, nfree)
-            t1 = _cho_solve(mfac, h)
-            dy = _cho_solve(afac, r_e - a_eq @ t1)
-            dw = t1 + _tri_solve(mfac, x_at @ dy, trans=1)
-            # one refinement pass on the saddle system; recovers accuracy
-            # lost to diagonal bumps and late-stage ill conditioning
-            res_w = h - (m @ dw - a_eq.T @ dy)
-            res_y = r_e - a_eq @ dw
-            t1c = _cho_solve(mfac, res_w)
-            ddy = _cho_solve(afac, res_y - a_eq @ t1c)
-            dw = dw + t1c + _tri_solve(mfac, x_at @ ddy, trans=1)
-            dy = dy + ddy
+            dw, dy = system.solve(h, r_e)
             ds_bar, dz_bar = [], []
             for blk, cone, dt in zip(blocks, cones, d_targets):
                 dsw = blk.materialize(dw, include_const=False)
@@ -815,12 +973,18 @@ def _finish(status, prob, kept, w, y, z_b, res, iterations, message):
 
 
 def _factor_with_bump(m: np.ndarray):
-    """Lower Cholesky factor with escalating diagonal regularization, or None."""
+    """Lower Cholesky factor of m + bump I with escalating bumps, or None.
+
+    Each attempt copies m once, in the Fortran order dpotrf factors in place.
+    """
+    n = m.shape[0]
     bump = 1e-13 * (1.0 + np.abs(np.diag(m)).max(initial=0.0))
     for _ in range(4):
+        a = np.array(m, order="F")
+        a.ravel(order="F")[:: n + 1] += bump
         try:
             # checked once here; the solves with it do not check it again
-            return _finite(_cholesky(m + bump * np.eye(m.shape[0]), clean=0))
+            return _finite(_cholesky(a, clean=0, overwrite=1))
         except np.linalg.LinAlgError:
             bump *= 1e4
     return None
@@ -880,14 +1044,15 @@ def _check_infeasibility(prob, blocks, a_eq, b_eq, w, y, z_b, g_z):
     return None
 
 
-def _solve_equality_only(prob, a_eq, b_eq, kept, tol):
-    """Degenerate case with no cone at all: a linear least-squares problem."""
-    if len(b_eq):
-        w, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-        y, *_ = np.linalg.lstsq(a_eq.T, prob.objective, rcond=None)
-    else:
-        w = np.zeros(prob.nfree)
-        y = np.zeros(0)
+def _solve_equality_only(prob, space, kept, row_scale, b_eq, tol):
+    """Degenerate case with no cone at all: a linear system.
+
+    w is the basic solution of the kept rows and y solves the basic columns
+    of stationarity, A_B^T y = c_B; the problem is bounded iff that y also
+    satisfies the free columns.
+    """
+    w = space.particular(b_eq)
+    y = space.solve_basic(prob.objective[space.basic], trans=0) / row_scale
     blocks = prob.psd_blocks  # every block has side 0 and there are no rows
     zpsd = [np.zeros((0, 0)) for _ in blocks]
     s_w = [blk.materialize(w) for blk in blocks]

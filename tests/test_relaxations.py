@@ -322,6 +322,28 @@ def test_solve_hierarchy_unresolved_when_not_flat():
     assert not result.converged
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("tol", math.nan, "tol must be a positive finite number"),
+    ("tol", 0.0, "tol must be a positive finite number"),
+    ("rank_tol", math.nan, "rank_tol must be a positive finite number"),
+    ("rank_tol", -1e-6, "rank_tol must be a positive finite number"),
+    ("feas_tol", math.inf, "feas_tol must be a positive finite number"),
+    ("tau_tol", 0.0, "tau_tol must be a positive finite number"),
+    ("max_iter", 0, "max_iter must be at least 1"),
+    ("seed", -1, "seed must be non-negative"),
+])
+def test_solve_hierarchy_rejects_bad_options_before_compiling(monkeypatch, option, value, message):
+    # seed=-1 used to fail after the solve and rank_tol=nan crashed in certification
+    import momentsos.hierarchy as hierarchy
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled before checking the options")
+
+    monkeypatch.setattr(hierarchy, "compile_relaxation", no_compile)
+    with pytest.raises(ValueError, match=message):
+        solve_hierarchy(load_problem("ex35.json"), "plain", 3, 3, **{option: value})
+
+
 def test_compiled_blocks_match_loop_oracles():
     """Moment and localizing blocks equal the entry-by-entry loop builders."""
     rng = np.random.default_rng(21)

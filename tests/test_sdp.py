@@ -204,6 +204,24 @@ def test_inconsistent_equalities():
     assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
 
 
+@pytest.mark.parametrize("ratio, status", [(0.9, "optimal"), (1.1, "primal_infeasible")])
+def test_equality_consistency_rule_boundary(ratio, status):
+    """A dropped row may miss the kept rows' basic solution by 1e-8 (1 + max|b|)."""
+    blk = PsdBlock(1, [0], [0], [0], [1.0], const=np.array([[0.0]]))
+    limit = 1e-8 * (1.0 + 3.0)
+    eq_a = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    eq_b = [1.0, 1.0 + ratio * limit, 3.0]
+    prob = SdpProblem(2, [1.0, 1.0], eq_a=eq_a, eq_b=eq_b, psd_blocks=[blk])
+    kept, _, space = sdp_module._presolve_equalities(prob)
+    assert len(kept) == 2
+    assert (space is not None) == (status == "optimal")
+    sol = solve_sdp(prob)
+    assert sol.status.value == status, sol.message
+    if status == "optimal":
+        assert np.allclose(sol.x, [1.0, 3.0], atol=1e-6)
+        assert sol.y_eq[np.setdiff1d([0, 1, 2], kept)].tolist() == [0.0]  # the dropped row
+
+
 def test_infeasible_block():
     # w >= 1 and -w >= 0 cannot both hold
     up = PsdBlock(1, [0], [0], [0], [1.0], const=np.array([[-1.0]]))
@@ -523,6 +541,25 @@ def test_lapack_kernels_equal_scipy_front_ends(side):
     square = rng.standard_normal((side, side))
     for got, want in zip(sdp_module._svd(square), sla.svd(square)):
         assert np.array_equal(got, want)
+    general = rng.standard_normal((side, side))
+    lu, piv = sdp_module._lu_factor(general)
+    want_lu, want_piv = sla.lu_factor(general)
+    assert np.array_equal(lu, want_lu) and np.array_equal(piv, want_piv)
+    for rhs in (rng.standard_normal(side), rng.standard_normal((side, 5))):
+        for trans in (0, 1):
+            got = sdp_module._lu_solve(lu, piv, rhs, trans=trans)
+            assert np.array_equal(got, sla.lu_solve((lu, piv), rhs, trans=trans))
+            got = sdp_module._tri_solve(lu, rhs, trans=trans, unitdiag=1)
+            want = sla.solve_triangular(lu, rhs, lower=True, trans=trans, unit_diagonal=True)
+            assert np.array_equal(got, want)
+    # a tall matrix, as the null space factors A^T: A^T[order] = L U
+    tall = rng.standard_normal((side + 3, side))
+    lu, piv = sdp_module._lu_factor(tall)
+    order = np.arange(side + 3)
+    for i, p in enumerate(piv):
+        order[[i, p]] = order[[p, i]]
+    lower_tall = np.tril(lu, -1) + np.eye(side + 3, side)
+    assert relative_error(lower_tall @ np.triu(lu[:side]), tall[order]) <= 1e-13
 
 
 def test_lapack_kernels_fail_like_scipy():
@@ -548,6 +585,13 @@ def test_lapack_kernels_fail_like_scipy():
         sdp_module._cho_solve(lower, np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         sdp_module._tri_solve(lower, np.array([np.inf, 1.0]), trans=1)
+    with pytest.raises(ValueError):
+        sdp_module._lu_factor(nan_sym)
+    with pytest.raises(np.linalg.LinAlgError):  # an exactly zero pivot
+        sdp_module._lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    lu, piv = sdp_module._lu_factor(not_pd)
+    with pytest.raises(ValueError):
+        sdp_module._lu_solve(lu, piv, np.array([np.nan, 1.0]), trans=1)
     # the factor is checked where it is made, not in every solve with it; a
     # NaN above the diagonal is not read by dpotrf but is kept in the factor
     for bad in ([[4.0, np.nan], [1.0, 4.0]], [[np.nan, 1.0], [1.0, 4.0]]):
@@ -566,6 +610,9 @@ def test_empty_cone_kernels():
     assert sdp_module._cho_solve(factor, np.zeros(0)).shape == (0,)
     lower = sdp_module._cholesky(np.eye(3))
     assert sdp_module._tri_solve(lower, np.zeros((3, 0))).shape == (3, 0)
+    # rank = nfree leaves T with no columns; no rows leave no basic solve
+    assert sdp_module._tri_solve(lower, np.zeros((3, 0)), trans=1, unitdiag=1).shape == (3, 0)
+    assert sdp_module._lu_solve(empty, np.zeros(0, dtype=np.int32), np.zeros(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("sign, status", [(1.0, "optimal"), (-1.0, "primal_infeasible")])
@@ -576,16 +623,71 @@ def test_problem_without_free_variables(sign, status):
     assert sol.status.value == status, sol.message
 
 
-def test_equality_schur_from_one_triangular_solve():
-    """X^T X = A M^-1 A^T and L^-T (X v) = M^-1 A^T v for M = L L^T, X = L^-1 A^T."""
+def newton_reference_cases(rng):
+    """(nfree, equality rows) pairs for the Newton solve against a dense reference."""
+    # 40 rows with two entries each, as in the ideal rows h x^beta; basic
+    # and free variables interleave, and T has one entry a row (sparse)
+    sparse_rows = np.zeros((40, 70))
+    perm = rng.permutation(70)
+    for i in range(40):
+        sparse_rows[i, perm[i]] = 2.0 + rng.uniform()
+        sparse_rows[i, perm[40 + i % 30]] = rng.uniform(-1.0, 1.0)
+    redundant = rng.standard_normal((4, 9))
+    redundant = np.vstack([redundant, redundant[:2].sum(axis=0), 2.0 * redundant[3]])
+    return [
+        (7, rng.standard_normal((3, 7))),
+        (60, rng.standard_normal((40, 60))),
+        (70, sparse_rows),
+        (9, redundant),  # six rows of rank four
+        (5, np.zeros((0, 5))),  # no rows: N = I
+        (12, np.eye(12)[:1]),  # the single row y_0 = 1: F is a slice, T is zero
+        (12, np.eye(12)[5:6]),  # one unit row in the middle: F is not a slice
+        (6, rng.standard_normal((6, 6))),  # rank = nfree: N is empty
+    ]
+
+
+@pytest.mark.parametrize("shift, status", [(0.0, "optimal"), (-3.0, "primal_infeasible")])
+def test_equality_rows_fix_every_variable(shift, status):
+    # w = (1, 2) leaves no free direction (N^T M N is 0x0); the block
+    # diag(w) + shift I is PSD there for shift 0 and not for shift -3
+    blk = PsdBlock(2, [0, 1], [0, 1], [0, 1], [1.0, 1.0], const=shift * np.eye(2))
+    eq_a = [[1.0, 1.0], [1.0, -1.0]]
+    prob = SdpProblem(2, [1.0, 1.0], eq_a=eq_a, eq_b=[3.0, -1.0], psd_blocks=[blk])
+    sol = solve_sdp(prob)
+    assert sol.status.value == status, sol.message
+    if status == "optimal":
+        assert np.allclose(sol.x, [1.0, 2.0], atol=1e-6)
+        assert sol.obj_primal == pytest.approx(3.0, abs=1e-6)
+        assert compute_residuals(prob, sol)["dual"] < 1e-6
+
+
+def test_variable_touched_only_by_an_equality_row():
+    # min w0 + w2 s.t. [[w0, 1], [1, w1]] PSD and w2 = w1: no block touches
+    # w2, so M has a zero row and column there; the optimum is w = (1, 1, 1)
+    blk = PsdBlock(2, [0, 1], [0, 1], [0, 1], [1.0, 1.0], const=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    prob = SdpProblem(3, [1.0, 0.0, 1.0], eq_a=[[0.0, -1.0, 1.0]], eq_b=[0.0], psd_blocks=[blk])
+    sol = solve_sdp(prob)
+    assert sol.status is SdpStatus.OPTIMAL, sol.message
+    assert np.allclose(sol.x, [1.0, 1.0, 1.0], atol=1e-5)
+    assert sol.obj_primal == pytest.approx(2.0, abs=1e-6)
+    assert sol.y_eq == pytest.approx([1.0], abs=1e-5)  # c_2 = y
+    assert compute_residuals(prob, sol)["dual"] < 1e-6
+
+
+def test_newton_solve_matches_dense_saddle_reference():
+    """(dw, dy) from the null-space Newton solve equal np.linalg.solve of the
+    saddle system [[M, -A^T], [A, 0]] on the rows the presolve keeps."""
     rng = np.random.default_rng(21)
-    for nfree, me in ((1, 1), (7, 3), (60, 40)):
+    for nfree, rows in newton_reference_cases(rng):
+        prob = SdpProblem(nfree, np.zeros(nfree), rows, np.zeros(len(rows)))
+        kept, row_scale, space = sdp_module._presolve_equalities(prob)
+        assert len(kept) == (np.linalg.matrix_rank(rows) if len(rows) else 0)
+        a = rows[kept] / row_scale[:, np.newaxis]
+        r = len(kept)
         m = random_spd(rng, nfree)
-        a = rng.standard_normal((me, nfree))
-        v = rng.standard_normal(me)
-        mfac = sdp_module._factor_with_bump(m)
-        x = sdp_module._tri_solve(mfac, a.T)
-        minv_at = np.linalg.solve(m, a.T)
-        assert relative_error(x.T @ x, a @ minv_at) <= 1e-12
-        got = sdp_module._tri_solve(mfac, x @ v, trans=1)
-        assert relative_error(got, minv_at @ v) <= 1e-12
+        h, e = rng.standard_normal(nfree), rng.standard_normal(r)
+        dw, dy = sdp_module._NewtonSystem(space, m).solve(h, e)
+        saddle = np.block([[m, -a.T], [a, np.zeros((r, r))]])
+        want = np.linalg.solve(saddle, np.concatenate([h, e]))
+        assert relative_error(dw, want[:nfree]) <= 1e-10, (nfree, r)
+        assert relative_error(dy, want[nfree:]) <= 1e-10, (nfree, r)
