@@ -20,9 +20,27 @@ sums-of-squares certificate and y carries the ideal multipliers.
 The solver has one cone type.  The inequality rows are handed to it as one
 more PSD block, diag(B w - d), whose dual's diagonal is z (SDPA treats LP
 rows as diagonal blocks in the same way); every residual, step length,
-centering and infeasibility rule is the PSD one.  The block is dense, so m
-inequality rows cost one m-by-m block per iteration; relaxations carry at
-most a few.
+centering and infeasibility rule is the PSD one.  The rows' block is a
+dense m-by-m matrix, packed like any small block (below); relaxations carry
+at most a few rows.
+
+Small cone blocks are packed.  A relaxation has one moment block and one
+localizing block per inequality, often of sides 3 to 10, and on such blocks
+every kernel call costs more in fixed overhead than in arithmetic.  So
+`solve_sdp` iterates on `_pack`ed blocks: consecutive cone blocks (the
+caller's, then the rows' block) are grouped greedily while a group's total
+side stays within _PACK_SIDE, each group becomes one block-diagonal
+`PsdBlock`, and a block alone in its group is used as it is.  In exact
+arithmetic the iterates are those of the unpacked problem: the start point
+is block diagonal; Cholesky factors and the Householder reductions inside
+dgesdd and dsyevr keep zero off-diagonal blocks exactly zero, so the
+scaling Ginv, W = Ginv^T Ginv and every scaled-frame matrix stay block
+diagonal (up to the SVD's ordering of the singular values, which permutes
+the scaled frame and leaves W alone); the smallest eigenvalue of a block
+diagonal matrix, and so each step length, is the minimum over its blocks;
+and mu, the objectives and the Schur complement are the same sums.  Every
+solution unpacks the duals into one diagonal sub-block per caller block, so
+the caller sees the blocks it passed.
 
 The algorithm is an infeasible-start path-following method with
 Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  Per
@@ -108,6 +126,15 @@ _EPS = float(np.finfo(float).eps)
 # entries is nonzero: sparse products pay a fixed cost per call that dense
 # ones on a small or filled T do not.
 _DENSE_T = 0.1
+
+# Largest side of a block that solve_sdp packs from consecutive cone blocks
+# (`_pack`).  Timed on relaxation SDPs (1 BLAS thread, shared 2-vCPU VM),
+# packing took solve_sdp to 0.45-0.78 of its unpacked time for total sides up
+# to 22 (sides 6+3+3, 10+4+4+4, 15+5, 10+6+6) and to 1.06-1.16 for 21+6 and
+# 20+10, where a packed block's Schur formation (side^2 per entry: 0.88 ms
+# against 0.27 ms for 20+10) and its dense factorizations (side^3) outgrow the
+# per-call overhead saved.
+_PACK_SIDE = 24
 
 # Multiply-adds of one PsdBlock.schur batch: the batch's variables times its
 # largest entry count (both triangles, the padding included) times side^2
@@ -399,12 +426,56 @@ def _cone_blocks(prob: SdpProblem) -> list:
     return prob.psd_blocks + [rows]
 
 
+def _pack(blocks: list):
+    """(packed, unpack): consecutive cone blocks as block-diagonal blocks.
+
+    Greedy: a block joins the current group while the group's total side
+    stays within _PACK_SIDE, else it starts a new group.  A group of one is
+    the block itself.  unpack maps duals of the packed blocks to one diagonal
+    sub-block per block of `blocks`.
+    """
+    groups = []
+    for blk in blocks:
+        if groups and sum(b.side for b in groups[-1]) + blk.side <= _PACK_SIDE:
+            groups[-1].append(blk)
+        else:
+            groups.append([blk])
+    packed = [g[0] if len(g) == 1 else _packed_block(g) for g in groups]
+
+    def unpack(z_packed: list) -> list:
+        out = []
+        for group, z in zip(groups, z_packed):
+            if len(group) == 1:
+                out.append(z)
+                continue
+            off = 0
+            for blk in group:
+                out.append(z[off : off + blk.side, off : off + blk.side].copy())
+                off += blk.side
+        return out
+
+    return packed, unpack
+
+
+def _packed_block(group: list) -> PsdBlock:
+    """One PsdBlock whose map is w -> blockdiag(S_j(w)) over the group."""
+    offsets = np.cumsum([0] + [b.side for b in group])
+    return PsdBlock(
+        offsets[-1],
+        np.concatenate([b.var for b in group]),
+        np.concatenate([b.row + off for b, off in zip(group, offsets)]),
+        np.concatenate([b.col + off for b, off in zip(group, offsets)]),
+        np.concatenate([b.coef for b in group]),
+        sla.block_diag(*[b.const for b in group]),
+    )
+
+
 def _residual_norms(prob: SdpProblem, blocks, w, y, zpsd, s_psd, g_psd) -> dict:
     """Normalized primal/dual/gap residuals; the solver's own stopping test.
 
-    blocks are the cone blocks (`_cone_blocks`), zpsd their duals, s_psd the
-    block values S_j(w) and g_psd the vectors G_j^*(Z_j), so that the caller
-    computes each once per iterate.
+    blocks are the cone blocks (`_cone_blocks`, packed or not: the norms are
+    the same), zpsd their duals, s_psd the block values S_j(w) and g_psd the
+    vectors G_j^*(Z_j), so that the caller computes each once per iterate.
     """
     rhs_scale = max(
         [1.0, np.abs(prob.eq_b).max(initial=0.0)]
@@ -582,11 +653,12 @@ class _NewtonSystem:
     def solve(self, h: np.ndarray, e: np.ndarray):
         """(dw, dy) for the right-hand side (h, e).
 
-        The first solve is refined at least once on the reduced residual
-        N^T (h - M dw), which recovers accuracy lost to the diagonal bump and
-        to late-stage ill conditioning.  Further passes follow while the
-        residual at least halves and stays above twice the rounding level of
-        h - M dw; a pass that does not reduce it is discarded.
+        The first solve is refined on the reduced residual N^T (h - M dw),
+        which recovers accuracy lost to a diagonal bump and to late-stage ill
+        conditioning, unless that residual is already at the rounding floor,
+        twice the rounding level of h - M dw.  Passes follow while the residual
+        is above the floor and at least halves; a pass that does not reduce it
+        is discarded.
         """
         space, m = self.space, self.m
 
@@ -601,12 +673,14 @@ class _NewtonSystem:
         dw, mdw, q, err = refine(dw, q)
         floor = 2.0 * _EPS * self.m_max * np.abs(dw).max(initial=0.0)
         for _ in range(_NEWTON_PASSES - 1):
+            if err <= floor:
+                break
             trial = refine(dw, q)
             if not trial[-1] < err:
                 break
             prev = err
             dw, mdw, q, err = trial
-            if not (err < 0.5 * prev and err > floor):
+            if not err < 0.5 * prev:
                 break
         return dw, space.solve_basic((mdw - h)[space.basic], trans=0)
 
@@ -762,11 +836,14 @@ def solve_sdp(
     relative duality gap all reach tol, or, if iteration stops early (loss of
     cone definiteness, stalled steps, iteration cap), when the best iterate
     seen meets max(100*tol, 1e-6).  Problems whose optimal cone variables are
-    singular routinely stall around 1e-7; the fallback keeps those solves
+    singular can stall a little above tol (the Motzkin denominator
+    relaxations at orders 3 and 5 stop near 4e-8 at tol 1e-8) or far above a
+    tol too tight for double precision; the fallback keeps those solves
     usable while the message records the achieved accuracy.
 
-    The inequality rows are solved as one more PSD block, diag(B w - d), so
-    m rows cost one dense m-by-m block per iteration.
+    The inequality rows are solved as one more PSD block, diag(B w - d), and
+    small blocks are packed into block-diagonal ones (module docstring); the
+    solution has one dual per caller block and one z entry per row.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -774,7 +851,7 @@ def solve_sdp(
         raise ValueError("tol must be a positive finite number")
     nfree = prob.nfree
     c = prob.objective
-    blocks = _cone_blocks(prob)
+    blocks, unpack = _pack(_cone_blocks(prob))
     nu = sum(b.side for b in blocks)
 
     kept, row_scale, space = _presolve_equalities(prob)
@@ -844,12 +921,12 @@ def solve_sdp(
                 f"  pres {res['primal']:.2e}  dres {res['dual']:.2e}  gap {res['gap']:.2e}"
             )
         if score <= tol:
-            return _finish(SdpStatus.OPTIMAL, prob, kept, w, yt, z_b, res, it, "")
+            return _finish(SdpStatus.OPTIMAL, prob, kept, w, yt, unpack(z_b), res, it, "")
 
         cert = _check_infeasibility(prob, blocks, a_eq, b_eq, w, y, z_b, g_z)
         if cert is not None:
             status, msg = cert
-            return _finish(status, prob, kept, w, yt, z_b, res, it, msg)
+            return _finish(status, prob, kept, w, yt, unpack(z_b), res, it, msg)
 
         # resid->target quantities
         r_e = b_eq - a_eq @ w
@@ -941,11 +1018,11 @@ def solve_sdp(
     if best_score <= accept_tol:
         detail = f" ({message})" if message else ""
         message = f"reduced accuracy: residual {best_score:.2e}{detail}"
-        return _finish(SdpStatus.OPTIMAL, prob, kept, w, y, z_b, res, it, message)
+        return _finish(SdpStatus.OPTIMAL, prob, kept, w, y, unpack(z_b), res, it, message)
     status = SdpStatus.NUMERICAL_FAILURE if message else SdpStatus.MAX_ITERATIONS
     if not message:
         message = f"stopped after {it} iterations with residual {best_score:.2e}"
-    return _finish(status, prob, kept, w, y, z_b, res, it, message)
+    return _finish(status, prob, kept, w, y, unpack(z_b), res, it, message)
 
 
 def _expand(y: np.ndarray, kept: np.ndarray, me_full: int) -> np.ndarray:
@@ -973,20 +1050,23 @@ def _finish(status, prob, kept, w, y, z_b, res, iterations, message):
 
 
 def _factor_with_bump(m: np.ndarray):
-    """Lower Cholesky factor of m + bump I with escalating bumps, or None.
+    """Lower Cholesky factor of m, else of m + bump I with escalating bumps, or None.
 
-    Each attempt copies m once, in the Fortran order dpotrf factors in place.
+    The plain factor is tried first; only when it fails is m bumped, by
+    1e-13 (1 + max diag m) and then 1e4 times more on each of at most four
+    bumped attempts.  Each attempt copies m once, in the Fortran order dpotrf
+    factors in place.
     """
     n = m.shape[0]
-    bump = 1e-13 * (1.0 + np.abs(np.diag(m)).max(initial=0.0))
-    for _ in range(4):
+    first = 1e-13 * (1.0 + np.abs(np.diag(m)).max(initial=0.0))
+    for bump in (0.0, first, 1e4 * first, 1e8 * first, 1e12 * first):
         a = np.array(m, order="F")
         a.ravel(order="F")[:: n + 1] += bump
         try:
             # checked once here; the solves with it do not check it again
             return _finite(_cholesky(a, clean=0, overwrite=1))
         except np.linalg.LinAlgError:
-            bump *= 1e4
+            pass
     return None
 
 

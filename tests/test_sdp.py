@@ -504,6 +504,87 @@ def test_block_of_side_zero(with_cone):
     assert compute_residuals(prob, sol)["primal"] < 1e-6
 
 
+# -- packing of small cone blocks ---------------------------------------------
+
+
+def test_packed_block_is_block_diagonal_of_members():
+    rng = np.random.default_rng(31)
+    nfree, wide = 9, sdp_module._PACK_SIDE + 1
+    members = []
+    for side in (3, 0, 5, 1, 4, wide, 6, 7):
+        blk = random_block(rng, side, nfree, 3 * side + 1) if side else PsdBlock(0, [], [], [], [])
+        members.append(PsdBlock(side, blk.var, blk.row, blk.col, blk.coef, random_symmetric(rng, side)))
+    packed, unpack = sdp_module._pack(members)
+    assert [b.side for b in packed] == [13, wide, 13]
+    assert packed[1] is members[5]  # a block alone in its group is used as it is
+    w = rng.uniform(-1, 1, nfree)
+    zs = [random_symmetric(rng, b.side) for b in members]
+    for blk, group in zip(packed[::2], (members[:5], members[6:])):
+        for const in (True, False):
+            want = sla.block_diag(*[b.materialize(w, include_const=const) for b in group])
+            assert np.array_equal(blk.materialize(w, include_const=const), want)
+        group_z = [zs[members.index(b)] for b in group]
+        want = sum(b.adjoint(z, nfree) for b, z in zip(group, group_z))
+        assert relative_error(blk.adjoint(sla.block_diag(*group_z), nfree), want) <= 1e-12
+    back = unpack([sla.block_diag(*zs[:5]), zs[5], sla.block_diag(*zs[6:])])
+    assert len(back) == len(zs) and all(np.array_equal(a, b) for a, b in zip(back, zs))
+
+
+def packing_problem(order=(0, 1, 2, 3, 4)):
+    """Three small blocks, a side-0 block, a block wider than _PACK_SIDE,
+    one equality row and two inequality rows, strictly feasible at w0; the
+    blocks are passed in the given order of (3, 0, 2, wide, ball).  The wide
+    block's coefficients are scaled down, so that at the optimum the blocks
+    of sides 3, 2 and wide and the second row all have nonzero duals."""
+    rng = np.random.default_rng(43)
+    nfree = 6
+    w0 = rng.uniform(-0.5, 0.5, nfree)
+    blocks = []
+    for side, scale in ((3, 1.0), (0, 1.0), (2, 1.0), (sdp_module._PACK_SIDE + 1, 0.05)):
+        coeffs = {v: scale * random_symmetric(rng, side) for v in range(nfree)}
+        const = np.eye(side) - sum(w0[v] * coeffs[v] for v in range(nfree))
+        blocks.append(PsdBlock.from_dense(const, coeffs))
+    # |w| <= 5 as [[5, w^T], [w, 5 I]] PSD bounds the feasible set
+    v = np.arange(nfree)
+    blocks.append(PsdBlock(nfree + 1, v, np.zeros(nfree), v + 1, np.ones(nfree), 5.0 * np.eye(nfree + 1)))
+    eq_a = rng.uniform(-1, 1, (1, nfree))
+    ineq_b = rng.uniform(-1, 1, (2, nfree))
+    ineq_d = ineq_b @ w0 - rng.uniform(0.1, 1.0, 2)
+    return SdpProblem(
+        nfree, rng.uniform(-1, 1, nfree), eq_a, eq_a @ w0, ineq_b, ineq_d,
+        [blocks[i] for i in order],
+    )
+
+
+def test_packed_solve_reports_one_dual_per_caller_block():
+    tol = 1e-8
+    prob = packing_problem()
+    packed, _ = sdp_module._pack(sdp_module._cone_blocks(prob))
+    # (3, 0, 2), the wide block alone, (ball, inequality rows)
+    assert [b.side for b in packed] == [5, sdp_module._PACK_SIDE + 1, 9]
+    sol = solve_sdp(prob, tol=tol)
+    assert sol.status is SdpStatus.OPTIMAL, sol.message
+    assert [z.shape for z in sol.psd_duals] == [(b.side, b.side) for b in prob.psd_blocks]
+    assert sol.z_ineq.shape == (2,)
+    assert max(compute_residuals(prob, sol).values()) <= tol
+    resid = prob.objective - prob.eq_a.T @ sol.y_eq - prob.ineq_b.T @ sol.z_ineq
+    for blk, z in zip(prob.psd_blocks, sol.psd_duals):
+        resid = resid - blk.adjoint(z, prob.nfree)
+    assert np.abs(resid).max() <= 1e-7
+
+
+def test_permuting_blocks_permutes_duals():
+    order = (4, 1, 3, 0, 2)  # packs as (ball, 0), wide, (2, 3, rows)
+    sol = solve_sdp(packing_problem())
+    again = solve_sdp(packing_problem(order))
+    assert again.status is SdpStatus.OPTIMAL, again.message
+    assert again.obj_primal == pytest.approx(sol.obj_primal, abs=1e-8)
+    for z, j in zip(again.psd_duals, order):
+        assert z.shape == sol.psd_duals[j].shape
+        assert np.allclose(z, sol.psd_duals[j], atol=1e-6)
+    assert np.allclose(again.z_ineq, sol.z_ineq, atol=1e-6)
+
+
 # -- the solver's LAPACK kernels against the scipy.linalg front ends -----------
 
 KERNEL_SIDES = (1, 2, 3, 6, 10, 28, 84)
@@ -529,6 +610,8 @@ def test_lapack_kernels_equal_scipy_front_ends(side):
     assert np.array_equal(lower, sla.cholesky(spd, lower=True))
     factor = sdp_module._cholesky(spd, clean=0)
     assert np.array_equal(factor, sla.cho_factor(spd, lower=True)[0])
+    # a matrix that factors as it is is not bumped
+    assert np.array_equal(sdp_module._factor_with_bump(spd), factor)
     for rhs in (rng.standard_normal(side), rng.standard_normal((side, 5))):
         got = sdp_module._cho_solve(factor, rhs)
         assert np.array_equal(got, sla.cho_solve((factor, True), rhs))
@@ -691,3 +774,24 @@ def test_newton_solve_matches_dense_saddle_reference():
         want = np.linalg.solve(saddle, np.concatenate([h, e]))
         assert relative_error(dw, want[:nfree]) <= 1e-10, (nfree, r)
         assert relative_error(dy, want[nfree:]) <= 1e-10, (nfree, r)
+
+
+@pytest.mark.parametrize("name, variant", [("ex46.json", "homogenized"), ("ex48.json", "denominator")])
+def test_singular_optimum_reaches_tol_without_fallback(name, variant):
+    # their optima are singular; they reach tol only when the reduced Schur
+    # complement is factored as it is, before any diagonal bump
+    prob = compile_relaxation(load_problem(name), variant, 3).sdp
+    sol = solve_sdp(prob)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert sol.message == ""
+
+
+def test_best_iterate_fallback():
+    # ex48 cannot reach 1e-12: the run ends early and the best iterate is
+    # accepted at max(100 tol, 1e-6), with its accuracy in the message
+    tol = 1e-12
+    prob = compile_relaxation(load_problem("ex48.json"), "denominator", 3).sdp
+    sol = solve_sdp(prob, tol=tol)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert sol.message.startswith("reduced accuracy")
+    assert max(compute_residuals(prob, sol).values()) <= max(100 * tol, 1e-6)
