@@ -319,6 +319,8 @@ def _run_check_kkt(args) -> int:
         point = [float(v) for v in args.point.replace(",", " ").split()]
     except ValueError:
         raise _InputError(f"cannot parse --point {args.point!r}")
+    if not all(math.isfinite(v) for v in point):
+        raise _InputError(f"--point {args.point!r} has a coordinate that is not finite")
     if len(point) != problem.nvars:
         raise _InputError(
             f"--point has {len(point)} coordinates, problem has {problem.nvars}"

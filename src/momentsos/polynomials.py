@@ -129,7 +129,13 @@ def sum_positions(nvars: int, d1: int, d2: int) -> np.ndarray:
 
 
 def _validate_exponent(nvars: int, exponent) -> tuple:
-    e = tuple(int(a) for a in exponent)
+    try:
+        e = tuple(int(a) for a in exponent)
+        integral = e == tuple(exponent)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"exponent {exponent!r} must be a list of integers")
     if len(e) != nvars:
         raise ValueError(f"exponent {exponent!r} has length {len(e)}, expected {nvars}")
     if any(a < 0 for a in e):

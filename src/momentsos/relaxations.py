@@ -544,11 +544,28 @@ def denominator_relaxation(pop: PopProblem, k: int) -> CompiledRelaxation:
 
 def _poly_from_json(nvars: int, data, field: str) -> Polynomial:
     if not isinstance(data, list):
-        raise ValueError("polynomial must be a list of term objects")
-    poly = Polynomial.from_json_terms(nvars, data)
+        raise ValueError(f"'{field}' must be a list of term objects")
+    try:
+        poly = Polynomial.from_json_terms(nvars, data)
+    except ValueError as exc:
+        raise ValueError(f"'{field}': {exc}") from None
     if not all(math.isfinite(c) for c in poly.terms.values()):
         raise ValueError(f"'{field}' has a non-finite coefficient")
     return poly
+
+
+def _integer_from_json(value, field: str) -> int:
+    """value as an int; a ValueError naming field unless it is integral."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"'{field}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _object_from_json(data, field: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"'{field}' must be an object, got {data!r}")
+    return data
 
 
 def problem_from_json(data: dict) -> Union[GmpProblem, PopProblem]:
@@ -559,15 +576,21 @@ def problem_from_json(data: dict) -> Union[GmpProblem, PopProblem]:
      "gmp": {"a": [poly], "b": [real], "m1": int, "d": int}}   (gmp optional)
 
     A polynomial is a list of {"c": coefficient, "e": exponent list} terms;
-    duplicate exponents merge by summation.
+    duplicate exponents merge by summation.  n, m1, d and the exponents must
+    be integral (2 and 2.0 are accepted, 2.5 is not), set and gmp must be
+    objects, the set's flags booleans and b a flat list.
     """
     if "n" not in data or "f" not in data:
         raise ValueError("problem JSON needs at least 'n' and 'f'")
-    n = int(data["n"])
+    n = _integer_from_json(data["n"], "n")
     if n < 1:
         raise ValueError("'n' must be a positive integer")
     f = _poly_from_json(n, data["f"], "f")
-    raw_set = data.get("set", {})
+    raw_set = _object_from_json(data.get("set", {}), "set")
+    flags = {key: raw_set.get(key, False) for key in ("archimedean", "closed_at_infinity")}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"'set.{key}' must be true or false, got {value!r}")
     set_ = SemialgebraicSet(
         nvars=n,
         equalities=tuple(
@@ -577,15 +600,16 @@ def problem_from_json(data: dict) -> Union[GmpProblem, PopProblem]:
             _poly_from_json(n, p, f"set.ineq[{i}]")
             for i, p in enumerate(raw_set.get("ineq", []))
         ),
-        archimedean=bool(raw_set.get("archimedean", False)),
-        closed_at_infinity=bool(raw_set.get("closed_at_infinity", False)),
+        **flags,
     )
     if "gmp" in data:
-        g = data["gmp"]
+        g = _object_from_json(data["gmp"], "gmp")
         for key in ("a", "b", "m1", "d"):
             if key not in g:
                 raise ValueError(f"gmp block is missing '{key}'")
         b = np.asarray(g["b"], dtype=float)
+        if b.ndim != 1:
+            raise ValueError("'gmp.b' must be a flat list of numbers")
         if not np.all(np.isfinite(b)):
             raise ValueError("'gmp.b' has a non-finite entry")
         return GmpProblem(
@@ -593,8 +617,8 @@ def problem_from_json(data: dict) -> Union[GmpProblem, PopProblem]:
             objective=f,
             a=tuple(_poly_from_json(n, p, f"gmp.a[{i}]") for i, p in enumerate(g["a"])),
             b=b,
-            m1=int(g["m1"]),
-            d=int(g["d"]),
+            m1=_integer_from_json(g["m1"], "gmp.m1"),
+            d=_integer_from_json(g["d"], "gmp.d"),
         )
     return PopProblem(set=set_, objective=f)
 

@@ -55,9 +55,11 @@ through the same entries with `PsdBlock.adjoint` and `PsdBlock.materialize`.
 No basis of the block's symmetric-matrix space is formed; only the block
 factorizations (Cholesky, SVD, eigenvalues) are dense.
 
-The equality rows are factored once per solve, not once per iteration.
-LU with partial pivoting of A^T picks r basic variables B with A_B
-nonsingular; the others, F, are free, and N = [T; I] on (B, F) with
+The equality rows have one owner, `_EqualityRows`, built once per solve:
+it keeps an independent subset of the rows, scales them, checks the dropped
+ones for consistency, factors the kept ones and maps multipliers back to
+the caller's rows.  LU with partial pivoting of A^T picks r basic variables
+B with A_B nonsingular; the others, F, are free, and N = [T; I] on (B, F) with
 T = -A_B^-1 A_F (sparse when it is) spans the null space of A.  Each Newton
 system [[M, -A^T], [A, 0]] (dw, dy) = (h, e) is then solved as
 dw = dw_p + N du, with dw_p[B] = A_B^-1 e, N^T M N du = N^T (h - M dw_p)
@@ -282,14 +284,12 @@ class PsdBlock:
             coef.extend(g[r, c])
         return cls(side, var, row, col, coef, const)
 
-    def _scatter(self, weights: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        n = self.side
-        # bincount returns integers when there is nothing to count
-        s = np.bincount(pos, weights=weights, minlength=n * n).astype(float, copy=False)
-        return s.reshape(n, n)
-
     def materialize(self, w: np.ndarray, include_const: bool = True) -> np.ndarray:
-        s = self._scatter(self._sym_coef * w[self._sym_var], self._sym_pos)
+        n = self.side
+        vals = self._sym_coef * w[self._sym_var]
+        # bincount returns integers when there is nothing to count
+        s = np.bincount(self._sym_pos, weights=vals, minlength=n * n).astype(float, copy=False)
+        s = s.reshape(n, n)
         if include_const:
             s += self.const
         return s
@@ -298,10 +298,6 @@ class PsdBlock:
         """Vector with entries <G_v, Z> for each decision variable v."""
         vals = self._wcoef * z.ravel()[self._flat]
         return np.bincount(self.var, weights=vals, minlength=nfree)
-
-    def coefficient_matrix(self, v: int) -> np.ndarray:
-        mask = self._sym_var == v
-        return self._scatter(self._sym_coef[mask], self._sym_pos[mask])
 
     def schur(self, w: np.ndarray) -> np.ndarray:
         """Matrix M[a, b] = <G_u, W G_v W> for u = active[a], v = active[b].
@@ -470,12 +466,14 @@ def _packed_block(group: list) -> PsdBlock:
     )
 
 
-def _residual_norms(prob: SdpProblem, blocks, w, y, zpsd, s_psd, g_psd) -> dict:
+def _residual_norms(prob: SdpProblem, blocks, w, y, zpsd, s_psd, r_d) -> dict:
     """Normalized primal/dual/gap residuals; the solver's own stopping test.
 
     blocks are the cone blocks (`_cone_blocks`, packed or not: the norms are
-    the same), zpsd their duals, s_psd the block values S_j(w) and g_psd the
-    vectors G_j^*(Z_j), so that the caller computes each once per iterate.
+    the same), y the multipliers of prob's rows, zpsd the blocks' duals,
+    s_psd the block values S_j(w) and r_d the dual residual
+    c - A^T y - sum_j G_j^*(Z_j), so that the caller computes each once per
+    iterate.
     """
     rhs_scale = max(
         [1.0, np.abs(prob.eq_b).max(initial=0.0)]
@@ -487,10 +485,7 @@ def _residual_norms(prob: SdpProblem, blocks, w, y, zpsd, s_psd, g_psd) -> dict:
         pres = max(pres, max(0.0, -_min_eig(s)))
     pres /= 1.0 + rhs_scale
 
-    rd = prob.objective - prob.eq_a.T @ y
-    for g in g_psd:
-        rd -= g
-    dres = np.abs(rd).max(initial=0.0)
+    dres = np.abs(r_d).max(initial=0.0)
     for zb in zpsd:
         dres = max(dres, max(0.0, -_min_eig(zb)))
     dres /= 1.0 + np.abs(prob.objective).max(initial=0.0)
@@ -516,79 +511,75 @@ def compute_residuals(prob: SdpProblem, sol: SdpSolution) -> dict:
     if prob.num_ineq:
         zpsd.append(np.diag(sol.z_ineq))
     s_psd = [blk.materialize(sol.x) for blk in blocks]
-    g_psd = [blk.adjoint(zb, prob.nfree) for blk, zb in zip(blocks, zpsd)]
-    r = _residual_norms(prob, blocks, sol.x, sol.y_eq, zpsd, s_psd, g_psd)
+    r_d = prob.objective - prob.eq_a.T @ sol.y_eq
+    for blk, zb in zip(blocks, zpsd):
+        r_d -= blk.adjoint(zb, prob.nfree)
+    r = _residual_norms(prob, blocks, sol.x, sol.y_eq, zpsd, s_psd, r_d)
     return {"primal": r["primal"], "dual": r["dual"], "gap": r["gap"]}
 
 
-def _presolve_equalities(prob: SdpProblem, tol: float = 1e-10):
-    """Select a maximal independent subset of equality rows; check consistency.
+class _EqualityRows:
+    """The equality rows A w = b as the solver uses them: the one owner of
+    their row choice, scaling, consistency and null space.
 
-    Returns (kept, row_scale, space): the indices of the kept rows, their
-    equilibration scales (each row's largest magnitude) and the `_NullSpace`
-    of the kept rows divided by those scales.  space is None when the dropped
-    rows are inconsistent: the basic solution of the kept rows misses some
-    row by more than 1e-8 (1 + max|b|).  Dropped rows receive zero
-    multipliers in the reported dual.
-    """
-    a, b = prob.eq_a, prob.eq_b
-    me = len(b)
-    rank = 0
-    if me:
-        r = sla.qr(a.T, mode="r", pivoting=True)
-        rmat, piv = r[0], r[1]
-        diag = np.abs(np.diag(rmat))
-        if len(diag) and diag[0] != 0.0:
-            rank = int(np.sum(diag > tol * diag[0]))
-        kept = np.sort(piv[:rank])
-    else:
-        kept = np.zeros(0, dtype=int)
-    row_scale = np.abs(a[kept]).max(axis=1, initial=0.0)
-    space = _NullSpace(a[kept] / row_scale[:, np.newaxis])
-    if rank < me:
-        w = space.particular(b[kept] / row_scale)
-        if np.abs(a @ w - b).max() > 1e-8 * (1.0 + np.abs(b).max()):
-            return kept, row_scale, None
-    return kept, row_scale, space
+    A pivoted QR of A^T picks a maximal independent subset of the rows
+    (`kept`): its rank counts the diagonal entries of R above 1e-10 times the
+    first.  Each kept row is divided by its largest magnitude (`scale`),
+    which gives the rows `a` and right-hand sides `b` the solver iterates on.
+    `consistent` is False when the dropped rows are inconsistent: the basic
+    solution of the kept rows misses some row by more than 1e-8 (1 + max|b|).
+    `expand` maps multipliers of the scaled kept rows to the unscaled rows of
+    the caller; dropped rows receive zero multipliers.
 
-
-class _NullSpace:
-    """Equality rows A w = e of full row rank, in basic and free variables.
-
-    LU with partial pivoting of A^T (dgetrf) orders the variables so that
-    A^T[order] = [L1; L2] U with L1 unit lower triangular: the first r
-    variables B (`basic`) have A_B^T = L1 U nonsingular, the other ones F
+    The kept rows have full row rank and are split into basic and free
+    variables.  LU with partial pivoting of a^T (dgetrf) orders the variables
+    so that a^T[order] = [L1; L2] U with L1 unit lower triangular: the first
+    r variables B (`basic`) have a_B^T = L1 U nonsingular, the other ones F
     (`free`, ascending; a slice when they are contiguous) are free.  The
-    columns of N, with N[F] = I and N[B] = T = -A_B^-1 A_F = -(L2 L1^-1)^T,
-    span the null space of A, so every solution of A w = e is w_p + N u with
-    w_p[B] = A_B^-1 e and w_p[F] = 0.  T is kept as T and T^T: sparse (CSR)
+    columns of N, with N[F] = I and N[B] = T = -a_B^-1 a_F = -(L2 L1^-1)^T,
+    span the null space of a, so every solution of a w = e is w_p + N u with
+    w_p[B] = a_B^-1 e and w_p[F] = 0.  T is kept as T and T^T: sparse (CSR)
     when at most _DENSE_T of its entries are nonzero, dense otherwise, and
     None when it is zero, as for rows that touch only basic variables.
     """
 
-    def __init__(self, a: np.ndarray):
-        r, n = a.shape
+    def __init__(self, eq_a: np.ndarray, eq_b: np.ndarray):
+        me, n = eq_a.shape
+        rank = 0
+        if me:
+            rmat, piv = sla.qr(eq_a.T, mode="r", pivoting=True)
+            diag = np.abs(np.diag(rmat))
+            if len(diag) and diag[0] != 0.0:
+                rank = int(np.sum(diag > 1e-10 * diag[0]))
+            self.kept = np.sort(piv[:rank])
+        else:
+            self.kept = np.zeros(0, dtype=int)
+        self.num_rows = me
+        self.scale = np.abs(eq_a[self.kept]).max(axis=1, initial=0.0)
+        self.a = eq_a[self.kept] / self.scale[:, np.newaxis]
+        self.b = eq_b[self.kept] / self.scale
+
         self.nfree = n
         order = list(range(n))
-        if r:
-            lu, piv = _lu_factor(a.T)
+        if rank:
+            lu, piv = _lu_factor(self.a.T)
             for i, p in enumerate(piv.tolist()):
                 order[i], order[p] = order[p], order[i]
         else:
             lu = np.zeros((n, 0), order="F")
         order = np.array(order, dtype=np.int64)
-        self.basic = order[:r]
-        by_index = np.argsort(order[r:])
-        free = order[r:][by_index]
-        # dgetrs with this factor and no interchanges solves with A_B^T, A_B
-        self.lu = lu[:r]
-        self.piv = np.arange(r, dtype=np.int32)
-        if n - r and free[-1] - free[0] == n - r - 1:
+        self.basic = order[:rank]
+        by_index = np.argsort(order[rank:])
+        free = order[rank:][by_index]
+        # dgetrs with this factor and no interchanges solves with a_B^T, a_B
+        self.lu = lu[:rank]
+        self.piv = np.arange(rank, dtype=np.int32)
+        if n - rank and free[-1] - free[0] == n - rank - 1:
             self.free = slice(int(free[0]), int(free[-1]) + 1)
         else:
             self.free = free
         # T^T = -L2 L1^-1, one row per free variable
-        tt = -_tri_solve(lu[:r], lu[r:][by_index].T, trans=1, unitdiag=1).T
+        tt = -_tri_solve(lu[:rank], lu[rank:][by_index].T, trans=1, unitdiag=1).T
         nnz = np.count_nonzero(tt)
         self.tt = self.t = None
         if nnz > _DENSE_T * tt.size:
@@ -596,12 +587,23 @@ class _NullSpace:
         elif nnz:
             self.tt, self.t = sparse.csr_array(tt), sparse.csr_array(tt.T)
 
+        self.consistent = rank == me or bool(
+            np.abs(eq_a @ self.particular(self.b) - eq_b).max()
+            <= 1e-8 * (1.0 + np.abs(eq_b).max())
+        )
+
+    def expand(self, y: np.ndarray) -> np.ndarray:
+        """Multipliers of the caller's rows from those of the scaled kept rows."""
+        full = np.zeros(self.num_rows)
+        full[self.kept] = y / self.scale
+        return full
+
     def solve_basic(self, e: np.ndarray, trans: int = 1) -> np.ndarray:
-        """A_B^-1 e (trans=1) or A_B^-T e (trans=0)."""
+        """a_B^-1 e (trans=1) or a_B^-T e (trans=0)."""
         return _lu_solve(self.lu, self.piv, e, trans=trans)
 
     def particular(self, e: np.ndarray) -> np.ndarray:
-        """The basic solution of A w = e: A_B^-1 e on B, zero on F."""
+        """The basic solution of a w = e: a_B^-1 e on B, zero on F."""
         w = np.zeros(self.nfree)
         w[self.basic] = self.solve_basic(e)
         return w
@@ -637,16 +639,17 @@ class _NullSpace:
 class _NewtonSystem:
     """The Newton systems [[M, -A^T], [A, 0]] (dw, dy) = (h, e) of one iteration.
 
-    They are solved in the null space of A (`_NullSpace`): dw = dw_p + N du
-    with dw_p[B] = A_B^-1 e, so A dw = e holds to the accuracy of the LU
-    solve; N^T M N du = N^T (h - M dw_p); and A_B^T dy = (M dw - h)[B].
-    N^T M N, nfree - rank wide, is the one matrix factored per iteration;
-    `kfac` is None when even a bumped Cholesky of it fails.
+    A holds the kept, scaled rows of `_EqualityRows`, which solves in their
+    null space: dw = dw_p + N du with dw_p[B] = A_B^-1 e, so A dw = e holds
+    to the accuracy of the LU solve; N^T M N du = N^T (h - M dw_p); and
+    A_B^T dy = (M dw - h)[B].  N^T M N, nfree - rank wide, is the one matrix
+    factored per iteration; `kfac` is None when even a bumped Cholesky of it
+    fails.
     """
 
-    def __init__(self, space: _NullSpace, m: np.ndarray):
-        self.space, self.m = space, m
-        kmat, self.mnb = space.schur(m)
+    def __init__(self, eq: _EqualityRows, m: np.ndarray):
+        self.eq, self.m = eq, m
+        kmat, self.mnb = eq.schur(m)
         self.kfac = _factor_with_bump(kmat)
         self.m_max = m.diagonal().max(initial=0.0)  # M is PSD: its largest entry
 
@@ -660,16 +663,16 @@ class _NewtonSystem:
         is above the floor and at least halves; a pass that does not reduce it
         is discarded.
         """
-        space, m = self.space, self.m
+        eq, m = self.eq, self.m
 
         def refine(dw, q):
-            dw = dw + space.null(_cho_solve(self.kfac, q))
+            dw = dw + eq.null(_cho_solve(self.kfac, q))
             mdw = m @ dw
-            q = space.reduce(h - mdw)
+            q = eq.reduce(h - mdw)
             return dw, mdw, q, np.abs(q).max(initial=0.0)
 
-        dw = space.particular(e)
-        q = space.reduce(h) - self.mnb @ dw[space.basic]
+        dw = eq.particular(e)
+        q = eq.reduce(h) - self.mnb @ dw[eq.basic]
         dw, mdw, q, err = refine(dw, q)
         floor = 2.0 * _EPS * self.m_max * np.abs(dw).max(initial=0.0)
         for _ in range(_NEWTON_PASSES - 1):
@@ -682,7 +685,7 @@ class _NewtonSystem:
             dw, mdw, q, err = trial
             if not err < 0.5 * prev:
                 break
-        return dw, space.solve_basic((mdw - h)[space.basic], trans=0)
+        return dw, eq.solve_basic((mdw - h)[eq.basic], trans=0)
 
 
 # -- dense kernels of the solve loop ------------------------------------------
@@ -854,36 +857,26 @@ def solve_sdp(
     blocks, unpack = _pack(_cone_blocks(prob))
     nu = sum(b.side for b in blocks)
 
-    kept, row_scale, space = _presolve_equalities(prob)
-    if space is None:
-        return SdpSolution(
-            status=SdpStatus.PRIMAL_INFEASIBLE,
-            x=np.zeros(nfree),
-            obj_primal=math.nan,
-            obj_dual=math.inf,
-            y_eq=np.zeros(prob.num_eq),
-            z_ineq=np.zeros(prob.num_ineq),
-            psd_duals=[np.zeros((b.side, b.side)) for b in prob.psd_blocks],
-            residuals={"primal": math.inf, "dual": math.inf, "gap": math.inf},
-            iterations=0,
-            message="equality rows are inconsistent",
-        )
-    # equilibrated rows; multipliers are unscaled on the way out
-    a_eq = prob.eq_a[kept] / row_scale[:, np.newaxis]
-    b_eq = prob.eq_b[kept] / row_scale
+    eq = _EqualityRows(prob.eq_a, prob.eq_b)
+    if not eq.consistent:
+        res = {"primal": math.inf, "dual": math.inf, "gap": math.inf,
+               "obj_primal": math.nan, "obj_dual": math.inf}
+        z_b = unpack([np.zeros((b.side, b.side)) for b in blocks])
+        return _finish(SdpStatus.PRIMAL_INFEASIBLE, prob, eq, np.zeros(nfree),
+                       np.zeros(len(eq.b)), z_b, res, 0, "equality rows are inconsistent")
 
     if nu == 0:
-        return _solve_equality_only(prob, space, kept, row_scale, b_eq, tol)
+        return _solve_equality_only(prob, eq, tol)
 
     # -- initial iterate ----------------------------------------------------
     data_scale = 1.0 + max(
         [np.abs(b.const).max(initial=0.0) for b in blocks]
-        + [np.abs(b_eq).max(initial=0.0)]
+        + [np.abs(eq.b).max(initial=0.0)]
     )
     beta_p = 10.0 * data_scale
     beta_d = 1.0 + np.abs(c).max(initial=0.0)
     w = np.zeros(nfree)
-    y = np.zeros(len(b_eq))
+    y = np.zeros(len(eq.b))
     s_b = [beta_p * np.eye(b.side) for b in blocks]
     z_b = [beta_d * np.eye(b.side) for b in blocks]
 
@@ -900,15 +893,18 @@ def solve_sdp(
     message = ""
 
     for it in range(1, max_iter + 1):
-        yt = y / row_scale
         s_w = [blk.materialize(w) for blk in blocks]
-        g_z = [blk.adjoint(zb, nfree) for blk, zb in zip(blocks, z_b)]
-        y_full = _expand(yt, kept, prob.num_eq)
-        res = _residual_norms(prob, blocks, w, y_full, z_b, s_w, g_z)
+        # the dual image A^T y + sum_j G_j^*(Z_j): the dual residual, the
+        # stopping test and the ray test all read this one vector
+        image = eq.a.T @ y
+        for blk, zb in zip(blocks, z_b):
+            image += blk.adjoint(zb, nfree)
+        r_d = c - image
+        res = _residual_norms(prob, blocks, w, eq.expand(y), z_b, s_w, r_d)
         score = max(res["primal"], res["dual"], res["gap"])
         if best is None or score < best_score:
             best_score = score
-            best = (w.copy(), yt.copy(), [zz.copy() for zz in z_b], res)
+            best = (w.copy(), y.copy(), [zz.copy() for zz in z_b], res)
             no_improve = 0
         else:
             no_improve += 1
@@ -921,19 +917,16 @@ def solve_sdp(
                 f"  pres {res['primal']:.2e}  dres {res['dual']:.2e}  gap {res['gap']:.2e}"
             )
         if score <= tol:
-            return _finish(SdpStatus.OPTIMAL, prob, kept, w, yt, unpack(z_b), res, it, "")
+            return _finish(SdpStatus.OPTIMAL, prob, eq, w, y, unpack(z_b), res, it, "")
 
-        cert = _check_infeasibility(prob, blocks, a_eq, b_eq, w, y, z_b, g_z)
+        cert = _check_infeasibility(prob, blocks, eq, w, y, z_b, image, res["obj_dual"])
         if cert is not None:
             status, msg = cert
-            return _finish(status, prob, kept, w, yt, unpack(z_b), res, it, msg)
+            return _finish(status, prob, eq, w, y, unpack(z_b), res, it, msg)
 
         # resid->target quantities
-        r_e = b_eq - a_eq @ w
+        r_e = eq.b - eq.a @ w
         r_b = [sw - sb for sw, sb in zip(s_w, s_b)]
-        r_d = c - a_eq.T @ y
-        for g in g_z:
-            r_d -= g
 
         mu = sum(float(np.sum(sb * zb)) for sb, zb in zip(s_b, z_b)) / nu
 
@@ -953,7 +946,7 @@ def solve_sdp(
                 m[np.ix_(blk.active, blk.active)] += term
             cone.rbar = cone.ginv @ rb @ cone.ginv.T
 
-        system = _NewtonSystem(space, m)
+        system = _NewtonSystem(eq, m)
         if system.kfac is None:
             message = "Schur complement factorization failed"
             break
@@ -1018,29 +1011,23 @@ def solve_sdp(
     if best_score <= accept_tol:
         detail = f" ({message})" if message else ""
         message = f"reduced accuracy: residual {best_score:.2e}{detail}"
-        return _finish(SdpStatus.OPTIMAL, prob, kept, w, y, unpack(z_b), res, it, message)
+        return _finish(SdpStatus.OPTIMAL, prob, eq, w, y, unpack(z_b), res, it, message)
     status = SdpStatus.NUMERICAL_FAILURE if message else SdpStatus.MAX_ITERATIONS
     if not message:
         message = f"stopped after {it} iterations with residual {best_score:.2e}"
-    return _finish(status, prob, kept, w, y, unpack(z_b), res, it, message)
+    return _finish(status, prob, eq, w, y, unpack(z_b), res, it, message)
 
 
-def _expand(y: np.ndarray, kept: np.ndarray, me_full: int) -> np.ndarray:
-    full = np.zeros(me_full)
-    if len(kept):
-        full[kept] = y
-    return full
-
-
-def _finish(status, prob, kept, w, y, z_b, res, iterations, message):
-    """Solution for the caller: z_b holds the duals of `_cone_blocks(prob)`."""
+def _finish(status, prob, eq, w, y, z_b, res, iterations, message):
+    """Solution for the caller: y holds the multipliers of eq's scaled kept
+    rows and z_b the duals of `_cone_blocks(prob)`."""
     npsd = len(prob.psd_blocks)
     return SdpSolution(
         status=status,
         x=w,
         obj_primal=res["obj_primal"],
         obj_dual=res["obj_dual"],
-        y_eq=_expand(y, kept, prob.num_eq),
+        y_eq=eq.expand(y),
         z_ineq=np.diag(z_b[npsd]).copy() if prob.num_ineq else np.zeros(0),
         psd_duals=z_b[:npsd],
         residuals={"primal": res["primal"], "dual": res["dual"], "gap": res["gap"]},
@@ -1092,21 +1079,17 @@ def _mu_after(cones, dsb, dzb, ap, ad) -> float:
     return total
 
 
-def _check_infeasibility(prob, blocks, a_eq, b_eq, w, y, z_b, g_z):
+def _check_infeasibility(prob, blocks, eq, w, y, z_b, image, viol):
     """Farkas-style certificate checks; None when nothing is decisive.
 
-    z_b holds the duals of the cone blocks and g_z the vectors G_j^*(Z_j).
+    y holds the multipliers of eq's scaled kept rows, z_b the duals of the
+    cone blocks, image the dual image A^T y + sum_j G_j^*(Z_j) and viol the
+    dual objective b^T y - sum_j <C_j, Z_j>.
     """
     # primal infeasibility: dual ray with positive objective and tiny residual
-    viol = float(b_eq @ y)
-    for blk, zb in zip(blocks, z_b):
-        viol -= float(np.sum(blk.const * zb))
     ray_norm = max([np.abs(y).max(initial=0.0)] + [np.abs(zb).max(initial=0.0) for zb in z_b])
     if viol > 1e-6 * (1.0 + ray_norm):
-        resid = a_eq.T @ y
-        for g in g_z:
-            resid += g
-        if np.abs(resid).max(initial=0.0) * _CERT_RATIO < viol:
+        if np.abs(image).max(initial=0.0) * _CERT_RATIO < viol:
             return SdpStatus.PRIMAL_INFEASIBLE, "dual improving ray found"
 
     # dual infeasibility: primal ray with negative objective
@@ -1115,7 +1098,7 @@ def _check_infeasibility(prob, blocks, a_eq, b_eq, w, y, z_b, g_z):
         ray = w / wnorm
         drop = float(prob.objective @ ray)
         if drop < 0:
-            quality = np.abs(a_eq @ ray).max(initial=0.0)
+            quality = np.abs(eq.a @ ray).max(initial=0.0)
             for blk in blocks:
                 hom = blk.materialize(ray, include_const=False)
                 quality = max(quality, max(0.0, -_min_eig(hom)))
@@ -1124,24 +1107,24 @@ def _check_infeasibility(prob, blocks, a_eq, b_eq, w, y, z_b, g_z):
     return None
 
 
-def _solve_equality_only(prob, space, kept, row_scale, b_eq, tol):
+def _solve_equality_only(prob, eq, tol):
     """Degenerate case with no cone at all: a linear system.
 
     w is the basic solution of the kept rows and y solves the basic columns
     of stationarity, A_B^T y = c_B; the problem is bounded iff that y also
     satisfies the free columns.
     """
-    w = space.particular(b_eq)
-    y = space.solve_basic(prob.objective[space.basic], trans=0) / row_scale
+    w = eq.particular(eq.b)
+    y = eq.solve_basic(prob.objective[eq.basic], trans=0)
     blocks = prob.psd_blocks  # every block has side 0 and there are no rows
     zpsd = [np.zeros((0, 0)) for _ in blocks]
     s_w = [blk.materialize(w) for blk in blocks]
-    y_full = _expand(y, kept, prob.num_eq)
-    res = _residual_norms(prob, blocks, w, y_full, zpsd, s_w, [])
+    r_d = prob.objective - eq.a.T @ y
+    res = _residual_norms(prob, blocks, w, eq.expand(y), zpsd, s_w, r_d)
     ok = max(res["primal"], res["dual"], res["gap"]) <= tol
     status = SdpStatus.OPTIMAL if ok else SdpStatus.DUAL_INFEASIBLE
     return _finish(
-        status, prob, kept, w, y, zpsd, res, 0,
+        status, prob, eq, w, y, zpsd, res, 0,
         "" if ok else "objective unbounded over the affine feasible set",
     )
 

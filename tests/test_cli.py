@@ -201,6 +201,10 @@ def test_input_error_exits(tmp_path, capsys):
     assert run("check-kkt", EX35_SUB, "--point", "a,b,c") == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    for point in ("nan,0,0", "inf,0,0", "0,1e400,0"):
+        assert run("check-kkt", EX35_SUB, "--point", point) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "--point" in err
 
 
 @pytest.mark.parametrize("flag, value", [

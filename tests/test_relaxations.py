@@ -425,3 +425,23 @@ def test_json_rejects_bad_input():
             problem_from_json(
                 {"n": 1, "f": good, "gmp": {"a": [good], "b": [bad], "m1": 1, "d": 1}}
             )
+    # set and gmp are objects, n, m1, d and exponents integral, b a flat list
+    gmp = {"a": [good], "b": [1.0], "m1": 1, "d": 1}
+    with pytest.raises(ValueError, match="'set' must be an object"):
+        problem_from_json({"n": 1, "f": good, "set": []})
+    with pytest.raises(ValueError, match="'set.archimedean' must be true or false"):
+        problem_from_json({"n": 1, "f": good, "set": {"archimedean": "false"}})
+    with pytest.raises(ValueError, match="'gmp' must be an object"):
+        problem_from_json({"n": 1, "f": good, "gmp": [gmp]})
+    with pytest.raises(ValueError, match="'gmp.b' must be a flat list"):
+        problem_from_json({"n": 1, "f": good, "gmp": {**gmp, "b": [[1.0]]}})
+    with pytest.raises(ValueError, match="'n' must be an integer"):
+        problem_from_json({"n": 1.7, "f": good})
+    with pytest.raises(ValueError, match="'gmp.d' must be an integer"):
+        problem_from_json({"n": 1, "f": good, "gmp": {**gmp, "d": 2.5}})
+    with pytest.raises(ValueError, match="'gmp.m1' must be an integer"):
+        problem_from_json({"n": 1, "f": good, "gmp": {**gmp, "m1": 0.5}})
+    with pytest.raises(ValueError, match=r"'f': exponent \[1.5\] must be a list of integers"):
+        problem_from_json({"n": 1, "f": [{"c": 1.0, "e": [1.5]}]})
+    # an integral float is an integer
+    assert problem_from_json({"n": 1.0, "f": [{"c": 1.0, "e": [2.0]}]}).nvars == 1

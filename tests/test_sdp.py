@@ -196,12 +196,20 @@ def test_redundant_equalities_are_presolved():
 
 
 def test_inconsistent_equalities():
+    # the exit reports one multiplier per row, one z per inequality row and
+    # one dual per caller block, as every other exit does
     blk = PsdBlock(1, [0], [0], [0], [1.0])
+    wide = PsdBlock(2, [0, 0], [0, 1], [0, 1], [1.0, 1.0])
     prob = SdpProblem(
-        1, [1.0], eq_a=[[1.0], [1.0]], eq_b=[1.0, 2.0], psd_blocks=[blk]
+        1, [1.0], eq_a=[[1.0], [1.0]], eq_b=[1.0, 2.0],
+        ineq_b=[[1.0]], ineq_d=[0.0], psd_blocks=[blk, wide],
     )
     sol = solve_sdp(prob)
     assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
+    assert sol.message == "equality rows are inconsistent"
+    assert sol.y_eq.shape == (2,)
+    assert sol.z_ineq.shape == (1,)
+    assert [z.shape for z in sol.psd_duals] == [(1, 1), (2, 2)]
 
 
 @pytest.mark.parametrize("ratio, status", [(0.9, "optimal"), (1.1, "primal_infeasible")])
@@ -212,9 +220,10 @@ def test_equality_consistency_rule_boundary(ratio, status):
     eq_a = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     eq_b = [1.0, 1.0 + ratio * limit, 3.0]
     prob = SdpProblem(2, [1.0, 1.0], eq_a=eq_a, eq_b=eq_b, psd_blocks=[blk])
-    kept, _, space = sdp_module._presolve_equalities(prob)
+    eq = sdp_module._EqualityRows(prob.eq_a, prob.eq_b)
+    kept = eq.kept
     assert len(kept) == 2
-    assert (space is not None) == (status == "optimal")
+    assert eq.consistent == (status == "optimal")
     sol = solve_sdp(prob)
     assert sol.status.value == status, sol.message
     if status == "optimal":
@@ -241,7 +250,7 @@ def test_unbounded_objective():
 def test_psd_block_canonicalization():
     # duplicate entries merge, (row, col) is normalized to the upper triangle
     blk = PsdBlock(2, [0, 0, 0], [0, 1, 0], [1, 0, 1], [1.0, 2.0, 3.0])
-    g = blk.coefficient_matrix(0)
+    g = blk.materialize(np.array([1.0]), include_const=False)
     assert np.allclose(g, [[0.0, 6.0], [6.0, 0.0]])
 
 
@@ -763,13 +772,14 @@ def test_newton_solve_matches_dense_saddle_reference():
     rng = np.random.default_rng(21)
     for nfree, rows in newton_reference_cases(rng):
         prob = SdpProblem(nfree, np.zeros(nfree), rows, np.zeros(len(rows)))
-        kept, row_scale, space = sdp_module._presolve_equalities(prob)
+        eq = sdp_module._EqualityRows(prob.eq_a, prob.eq_b)
+        kept = eq.kept
         assert len(kept) == (np.linalg.matrix_rank(rows) if len(rows) else 0)
-        a = rows[kept] / row_scale[:, np.newaxis]
+        a = rows[kept] / eq.scale[:, np.newaxis]
         r = len(kept)
         m = random_spd(rng, nfree)
         h, e = rng.standard_normal(nfree), rng.standard_normal(r)
-        dw, dy = sdp_module._NewtonSystem(space, m).solve(h, e)
+        dw, dy = sdp_module._NewtonSystem(eq, m).solve(h, e)
         saddle = np.block([[m, -a.T], [a, np.zeros((r, r))]])
         want = np.linalg.solve(saddle, np.concatenate([h, e]))
         assert relative_error(dw, want[:nfree]) <= 1e-10, (nfree, r)
