@@ -14,6 +14,7 @@ import pathlib
 import numpy as np
 
 from momentsos import (
+    basis_size,
     certify_relaxation,
     moment_relaxation,
     problem_from_json,
@@ -30,10 +31,13 @@ print("degree bound d =", gmp.d)
 # Compile the order-3 relaxation.  Free variables are the moments up to
 # degree 6; the PSD blocks are the moment matrix and one localizing block
 # per inequality (here: none).  Equality rows carry the pairings and the
-# ideal constraints coming from the sphere equation.
+# ideal constraints coming from the sphere equation.  The sphere also puts
+# (|x|^2 - 1) x^beta in the kernel of the moment matrix, so the block is
+# emitted on the 16 of its 20 monomials that the sphere leaves free.
 comp = moment_relaxation(gmp, 3)
 print("\nSDP: ", comp.sdp.nfree, "moments,", comp.sdp.num_eq, "equality rows,")
-print("     blocks of side", [b.side for b in comp.sdp.psd_blocks])
+full = [basis_size(comp.nvars, s) for s in comp.block_degrees()]
+print("     blocks of side", full, "->", [b.side for b in comp.sdp.psd_blocks])
 
 sol = solve_sdp(comp.sdp)
 print("\nstatus:", sol.status.value, "in", sol.iterations, "iterations")

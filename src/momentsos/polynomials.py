@@ -15,6 +15,7 @@ deliberately centralized here.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -415,7 +416,10 @@ class Polynomial:
         for item in data:
             if not isinstance(item, dict) or "c" not in item or "e" not in item:
                 raise ValueError(f"malformed polynomial term {item!r}")
-            pairs.append((item["e"], item["c"]))
+            c = item["c"]
+            if isinstance(c, bool) or not isinstance(c, numbers.Real):
+                raise ValueError(f"coefficient {c!r} must be a number")
+            pairs.append((item["e"], c))
         return cls.from_terms(nvars, pairs)
 
     # -- display ------------------------------------------------------------

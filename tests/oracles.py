@@ -179,3 +179,23 @@ def smat(v, n):
     x[r, c] = v / np.where(r == c, 1.0, np.sqrt(2.0))
     x[c, r] = x[r, c]
     return x
+
+
+# -- dense references for the face of a relaxation ---------------------------------
+
+
+def affine_points(eq_a, eq_b, rng, count):
+    """Random points of {w : eq_a w = eq_b}: the least-squares solution plus a
+    standard normal combination of an SVD basis of the rows' null space."""
+    w0 = np.linalg.lstsq(eq_a, eq_b, rcond=None)[0]
+    _, sv, vt = np.linalg.svd(eq_a)
+    null = vt[int(np.sum(sv > 1e-10 * sv[0])):].T
+    return [w0 + null @ rng.standard_normal(null.shape[1]) for _ in range(count)]
+
+
+def numerical_kernel(matrix, tol=1e-8):
+    """Orthonormal columns spanning the numerical kernel of a square matrix:
+    the right singular vectors whose singular value is at most tol times the
+    largest."""
+    _, sv, vt = np.linalg.svd(matrix)
+    return vt[sv <= tol * sv[0]].T

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -26,13 +27,16 @@ from momentsos import (
     pair,
     problem_from_json,
     problem_to_json,
+    read_sparse_sdp,
     solve_hierarchy,
     solve_sdp,
     tms_from_atoms,
     variant_minimum_order,
+    write_sparse_sdp,
 )
 
 import oracles
+from momentsos.relaxations import _face_rows
 from conftest import load_problem
 
 
@@ -173,6 +177,8 @@ def test_sos_certificate_reads_inequality_pairings():
         ("ex43.json", "homogenized", 2),  # a GMP with an inequality pairing
         ("ex46.json", "homogenized", 3),
         ("ex48.json", "denominator", 3),
+        ("ex35.json", "plain", 3),  # moment block 20 -> 16
+        ("ex36.json", "plain", 3),  # blocks 84 + 6 x 28 -> 63 + 6 x 25
     ],
 )
 def test_sos_certificate_replay_on_variants(name, variant, k):
@@ -181,7 +187,23 @@ def test_sos_certificate_replay_on_variants(name, variant, k):
     cert = comp.sos_certificate(sol)
     assert len(cert.theta) == len(comp.relaxed.a)
     assert len(cert.gram_localizing) == len(comp.relaxed.set.inequalities)
+    # the Gram matrices come back on the blocks' full bases
+    grams = [cert.gram_moment] + cert.gram_localizing
+    for gram, s in zip(grams, comp.block_degrees()):
+        assert gram.shape == (basis_size(comp.nvars, s),) * 2
     assert comp.certificate_residual(cert) <= 1e-6
+
+
+def test_reduced_ex36_dump_round_trip():
+    comp = moment_relaxation(load_problem("ex36.json"), 3)
+    sides = [blk.side for blk in comp.sdp.psd_blocks]
+    assert sides == [63] + [25] * 6
+    buf = io.StringIO()
+    write_sparse_sdp(comp.sdp, buf)
+    buf.seek(0)
+    back = read_sparse_sdp(buf)
+    assert [blk.side for blk in back.psd_blocks] == sides
+    assert solve_sdp(back).obj_primal == pytest.approx(solve_sdp(comp.sdp).obj_primal, abs=1e-6)
 
 
 def test_sphere_quadratic_gmp():
@@ -445,3 +467,91 @@ def test_json_rejects_bad_input():
         problem_from_json({"n": 1, "f": [{"c": 1.0, "e": [1.5]}]})
     # an integral float is an integer
     assert problem_from_json({"n": 1.0, "f": [{"c": 1.0, "e": [2.0]}]}).nvars == 1
+
+
+GOOD = [{"c": 1.0, "e": [1]}]
+
+
+@pytest.mark.parametrize("data, message", [
+    # a string or boolean coefficient used to be read as a float
+    ({"n": 1, "f": [{"c": "2", "e": [1]}]}, r"'f': coefficient '2' must be a number"),
+    ({"n": 1, "f": [{"c": True, "e": [1]}]}, r"'f': coefficient True must be a number"),
+    ({"n": 1, "f": GOOD, "set": {"eq": [[{"c": "1", "e": [0]}]]}},
+     r"'set.eq\[0\]': coefficient '1' must be a number"),
+    # a non-list field used to fail with "'int' object is not iterable"
+    ({"n": 1, "f": GOOD, "set": {"eq": 5}}, "'set.eq' must be a list of polynomials"),
+    ({"n": 1, "f": GOOD, "set": {"ineq": 5}}, "'set.ineq' must be a list of polynomials"),
+    ({"n": 1, "f": GOOD, "gmp": {"a": 5, "b": [1.0], "m1": 1, "d": 1}},
+     "'gmp.a' must be a list of polynomials"),
+])
+def test_json_rejects_non_numbers_and_non_lists_naming_the_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        problem_from_json(data)
+
+
+def face_relaxations():
+    """The manifest relaxations at their manifest variants and orders,
+    x^2 + 1 = 0, and a random box quartic with one random equality in every
+    variant."""
+    for name, variant, k in [("ex35.json", "plain", 3), ("ex36.json", "plain", 3),
+                             ("ex43.json", "homogenized", 2),
+                             ("ex46.json", "homogenized", 3),
+                             ("ex48.json", "denominator", 3)]:
+        yield compile_relaxation(load_problem(name), variant, k)
+    no_real_point = SemialgebraicSet(1, equalities=(x(1, 0) ** 2 + 1.0,))
+    for k in (1, 3):
+        yield moment_relaxation(PopProblem(no_real_point, x(1, 0)), k)
+    rng = np.random.default_rng(5)
+    n = 2
+    h = Polynomial(n, oracles.random_terms(rng, n, 2, 4)) + x(n, 0) ** 2
+    box = SemialgebraicSet(
+        n, equalities=(h,), inequalities=tuple(1.0 - x(n, i) ** 2 for i in range(n)),
+        archimedean=True, closed_at_infinity=True,
+    )
+    pop = PopProblem(box, Polynomial(n, oracles.random_terms(rng, n, 4, 6)))
+    for variant in ("plain", "homogenized", "denominator"):
+        for k in (2, 3):
+            yield compile_relaxation(pop, variant, k)
+
+
+@pytest.mark.parametrize("comp", face_relaxations(),
+                         ids=lambda c: f"{c.variant.value}-n{c.nvars}-k{c.order}")
+def test_face_matches_numerical_kernel(comp):
+    """Each block keeps the monomials that a numerical kernel leaves free.
+
+    At random points w of {A w = b}, S(w) has a kernel of dimension
+    side - len(kept), S(w) K^T = 0 for the symbolic rows K, K is nonsingular
+    on the dropped positions, and the emitted block is S(w)'s principal
+    submatrix on the kept positions.
+    """
+    rng = np.random.default_rng(8)
+    n = comp.nvars
+    weights = (Polynomial.constant(n, 1.0),) + comp.relaxed.set.inequalities
+    points = oracles.affine_points(comp.sdp.eq_a, comp.sdp.eq_b, rng, 2)
+    assert len(comp.kept) == len(comp.sdp.psd_blocks) == len(weights)
+    for q, kept, s, blk in zip(weights, comp.kept, comp.block_degrees(), comp.sdp.psd_blocks):
+        side = basis_size(n, s)
+        rows = _face_rows(comp.relaxed.set.equalities, n, s)
+        dropped = np.setdiff1d(np.arange(side), kept)
+        rank = np.linalg.matrix_rank(rows) if len(rows) else 0
+        assert len(dropped) == rank
+        if rank:
+            assert np.linalg.matrix_rank(rows[:, dropped]) == rank
+        assert blk.side == len(kept)
+        for w in points:
+            full = oracles.localizing_matrix(q.terms, n, w, comp.block_order)
+            assert full.shape == (side, side)
+            assert oracles.numerical_kernel(full).shape[1] == side - len(kept)
+            assert np.abs(full @ rows.T).max(initial=0.0) <= 1e-9 * np.abs(full).max()
+            assert np.allclose(blk.materialize(w), full[np.ix_(kept, kept)], rtol=0, atol=1e-12)
+
+
+def test_empty_real_variety_is_primal_infeasible_at_every_order():
+    # x^2 + 1 = 0 has no real point; from k = 2 on its face keeps two
+    # monomials (1 and x at k = 2, where the block is [[1, w1], [w1, -1]])
+    pop = PopProblem(SemialgebraicSet(1, equalities=(x(1, 0) ** 2 + 1.0,)), x(1, 0))
+    result = solve_hierarchy(pop, "plain", 1, 4)
+    assert [rec.status for rec in result.records] == ["primal_infeasible"] * 4
+    assert moment_relaxation(pop, 2).kept[0].tolist() == [0, 1]
+    for k in (2, 3, 4):
+        assert [blk.side for blk in moment_relaxation(pop, k).sdp.psd_blocks] == [2]

@@ -371,8 +371,9 @@ def test_schur_matches_dense_reference(monkeypatch, budget):
 def relaxation_blocks():
     """Blocks of real relaxations, whose variables carry uneven entry counts.
 
-    The ex48 moment block (side 56) and the localizing block of the unit ball
-    at n = 3, k = 3 (side 10).
+    The ex48 moment block (side 45: the 56 monomials of degree <= 3 less
+    the 11 that its equalities fix) and the localizing block of the unit
+    ball at n = 3, k = 3 (side 10).
     """
     ex48 = compile_relaxation(load_problem("ex48.json"), "denominator", 3)
     ball = [{"c": 1.0, "e": [0, 0, 0]}] + [
@@ -390,7 +391,7 @@ def test_schur_matches_dense_reference_on_relaxation_blocks(monkeypatch, budget)
     """As above on real blocks; budget 1 puts one variable in each batch."""
     monkeypatch.setattr(sdp_module, "_SCHUR_BUDGET", budget)
     rng = np.random.default_rng(13)
-    for blk, side in zip(relaxation_blocks(), (56, 10)):
+    for blk, side in zip(relaxation_blocks(), (45, 10)):
         assert blk.side == side
         count = np.bincount(blk._sym_var)[blk.active]
         assert count.min() < count.max()
