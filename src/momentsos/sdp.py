@@ -49,8 +49,11 @@ W_j = Ginv_j^T Ginv_j from block j's scaling, the block adds
 M_uv = <G_u, W_j G_v W_j> on its active variables (the formula of Fujisawa,
 Kojima and Nakata, as in SDPA).  `PsdBlock.schur` forms each W G_v W from
 the stored entries alone, as W[:, tgt] diag(coef) W[src, :] over v's r_v
-entries, at side^2 r_v instead of side^3 per variable, and reads M off with
-one sparse product with a CSR matrix of the entries.  The Newton step maps
+entries, at side^2 r_v instead of side^3 per variable, and reads row v of M
+off with one sparse product with a CSR matrix of the entries, whose rows are
+the global variable indices.  Each block adds its rows straight into the
+solver's nfree-by-nfree M, which is symmetrized once per iteration, after
+every block has added its rows (`_schur_complement`).  The Newton step maps
 through the same entries with `PsdBlock.adjoint` and `PsdBlock.materialize`.
 No basis of the block's symmetric-matrix space is formed; only the block
 factorizations (Cholesky, SVD, eigenvalues) are dense.
@@ -138,10 +141,12 @@ _DENSE_T = 0.1
 # per-call overhead saved.
 _PACK_SIDE = 24
 
-# Multiply-adds of one PsdBlock.schur batch: the batch's variables times its
-# largest entry count (both triangles, the padding included) times side^2
-# stay within this, unless the batch is a single variable.  It also bounds the
-# batch's W G_v W stack to this many doubles.
+# Size of one PsdBlock.schur batch, unless the batch is a single variable:
+# its variables times its largest entry count (both triangles, the padding
+# included) times side^2, the multiply-adds of its W G_v W stack and a bound
+# on the stack's doubles, stay within this; so do its variables times the
+# rows of the block's read-off (the last active variable plus one), the
+# doubles of the rows that the batch adds into M.
 _SCHUR_BUDGET = 1 << 20
 
 
@@ -178,11 +183,12 @@ class PsdBlock:
     The constructor lays out once the index arrays that the per-iteration
     operations read: the flat positions of the entries in both triangles
     (one `np.bincount` builds S(w) or a G_v), the sorted `active` variables,
-    a CSR matrix R of shape (active, side^2) that holds each active
-    variable's weighted upper entries at their flat positions, so that
-    R vec(X) = (<G_u, X>)_u, and the batches of `schur`: the active
-    variables sorted by entry count, each batch's entry lists in both
-    triangles padded with zero coefficients to its largest count.
+    a CSR matrix R of shape (active[-1] + 1, side^2) whose row u holds
+    variable u's weighted upper entries at their flat positions (empty for
+    an inactive u), so that R vec(X) = (<G_u, X>)_u is indexed like the
+    solver's variables, and the batches of `schur`: the active variables
+    sorted by entry count, each batch's entry lists in both triangles padded
+    with zero coefficients to its largest count.
     `scaled_rows`, the dense formation that `schur` replaced, is not used by
     the solver: it is the tests' reference, and the benchmark's tracer
     (bench/tracing.py) still looks the name up.
@@ -239,11 +245,11 @@ class PsdBlock:
         self._sym_coef = coef[ent]
         self._flat = row * side + col
         self._wcoef = coef * np.where(row == col, 1.0, 2.0)
-        starts = _run_starts(var)
-        self.active = var[starts]
+        self.active = var[_run_starts(var)]
+        nrows = int(self.active[-1]) + 1 if len(var) else 0
         self._readoff = sparse.csr_array(
-            (self._wcoef, self._flat, np.append(starts, len(var))),
-            shape=(len(self.active), side * side),
+            (self._wcoef, self._flat, np.searchsorted(var, np.arange(nrows + 1))),
+            shape=(nrows, side * side),
         )
         # the batches: runs of the active variables in order of entry count
         # (both triangles), each as long as _SCHUR_BUDGET allows
@@ -258,6 +264,7 @@ class PsdBlock:
             # padded[j]: padded entries of a batch of the next j + 1 variables
             padded = np.arange(1, len(count) - b0 + 1) * count[b0:]
             fits = np.searchsorted(padded, _SCHUR_BUDGET // side**2, "right")
+            fits = min(fits, _SCHUR_BUDGET // nrows)
             b1 = b0 + max(1, int(fits))
             pad = np.arange(count[b1 - 1])
             real = pad < count[b0:b1, np.newaxis]
@@ -299,26 +306,27 @@ class PsdBlock:
         vals = self._wcoef * z.ravel()[self._flat]
         return np.bincount(self.var, weights=vals, minlength=nfree)
 
-    def schur(self, w: np.ndarray) -> np.ndarray:
-        """Matrix M[a, b] = <G_u, W G_v W> for u = active[a], v = active[b].
+    def schur(self, w: np.ndarray, m: np.ndarray) -> None:
+        """Add the block's rows of the Schur complement into m, in place.
 
-        This is the block's term of the Schur complement (W = Ginv^T Ginv
-        for the Nesterov-Todd scaling Ginv), the formula of Fujisawa, Kojima
-        and Nakata (Math. Prog. 79, 1997) applied to the stored entries
-        instead of a dense G_v.  With v's r_v entries (tgt, src, coef) in
-        both triangles, W G_v W = W[:, tgt] diag(coef) W[src, :], which costs
-        side^2 r_v instead of side^3; one batched product forms it for a
-        batch of variables, and one sparse product reads their columns of M
-        off as R [vec(W G_v W)]_v, R as in the class docstring.
+        For each active variable v, row v of m gains <G_u, W G_v W> at every
+        column u < R.shape[0] (W = Ginv^T Ginv for the Nesterov-Todd scaling
+        Ginv): the formula of Fujisawa, Kojima and Nakata (Math. Prog. 79,
+        1997) applied to the stored entries instead of a dense G_v.  With
+        v's r_v entries (tgt, src, coef) in both triangles,
+        W G_v W = W[:, tgt] diag(coef) W[src, :], which costs side^2 r_v
+        instead of side^3; one batched product forms it for a batch of
+        variables, and one sparse product reads their rows of m off as
+        R [vec(W G_v W)]_v, R as in the class docstring.  Rows of inactive
+        variables are left as they are.  The added term is symmetric only up
+        to rounding; the caller symmetrizes the sum over its blocks.
         """
-        na = len(self.active)
-        m = np.empty((na, na))
+        nrows = self._readoff.shape[0]
         for cols, tgt, src, coef in self._batches:
             # W[:, tgt] = W[tgt, :]^T, as W is symmetric
             wgw = np.matmul((coef * w[tgt]).transpose(0, 2, 1), w[src])
-            # stored as rows, which is faster; m is symmetrized below
-            m[cols] = (self._readoff @ wgw.reshape(len(cols), -1).T).T
-        return 0.5 * (m + m.T)
+            r = self._readoff @ wgw.reshape(len(cols), -1).T
+            m[self.active[cols], :nrows] += r.T
 
     def scaled_rows(self, ginv: np.ndarray, nfree: int, chunk: int = 512) -> np.ndarray:
         """Matrix V with V[v] = svec(Ginv G_v Ginv^T): the dense Schur formation.
@@ -880,8 +888,9 @@ def solve_sdp(
     s_b = [beta_p * np.eye(b.side) for b in blocks]
     z_b = [beta_d * np.eye(b.side) for b in blocks]
 
-    # the Schur complement, rebuilt in place: the last iteration's Newton
-    # system holds it until the next one replaces it
+    # the Schur complement, rebuilt in place by _schur_complement: every block
+    # adds its rows into it, then it is symmetrized once; the last
+    # iteration's Newton system holds it until the next one replaces it
     m = np.empty((nfree, nfree))
 
     accept_tol = max(100.0 * tol, 1e-6)
@@ -937,13 +946,8 @@ def solve_sdp(
             message = "cone iterate lost definiteness"
             break
 
-        m.fill(0.0)
-        for blk, cone, rb in zip(blocks, cones, r_b):
-            term = blk.schur(cone.ginv.T @ cone.ginv)
-            if len(blk.active) == nfree:  # active is then 0, 1, ..., nfree - 1
-                m += term
-            else:
-                m[np.ix_(blk.active, blk.active)] += term
+        _schur_complement(blocks, [cone.ginv for cone in cones], m)
+        for cone, rb in zip(cones, r_b):
             cone.rbar = cone.ginv @ rb @ cone.ginv.T
 
         system = _NewtonSystem(eq, m)
@@ -1034,6 +1038,21 @@ def _finish(status, prob, eq, w, y, z_b, res, iterations, message):
         iterations=iterations,
         message=message,
     )
+
+
+def _schur_complement(blocks, ginvs, m: np.ndarray) -> np.ndarray:
+    """m = sum_j M_j with (M_j)_uv = <G_ju, W_j G_jv W_j>, W_j = Ginv_j^T Ginv_j.
+
+    Each block adds its rows into m (`PsdBlock.schur`), and the sum is
+    symmetrized once, in place.  Rows and columns of variables that no block
+    touches are zero.  Returns m.
+    """
+    m.fill(0.0)
+    for blk, ginv in zip(blocks, ginvs):
+        blk.schur(ginv.T @ ginv, m)
+    m += m.T  # numpy buffers the overlapping transpose
+    m *= 0.5
+    return m
 
 
 def _factor_with_bump(m: np.ndarray):
@@ -1135,6 +1154,8 @@ def _solve_equality_only(prob, eq, tol):
 # block 1 the equality rows, block 2 the inequality rows, block 3+j the j-th
 # PSD block.  var = 0 denotes the constant side (right-hand side for rows,
 # G_0 entries for PSD blocks); var = i >= 1 refers to decision variable i.
+# Each entry has one line: the reader rejects a repeated one, and a PSD line
+# that repeats its mirror (row and col swapped).
 # Lines starting with '#' are comments; the header records dimensions.
 
 
@@ -1202,6 +1223,8 @@ def read_sparse_sdp(fh: TextIO) -> SdpProblem:
 
     # (rows, columns) of each section; the objective and the rows have one column
     shapes = [(1, 1), (me, 1), (ml, 1)] + [(s, s) for s in sides]
+    # the line of each entry; a PSD entry and its mirror are one entry
+    seen = {}
     for blockid, r, c, v, val, line in entries:
         if not 0 <= blockid < len(shapes):
             raise ValueError(f"section {blockid} out of range in dump line '{line}'")
@@ -1211,6 +1234,10 @@ def read_sparse_sdp(fh: TextIO) -> SdpProblem:
         first_var = 1 if blockid == 0 else 0  # the objective has no constant
         if not first_var <= v <= nfree:
             raise ValueError(f"variable index {v} out of range in dump line '{line}'")
+        key = (blockid, min(r, c), max(r, c), v)
+        if key in seen:
+            raise ValueError(f"dump line '{line}' repeats the entry of line '{seen[key]}'")
+        seen[key] = line
     objective = np.zeros(nfree)
     eq_a, eq_b = np.zeros((me, nfree)), np.zeros(me)
     ineq_b, ineq_d = np.zeros((ml, nfree)), np.zeros(ml)

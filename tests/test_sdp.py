@@ -350,9 +350,33 @@ def relative_error(got, want):
     return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300) if want.size else 0.0
 
 
+def block_rows(blk, w, nfree, sentinel=7.0):
+    """blk.schur(w, m) on m = 0, with the rows of blk's inactive variables
+    preset to sentinel; checks that those rows stay untouched and that a
+    second call adds the same rows again, and returns the first call's m
+    with the sentinel rows zeroed.  Also checks that each batch of more than
+    one variable keeps its padded entries times side^2, and its variables
+    times its read-off rows, within _SCHUR_BUDGET."""
+    budget = sdp_module._SCHUR_BUDGET
+    for cols, tgt, _, _ in blk._batches:
+        assert len(cols) == 1 or (
+            tgt.size * blk.side**2 <= budget and len(cols) * blk._readoff.shape[0] <= budget
+        )
+    inactive = np.setdiff1d(np.arange(nfree), blk.active)
+    m = np.zeros((nfree, nfree))
+    m[inactive] = sentinel
+    blk.schur(w, m)
+    once = m.copy()
+    blk.schur(w, m)
+    assert np.all(m[inactive] == sentinel)
+    assert np.array_equal(m[blk.active], 2.0 * once[blk.active])  # x + x = 2x exactly
+    once[inactive] = 0.0
+    return once
+
+
 @pytest.mark.parametrize("budget", [1 << 20, 16])
 def test_schur_matches_dense_reference(monkeypatch, budget):
-    """blk.schur(Ginv^T Ginv) is V V^T on the active variables, V = scaled_rows."""
+    """blk.schur(Ginv^T Ginv, m) adds V V^T into m, V = scaled_rows."""
     monkeypatch.setattr(sdp_module, "_SCHUR_BUDGET", budget)  # 16 forces many batches
     rng = np.random.default_rng(11)
     sizes = ((1, 1), (4, 6), (9, 40))  # (nfree, entries before duplication)
@@ -360,11 +384,10 @@ def test_schur_matches_dense_reference(monkeypatch, budget):
         blk = random_block(rng, side, nfree, nent)
         ginv = random_scaling(rng, side)
         v = blk.scaled_rows(ginv, nfree)
-        want = (v @ v.T)[np.ix_(blk.active, blk.active)]
-        got = blk.schur(ginv.T @ ginv)
-        assert got.shape == (len(blk.active),) * 2
-        assert np.array_equal(got, got.T)
+        want = v @ v.T
+        got = block_rows(blk, ginv.T @ ginv, nfree)
         assert relative_error(got, want) <= 1e-12
+        assert relative_error(0.5 * (got + got.T), want) <= 1e-12
         assert not np.any(v[np.setdiff1d(np.arange(nfree), blk.active)])
 
 
@@ -397,20 +420,71 @@ def test_schur_matches_dense_reference_on_relaxation_blocks(monkeypatch, budget)
         assert count.min() < count.max()
         if budget == 1:
             assert len(blk._batches) == len(blk.active)
+        nfree = int(blk.var.max()) + 3  # two variables beyond the block's
         ginv = random_scaling(rng, side)
-        v = blk.scaled_rows(ginv, int(blk.var.max()) + 1)
-        want = (v @ v.T)[np.ix_(blk.active, blk.active)]
-        got = blk.schur(ginv.T @ ginv)
-        assert np.array_equal(got, got.T)
+        v = blk.scaled_rows(ginv, nfree)
+        want = v @ v.T
+        got = block_rows(blk, ginv.T @ ginv, nfree)
         assert relative_error(got, want) <= 1e-12
+        assert relative_error(0.5 * (got + got.T), want) <= 1e-12
 
 
 def test_schur_of_block_without_entries():
     blk = PsdBlock(3, [0, 0], [0, 0], [1, 1], [1.0, -1.0], const=np.eye(3))
     assert len(blk.var) == 0 and len(blk.active) == 0
-    assert blk.schur(np.eye(3)).shape == (0, 0)
+    m = np.zeros((2, 2))
+    blk.schur(np.eye(3), m)
+    assert not m.any()
     assert blk.materialize(np.zeros(2)).tolist() == np.eye(3).tolist()
     assert blk.adjoint(np.ones((3, 3)), 2).tolist() == [0.0, 0.0]
+
+
+def schur_cases():
+    """Problems for the solver's Schur assembly, by name.
+
+    ex36 (plain, k = 3) has blocks 63 + 6x25 and one inequality row on 924
+    moments, some of which only its equality rows reach; 'packed' packs two
+    small blocks with the inequality rows' block, and its variable 5 appears
+    only in an equality row.
+    """
+    ex36 = compile_relaxation(load_problem("ex36.json"), "plain", 3).sdp
+    rng = np.random.default_rng(21)
+    small = [random_block(rng, 3, 5, 8), random_block(rng, 2, 5, 4)]
+    packed = SdpProblem(
+        6, rng.uniform(-1, 1, 6),
+        eq_a=[[0.0, 0.0, 0.0, 0.0, 1.0, 1.0]], eq_b=[1.0],
+        ineq_b=[[1.0, -1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0, 0.0, 0.0]],
+        ineq_d=[0.0, -1.0],
+        psd_blocks=small,
+    )
+    return {"ex36": ex36, "packed": packed}
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 1])
+@pytest.mark.parametrize("case", ["ex36", "packed"])
+def test_schur_complement_matches_dense_reference(monkeypatch, budget, case):
+    """The solver's M is sum_j V_j V_j^T, V_j = scaled_rows of cone block j,
+    exactly symmetric and zero on the variables that no block touches."""
+    monkeypatch.setattr(sdp_module, "_SCHUR_BUDGET", budget)
+    prob = schur_cases()[case]
+    nfree = prob.nfree
+    blocks, _ = sdp_module._pack(sdp_module._cone_blocks(prob))
+    if case == "ex36":
+        # the last block is the one inequality row's, alone as 25 + 1 > _PACK_SIDE
+        assert [b.side for b in blocks] == [63] + [25] * 6 + [1]
+        assert [len(b.active) for b in blocks] == [731] + [189] * 6 + [6]
+    else:
+        assert [b.side for b in blocks] == [3 + 2 + 2]  # one group, the rows included
+    rng = np.random.default_rng(22)
+    ginvs = [random_scaling(rng, b.side) for b in blocks]
+    want = sum(b.scaled_rows(g, nfree) @ b.scaled_rows(g, nfree).T
+               for b, g in zip(blocks, ginvs))
+    got = sdp_module._schur_complement(blocks, ginvs, np.full((nfree, nfree), np.nan))
+    assert relative_error(got, want) <= 1e-12
+    assert np.array_equal(got, got.T)
+    untouched = np.setdiff1d(np.arange(nfree), np.concatenate([b.active for b in blocks]))
+    assert len(untouched) and (case == "ex36" or 5 in untouched)
+    assert not got[untouched].any() and not got[:, untouched].any()
 
 
 def test_newton_identities_match_svec_reference():
@@ -479,6 +553,27 @@ def test_negative_variable_index_is_rejected():
     good = read_sparse_sdp(io.StringIO(header + "1 0 0 2 5.0\n3 1 0 0 7.0\n"))
     assert good.eq_a.tolist() == [[0.0, 5.0]]
     assert good.psd_blocks[0].const.tolist() == [[0.0, 7.0], [7.0, 0.0]]
+
+
+def test_dump_rejects_repeated_entries():
+    """A repeated line, or a PSD line that repeats its mirror, is an error
+    rather than a silent overwrite or sum."""
+    header = "# nvars 2 eq 1 ineq 1 psd 1 sides 2\n"
+    for first, again in (
+        ("0 0 0 1 1.0", "0 0 0 1 1.0"),  # objective
+        ("1 0 0 2 5.0", "1 0 0 2 6.0"),  # equality coefficient
+        ("1 0 0 0 5.0", "1 0 0 0 5.0"),  # equality right-hand side
+        ("2 0 0 0 1.0", "2 0 0 0 2.0"),  # inequality right-hand side
+        ("3 0 1 0 7.0", "3 1 0 0 7.0"),  # constant and its mirror
+        ("3 0 0 1 1.0", "3 0 0 1 1.0"),  # coefficient
+        ("3 0 1 2 1.0", "3 1 0 2 3.0"),  # coefficient and its mirror
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"'{again}' repeats") + ".*"
+                           + re.escape(f"'{first}'")):
+            read_sparse_sdp(io.StringIO(header + first + "\n" + again + "\n"))
+    # the same position under another variable, or in another section, is new
+    back = read_sparse_sdp(io.StringIO(header + "3 0 1 1 1.0\n3 0 1 2 2.0\n2 0 0 1 1.0\n"))
+    assert [b.var.tolist() for b in back.psd_blocks] == [[0, 1]]
 
 
 def test_non_finite_data_is_rejected():
