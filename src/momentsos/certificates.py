@@ -195,12 +195,19 @@ def extract_atoms(
     points = points[np.lexsort(np.round(points, 6).T[::-1])]
 
     w2t = w.truncate(2 * t)
-    basis_2t = monomial_basis(n, 2 * t)
-    vand = np.empty((len(basis_2t), r))
-    for pos, e in enumerate(basis_2t.exponents):
-        vand[pos] = [np.prod(points[ell] ** np.array(e)) for ell in range(r)]
+    vand = _vandermonde(points, monomial_basis(n, 2 * t))
     weights, *_ = np.linalg.lstsq(vand, w2t.values, rcond=None)
     return AtomicMeasure(weights=weights, points=points)
+
+
+def _vandermonde(points: np.ndarray, basis) -> np.ndarray:
+    """V[pos, ell] = x_ell^e for the pos-th exponent e of basis and the ell-th point.
+
+    One broadcast power and one product over the coordinates, taken in order
+    of i as np.prod(x_ell ** e) takes them, so V is that loop's bit for bit.
+    """
+    exps = np.array(basis.exponents, dtype=np.int64).reshape(len(basis), points.shape[1])
+    return np.prod(points[np.newaxis, :, :] ** exps[:, np.newaxis, :], axis=2)
 
 
 def dehomogenize_atoms(

@@ -58,6 +58,15 @@ through the same entries with `PsdBlock.adjoint` and `PsdBlock.materialize`.
 No basis of the block's symmetric-matrix space is formed; only the block
 factorizations (Cholesky, SVD, eigenvalues) are dense.
 
+M is dense in the moments, so the nfree-by-nfree arrays, not the
+arithmetic, set how large a relaxation fits in memory.  One iteration holds
+two of them: M, allocated once per solve and rebuilt in place, and the
+Cholesky factor of the reduced Schur complement (below); the last
+iteration's factor is released before M is rebuilt.  Besides these it
+holds the batch work arrays of `PsdBlock.schur`, within _SCHUR_BUDGET
+doubles, one _SYM_TILE tile while M is symmetrized and, when the null space
+has a nonzero T, the (nfree - r)-by-nfree rows of N^T M.
+
 The equality rows have one owner, `_EqualityRows`, built once per solve:
 it keeps an independent subset of the rows, scales them, checks the dropped
 ones for consistency, factors the kept ones and maps multipliers back to
@@ -148,6 +157,12 @@ _PACK_SIDE = 24
 # rows of the block's read-off (the last active variable plus one), the
 # doubles of the rows that the batch adds into M.
 _SCHUR_BUDGET = 1 << 20
+
+# Side of the square tiles in which _schur_complement symmetrizes M in place:
+# two tiles of doubles (256 KB) stay in cache.  On a 924-wide M this took
+# 2.3 ms against 2.8 ms for 64 and 2.6 ms for 256, and 4.4 ms for
+# `m += m.T; m *= 0.5` (timeit, warm M, 1 BLAS thread, shared 2-vCPU VM).
+_SYM_TILE = 128
 
 
 class SdpStatus(str, Enum):
@@ -548,7 +563,12 @@ class _EqualityRows:
     span the null space of a, so every solution of a w = e is w_p + N u with
     w_p[B] = a_B^-1 e and w_p[F] = 0.  T is kept as T and T^T: sparse (CSR)
     when at most _DENSE_T of its entries are nonzero, dense otherwise, and
-    None when it is zero, as for rows that touch only basic variables.
+    None when it is zero, as for rows that touch only basic variables.  A
+    sparse T^T is also kept as `tt_global`, whose columns are the basic
+    variables' global indices, so that it multiplies M's rows in place.
+
+    Of the LU factor only the r-by-r factor of a_B^T (`lu`, contiguous, for
+    dgetrs) and T are kept; the n-by-r factor is dropped once T is formed.
     """
 
     def __init__(self, eq_a: np.ndarray, eq_b: np.ndarray):
@@ -579,21 +599,28 @@ class _EqualityRows:
         self.basic = order[:rank]
         by_index = np.argsort(order[rank:])
         free = order[rank:][by_index]
-        # dgetrs with this factor and no interchanges solves with a_B^T, a_B
-        self.lu = lu[:rank]
+        # dgetrs with this factor and no interchanges solves with a_B^T, a_B;
+        # it is a contiguous copy, which the wrappers pass on as it is, where
+        # the view lu[:rank] of the n-by-r factor would be copied on each call
+        self.lu = np.array(lu[:rank], order="F")
         self.piv = np.arange(rank, dtype=np.int32)
         if n - rank and free[-1] - free[0] == n - rank - 1:
             self.free = slice(int(free[0]), int(free[-1]) + 1)
         else:
             self.free = free
         # T^T = -L2 L1^-1, one row per free variable
-        tt = -_tri_solve(lu[:rank], lu[rank:][by_index].T, trans=1, unitdiag=1).T
+        tt = -_tri_solve(self.lu, lu[rank:][by_index].T, trans=1, unitdiag=1).T
         nnz = np.count_nonzero(tt)
-        self.tt = self.t = None
+        self.tt = self.t = self.tt_global = None
         if nnz > _DENSE_T * tt.size:
             self.tt, self.t = tt, np.ascontiguousarray(tt.T)
         elif nnz:
             self.tt, self.t = sparse.csr_array(tt), sparse.csr_array(tt.T)
+            # T^T with column k renumbered basic[k] and each row's entries in
+            # their order, so that tt_global @ x sums as self.tt @ x[basic]
+            self.tt_global = sparse.csr_array(
+                (self.tt.data, self.basic[self.tt.indices], self.tt.indptr), shape=(n - rank, n)
+            )
 
         self.consistent = rank == me or bool(
             np.abs(eq_a @ self.particular(self.b) - eq_b).max()
@@ -623,24 +650,42 @@ class _EqualityRows:
         w[self.basic] = 0.0 if self.t is None else self.t @ u
         return w
 
+    def _tt_basic(self, x: np.ndarray) -> np.ndarray:
+        """T^T x[B] for a vector or matrix x with one row per variable.
+
+        A sparse T reads the rows of x in place, through `tt_global`.
+        """
+        if self.tt_global is not None:
+            return self.tt_global @ x
+        return self.tt @ x[self.basic]
+
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """N^T v."""
         if self.tt is None:
             return v[self.free]
-        return v[self.free] + self.tt @ v[self.basic]
+        return v[self.free] + self._tt_basic(v)
 
     def schur(self, m: np.ndarray):
-        """(N^T M N, (N^T M)[:, B]) for symmetric M.
+        """(N^T M N, (N^T M)[:, B]) for exactly symmetric M.
 
-        Without T the first is M[F, F], a view of m when F is a slice.
+        `_factor_with_bump` copies the first into Fortran order, so it is
+        handed out in that order.  Without T it is M[F, F] (a view of m when
+        F is a slice) as its transpose, which holds the same numbers because
+        M is exactly symmetric.  With T, P = N^T M = T^T M_B + M_F, whose
+        T^T M_B reads M's rows in place (`_tt_basic`), and
+        N^T M N = (T^T P_B^T)^T + P_F with P_B = P[:, B], the second
+        matrix; the transpose of the C-ordered product is in Fortran order.
+        Each entry is a sum of the same two terms as in M_F + T^T M_B and
+        P_F + (T^T P_B^T)^T, and floating-point addition commutes.
         """
-        p = m[self.free]
-        if self.tt is not None:
-            p = p + self.tt @ m[self.basic]
+        if self.tt is None:
+            p = m[self.free]
+            return p[:, self.free].T, p[:, self.basic]
+        p = self._tt_basic(m)
+        p += m[self.free]
         pb = p[:, self.basic]
-        k = p[:, self.free]
-        if self.tt is not None:
-            k = k + (self.tt @ pb.T).T
+        k = (self.tt @ pb.T).T
+        k += p[:, self.free]
         return k, pb
 
 
@@ -652,7 +697,10 @@ class _NewtonSystem:
     to the accuracy of the LU solve; N^T M N du = N^T (h - M dw_p); and
     A_B^T dy = (M dw - h)[B].  N^T M N, nfree - rank wide, is the one matrix
     factored per iteration; `kfac` is None when even a bumped Cholesky of it
-    fails.
+    fails.  The system refers to the caller's M and owns kfac, its one
+    nfree-wide array; N^T M N itself is dropped once it is factored.
+    `solve_sdp` releases the system before it rebuilds M, so that one
+    iteration never holds two factors.
     """
 
     def __init__(self, eq: _EqualityRows, m: np.ndarray):
@@ -889,8 +937,7 @@ def solve_sdp(
     z_b = [beta_d * np.eye(b.side) for b in blocks]
 
     # the Schur complement, rebuilt in place by _schur_complement: every block
-    # adds its rows into it, then it is symmetrized once; the last
-    # iteration's Newton system holds it until the next one replaces it
+    # adds its rows into it, then it is symmetrized once
     m = np.empty((nfree, nfree))
 
     accept_tol = max(100.0 * tol, 1e-6)
@@ -946,6 +993,9 @@ def solve_sdp(
             message = "cone iterate lost definiteness"
             break
 
+        # the last iteration's factor goes before M is rebuilt: one iteration
+        # holds M and one factor of it, no other n-by-n array
+        system = None
         _schur_complement(blocks, [cone.ginv for cone in cones], m)
         for cone, rb in zip(cones, r_b):
             cone.rbar = cone.ginv @ rb @ cone.ginv.T
@@ -1043,15 +1093,26 @@ def _finish(status, prob, eq, w, y, z_b, res, iterations, message):
 def _schur_complement(blocks, ginvs, m: np.ndarray) -> np.ndarray:
     """m = sum_j M_j with (M_j)_uv = <G_ju, W_j G_jv W_j>, W_j = Ginv_j^T Ginv_j.
 
-    Each block adds its rows into m (`PsdBlock.schur`), and the sum is
-    symmetrized once, in place.  Rows and columns of variables that no block
-    touches are zero.  Returns m.
+    Each block adds its rows into m (`PsdBlock.schur`, whose batch work
+    arrays stay within _SCHUR_BUDGET doubles), and the sum A is replaced by
+    (A + A^T) / 2 in place, one pair of _SYM_TILE tiles at a time: entry
+    (u, v) and entry (v, u) both become (A_uv + A_vu) * 0.5, the values of
+    `m += m.T; m *= 0.5`, which buffers a whole transpose.  So m is exactly
+    symmetric, and forming it allocates no n-by-n array.  Rows and columns
+    of variables that no block touches are zero.  Returns m.
     """
     m.fill(0.0)
     for blk, ginv in zip(blocks, ginvs):
         blk.schur(ginv.T @ ginv, m)
-    m += m.T  # numpy buffers the overlapping transpose
-    m *= 0.5
+    n = m.shape[0]
+    for i in range(0, n, _SYM_TILE):
+        for j in range(i, n, _SYM_TILE):
+            upper = m[i : i + _SYM_TILE, j : j + _SYM_TILE]
+            lower = m[j : j + _SYM_TILE, i : i + _SYM_TILE]
+            upper += lower.T  # numpy buffers a diagonal tile's own transpose
+            upper *= 0.5
+            if j > i:
+                lower[...] = upper.T
     return m
 
 
@@ -1061,7 +1122,8 @@ def _factor_with_bump(m: np.ndarray):
     The plain factor is tried first; only when it fails is m bumped, by
     1e-13 (1 + max diag m) and then 1e4 times more on each of at most four
     bumped attempts.  Each attempt copies m once, in the Fortran order dpotrf
-    factors in place.
+    factors in place; `_EqualityRows.schur` builds m in that order, so that
+    the copy is a straight one.
     """
     n = m.shape[0]
     first = 1e-13 * (1.0 + np.abs(np.diag(m)).max(initial=0.0))

@@ -20,12 +20,14 @@ from momentsos import (
     flat_truncation,
     homogenized_relaxation,
     moment_relaxation,
+    monomial_basis,
     numerical_rank,
     pair,
     solve_sdp,
     tms_from_atoms,
     verify_atoms,
 )
+from momentsos import certificates as certificates_module
 
 import oracles
 
@@ -128,6 +130,20 @@ def test_extract_atoms_lists_atoms_lexicographically():
         assert np.allclose(got.points, [[-1.0, 0.5], [0.0, -1.0], [0.0, 1.0], [1.0, -1.0]],
                            atol=1e-7)
         assert np.allclose(got.weights, [4.0, 3.0, 1.0, 2.0], atol=1e-7)
+
+
+@pytest.mark.parametrize("n, t, r", [(6, 3, 9), (3, 3, 2), (2, 2, 4), (1, 2, 1)])
+def test_vandermonde_equals_the_monomial_loop(n, t, r):
+    # extract_atoms fits the weights on this matrix; the broadcast must give
+    # the per-monomial products bit for bit, so that no weight moves
+    rng = np.random.default_rng(n + 10 * t + 100 * r)
+    points = rng.standard_normal((r, n))
+    points[rng.random((r, n)) < 0.2] = 0.0
+    basis = monomial_basis(n, 2 * t)
+    want = np.array([[np.prod(pt ** np.array(e)) for pt in points] for e in basis.exponents])
+    got = certificates_module._vandermonde(points, basis)
+    assert got.shape == (basis_size(n, 2 * t), r)
+    assert np.array_equal(got, want)
 
 
 def test_extract_atoms_needs_enough_degree():

@@ -2,10 +2,12 @@ import io
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import sparse
 
 from momentsos import (
     PsdBlock,
@@ -482,9 +484,39 @@ def test_schur_complement_matches_dense_reference(monkeypatch, budget, case):
     got = sdp_module._schur_complement(blocks, ginvs, np.full((nfree, nfree), np.nan))
     assert relative_error(got, want) <= 1e-12
     assert np.array_equal(got, got.T)
+    assert np.array_equal(got, unsymmetrized_average(blocks, ginvs, nfree))
     untouched = np.setdiff1d(np.arange(nfree), np.concatenate([b.active for b in blocks]))
     assert len(untouched) and (case == "ex36" or 5 in untouched)
     assert not got[untouched].any() and not got[:, untouched].any()
+
+
+def unsymmetrized_average(blocks, ginvs, nfree):
+    """0.5 * (A + A^T) for the sum A of the blocks' rows, before any symmetrization."""
+    a = np.zeros((nfree, nfree))
+    for blk, ginv in zip(blocks, ginvs):
+        blk.schur(ginv.T @ ginv, a)
+    return 0.5 * (a + a.T)
+
+
+TILE = sdp_module._SYM_TILE
+
+
+@pytest.mark.parametrize("nfree", [TILE - 1, TILE, TILE + 1, 300])
+def test_schur_complement_symmetrizes_in_tiles_exactly(nfree):
+    """The tiled in-place symmetrization gives 0.5 * (A + A^T) bit for bit on
+    sides one below, at and one above the tile, and on 300, which is no
+    multiple of it."""
+    rng = np.random.default_rng(nfree)
+    nent = 4 * nfree
+    blocks = [
+        PsdBlock(side, rng.integers(0, nfree, nent), rng.integers(0, side, nent),
+                 rng.integers(0, side, nent), rng.uniform(-1, 1, nent))
+        for side in (7, 3)
+    ]
+    ginvs = [random_scaling(rng, b.side) for b in blocks]
+    got = sdp_module._schur_complement(blocks, ginvs, np.full((nfree, nfree), np.nan))
+    assert np.array_equal(got, unsymmetrized_average(blocks, ginvs, nfree))
+    assert np.array_equal(got, got.T)
 
 
 def test_newton_identities_match_svec_reference():
@@ -864,7 +896,11 @@ def test_variable_touched_only_by_an_equality_row():
 
 def test_newton_solve_matches_dense_saddle_reference():
     """(dw, dy) from the null-space Newton solve equal np.linalg.solve of the
-    saddle system [[M, -A^T], [A, 0]] on the rows the presolve keeps."""
+    saddle system [[M, -A^T], [A, 0]] on the rows the presolve keeps.
+
+    The basic factor is a contiguous r-by-r array of its own, whose solves
+    equal those with the view of the LU factor of a^T that it was copied from.
+    """
     rng = np.random.default_rng(21)
     for nfree, rows in newton_reference_cases(rng):
         prob = SdpProblem(nfree, np.zeros(nfree), rows, np.zeros(len(rows)))
@@ -873,6 +909,13 @@ def test_newton_solve_matches_dense_saddle_reference():
         assert len(kept) == (np.linalg.matrix_rank(rows) if len(rows) else 0)
         a = rows[kept] / eq.scale[:, np.newaxis]
         r = len(kept)
+        assert eq.lu.shape == (r, r) and eq.lu.flags.f_contiguous and eq.lu.flags.owndata
+        if r:
+            view = sdp_module._lu_factor(a.T)[0][:r]
+            for trans, rhs in itertools.product((0, 1), (rng.standard_normal(r),
+                                                         rng.standard_normal((r, 3)))):
+                assert np.array_equal(eq.solve_basic(rhs, trans=trans),
+                                      sdp_module._lu_solve(view, eq.piv, rhs, trans=trans))
         m = random_spd(rng, nfree)
         h, e = rng.standard_normal(nfree), rng.standard_normal(r)
         dw, dy = sdp_module._NewtonSystem(eq, m).solve(h, e)
@@ -880,6 +923,27 @@ def test_newton_solve_matches_dense_saddle_reference():
         want = np.linalg.solve(saddle, np.concatenate([h, e]))
         assert relative_error(dw, want[:nfree]) <= 1e-10, (nfree, r)
         assert relative_error(dy, want[nfree:]) <= 1e-10, (nfree, r)
+
+
+def test_equality_schur_reads_m_in_place_on_ex36():
+    """With ex36's sparse T, the global-column product T^T M that reads M's
+    rows in place equals the product with the gathered rows M[B], and so do
+    the reduced matrices built from it, bit for bit."""
+    prob = compile_relaxation(load_problem("ex36.json"), "plain", 3).sdp
+    eq = sdp_module._EqualityRows(prob.eq_a, prob.eq_b)
+    assert sparse.issparse(eq.tt) and eq.tt_global.shape == (prob.nfree - len(eq.kept), prob.nfree)
+    rng = np.random.default_rng(36)
+    m = random_symmetric(rng, prob.nfree)
+    tm = eq.tt @ m[eq.basic]
+    assert np.array_equal(eq.tt_global @ m, tm)
+    p = m[eq.free] + tm
+    pb = p[:, eq.basic]
+    k, mnb = eq.schur(m)
+    assert np.array_equal(mnb, pb)
+    assert np.array_equal(k, p[:, eq.free] + (eq.tt @ pb.T).T)
+    assert k.flags.f_contiguous  # _factor_with_bump copies it straight
+    v = rng.standard_normal(prob.nfree)
+    assert np.array_equal(eq.reduce(v), v[eq.free] + eq.tt @ v[eq.basic])
 
 
 @pytest.mark.parametrize("name, variant", [("ex46.json", "homogenized"), ("ex48.json", "denominator")])
@@ -890,6 +954,34 @@ def test_singular_optimum_reaches_tol_without_fallback(name, variant):
     sol = solve_sdp(prob)
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.message == ""
+
+
+def test_newton_path_holds_m_and_one_factor(monkeypatch):
+    """A solve's traced peak stays within 2.75 nfree^2 doubles: M, the
+    Cholesky factor of the reduced Schur complement and small change.  A
+    third nfree-by-nfree array (the last iteration's factor, a transpose
+    buffer, a copy of the reduced matrix) would pass 3 nfree^2.  A tiny
+    _SCHUR_BUDGET keeps PsdBlock.schur's batch work arrays negligible; it
+    must be set before the blocks are built."""
+    monkeypatch.setattr(sdp_module, "_SCHUR_BUDGET", 4096)
+    n = 5
+    rng = np.random.default_rng(5)
+    exps = [e for e in itertools.product(range(5), repeat=n) if sum(e) <= 4]
+    f = [{"c": float(c), "e": list(e)} for e, c in zip(exps, rng.standard_normal(len(exps)))]
+    ball = [{"c": 1.0, "e": [0] * n}] + [
+        {"c": -1.0, "e": [2 if j == i else 0 for j in range(n)]} for i in range(n)
+    ]
+    pop = problem_from_json({"n": n, "f": f, "set": {"ineq": [ball]}})
+    prob = compile_relaxation(pop, "plain", 3).sdp
+    assert prob.nfree == 462
+    tracemalloc.start()
+    try:
+        sol = solve_sdp(prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.status is SdpStatus.OPTIMAL, sol.message
+    assert peak < 2.75 * prob.nfree**2 * 8, peak / (prob.nfree**2 * 8)
 
 
 def test_best_iterate_fallback():
