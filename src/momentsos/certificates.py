@@ -29,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import lsq_linear
 
 from .moments import AtomicMeasure, Tms, moment_matrix, tms_from_atoms
 from .polynomials import Polynomial, basis_size, monomial_basis, sum_positions
@@ -195,19 +194,9 @@ def extract_atoms(
     points = points[np.lexsort(np.round(points, 6).T[::-1])]
 
     w2t = w.truncate(2 * t)
-    vand = _vandermonde(points, monomial_basis(n, 2 * t))
+    vand = monomial_basis(n, 2 * t).evaluate(points)
     weights, *_ = np.linalg.lstsq(vand, w2t.values, rcond=None)
     return AtomicMeasure(weights=weights, points=points)
-
-
-def _vandermonde(points: np.ndarray, basis) -> np.ndarray:
-    """V[pos, ell] = x_ell^e for the pos-th exponent e of basis and the ell-th point.
-
-    One broadcast power and one product over the coordinates, taken in order
-    of i as np.prod(x_ell ** e) takes them, so V is that loop's bit for bit.
-    """
-    exps = np.array(basis.exponents, dtype=np.int64).reshape(len(basis), points.shape[1])
-    return np.prod(points[np.newaxis, :, :] ** exps[:, np.newaxis, :], axis=2)
 
 
 def dehomogenize_atoms(
@@ -531,6 +520,9 @@ def check_optimality(
     if n_eq + n_act:
         lower = np.concatenate([np.full(n_eq, -np.inf), np.zeros(n_act)])
         upper = np.full(n_eq + n_act, np.inf)
+        # imported here: scipy.optimize is slow to import and only check-kkt needs it
+        from scipy.optimize import lsq_linear
+
         fit = lsq_linear(g.T, grad_f, bounds=(lower, upper))
         mults = fit.x
         kkt_residual = float(np.linalg.norm(g.T @ mults - grad_f))

@@ -30,6 +30,7 @@ from .relaxations import (
     SosCertificate,
     Variant,
     compile_relaxation,
+    homogenization_warnings,
     variant_minimum_order,
     # bench/tracing.py looks the per-variant compilers up in this module, so
     # they stay importable here; solve_hierarchy uses compile_relaxation.
@@ -124,12 +125,9 @@ def solve_hierarchy(
     if k_max < k_min:
         raise ValueError("k_max must be at least k_min")
 
-    result_warnings: list = []
-    if variant is Variant.HOMOGENIZED and not problem.set.closed_at_infinity:
-        result_warnings.append(
-            "the set is not asserted closed at infinity: homogenized values "
-            "are lower bounds but may miss the original optimum"
-        )
+    result_warnings = (
+        homogenization_warnings(problem.set) if variant is Variant.HOMOGENIZED else []
+    )
 
     records: list = []
     solved_any = False

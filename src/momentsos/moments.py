@@ -13,6 +13,8 @@ The three structured objects built from a tms w of degree 2k:
   entries over monomials a of degree <= 2k - deg q
 
 satisfying vec(p)^T L_q[w] vec(p) = <q p^2, w> and (V_q[w])^T vec(p) = <q p, w>.
+Both read the positions g + a from `localizing_index`, as do the compiled
+localizing blocks and ideal rows in `relaxations`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from .polynomials import (
     MonomialBasis,
     Polynomial,
+    as_integer,
     basis_size,
     monomial_basis,
     sum_positions,
@@ -36,6 +39,7 @@ __all__ = [
     "pair",
     "tms_from_atoms",
     "moment_matrix",
+    "localizing_index",
     "localizing_matrix",
     "localizing_vector",
 ]
@@ -80,7 +84,10 @@ class Tms:
         for key in ("n", "d", "values"):
             if key not in data:
                 raise ValueError(f"tms JSON is missing the '{key}' field")
-        return cls(int(data["n"]), int(data["d"]), data["values"])
+        values = np.asarray(data["values"], dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("tms 'values' has a non-finite entry")
+        return cls(as_integer(data["n"], "tms 'n'"), as_integer(data["d"], "tms 'd'"), values)
 
     def __repr__(self) -> str:
         return f"Tms(nvars={self.nvars}, degree={self.degree})"
@@ -148,19 +155,15 @@ def pair(p: Polynomial, w: Tms) -> float:
         raise ValueError(
             f"cannot pair degree-{p.degree} polynomial with degree-{w.degree} tms"
         )
-    idx = w.basis().index
-    vals = w.values
-    return float(sum(c * vals[idx[e]] for e, c in p.terms.items()))
+    return float(p.coefficient_vector(w.basis()) @ w.values)
 
 
 def tms_from_atoms(measure: AtomicMeasure, degree: int) -> Tms:
     """Moments of an atomic measure up to the given degree."""
-    if measure.num_atoms == 0:
-        return Tms(measure.nvars, degree, np.zeros(basis_size(measure.nvars, degree)))
-    basis = monomial_basis(measure.nvars, degree)
-    vals = np.zeros(len(basis))
-    for wt, pt in zip(measure.weights, measure.points):
-        vals += wt * basis.evaluate(pt)
+    vand = monomial_basis(measure.nvars, degree).evaluate(measure.points)
+    vals = np.zeros(len(vand))
+    for wt, column in zip(measure.weights, vand.T):
+        vals += wt * column
     return Tms(measure.nvars, degree, vals)
 
 
@@ -173,28 +176,33 @@ def moment_matrix(w: Tms, k: int) -> np.ndarray:
     return w.values[sum_positions(w.nvars, k, k)]
 
 
+def localizing_index(q: Polynomial, d: int) -> tuple:
+    """(coef, pos): the moment positions of q * x^a for every |a| <= d.
+
+    coef[t] * x^g_t is the t-th term of q, in the order of q.terms, and
+    pos[t, a] is the graded position of g_t + a for the a-th monomial of
+    degree <= d, so <q x^a, w> = sum_t coef[t] * w_{pos[t, a]}.  Distinct
+    terms give distinct positions in every column.
+    """
+    terms = q.terms
+    gpos = monomial_basis(q.nvars, q.degree).index
+    shifted = sum_positions(q.nvars, q.degree, d)
+    return np.array(list(terms.values())), shifted[[gpos[g] for g in terms]]
+
+
 def localizing_matrix(q: Polynomial, w: Tms, k: int) -> np.ndarray:
     """Localizing matrix of q at order k; M_k[w] when q = 1.
 
-    The matrix is indexed by monomials of degree <= floor((2k - deg q)/2) so
-    that every referenced moment has degree <= 2k.
+    The matrix is indexed by monomials of degree <= s = floor((2k - deg q)/2)
+    so that every referenced moment has degree <= 2k: entry (i, j) is the
+    localizing vector's entry at a_i + a_j.
     """
-    if q.nvars != w.nvars:
-        raise ValueError("polynomial and tms have different variable counts")
-    if q.is_zero:
-        raise ValueError("localizing matrix of the zero polynomial is not defined")
     if 2 * k > w.degree:
         raise ValueError(f"order {k} needs a tms of degree >= {2 * k}")
     if q.degree > 2 * k:
         raise ValueError(f"deg(q) = {q.degree} exceeds 2k = {2 * k}")
     s = (2 * k - q.degree) // 2
-    pairs = sum_positions(w.nvars, s, s)
-    shifted = sum_positions(w.nvars, q.degree, 2 * s)
-    gpos = monomial_basis(w.nvars, q.degree).index
-    out = np.zeros(pairs.shape)
-    for g, c in q.terms.items():
-        out += c * w.values[shifted[gpos[g]][pairs]]
-    return out
+    return localizing_vector(q, w, q.degree + 2 * s)[sum_positions(w.nvars, s, s)]
 
 
 def localizing_vector(q: Polynomial, w: Tms, two_k: int) -> np.ndarray:
@@ -202,14 +210,13 @@ def localizing_vector(q: Polynomial, w: Tms, two_k: int) -> np.ndarray:
     if q.nvars != w.nvars:
         raise ValueError("polynomial and tms have different variable counts")
     if q.is_zero:
-        raise ValueError("localizing vector of the zero polynomial is not defined")
+        raise ValueError("the zero polynomial has no localizing matrix or vector")
     if two_k > w.degree:
         raise ValueError(f"degree bound {two_k} exceeds tms degree {w.degree}")
     if q.degree > two_k:
         raise ValueError(f"deg(q) = {q.degree} exceeds the degree bound {two_k}")
-    shifted = sum_positions(w.nvars, q.degree, two_k - q.degree)
-    gpos = monomial_basis(w.nvars, q.degree).index
-    out = np.zeros(shifted.shape[1])
-    for g, c in q.terms.items():
-        out += c * w.values[shifted[gpos[g]]]
+    coef, pos = localizing_index(q, two_k - q.degree)
+    out = np.zeros(pos.shape[1])
+    for c, row in zip(coef, pos):
+        out += c * w.values[row]
     return out

@@ -28,6 +28,7 @@ __all__ = [
     "basis_size",
     "grading_key",
     "sum_positions",
+    "as_integer",
 ]
 
 
@@ -83,19 +84,16 @@ class MonomialBasis:
     def position(self, exponent: Sequence[int]) -> int:
         return self.index[tuple(exponent)]
 
-    def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        """Vector of all basis monomials evaluated at a point."""
-        pt = np.asarray(point, dtype=float)
-        if pt.shape != (self.nvars,):
+    def evaluate(self, points) -> np.ndarray:
+        """The basis monomials at a point, or at each row ell of an (r, n) array
+        as column ell of the Vandermonde V: one broadcast power, one product."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.nvars:
             raise ValueError(f"point must have length {self.nvars}")
-        out = np.empty(len(self.exponents))
-        for i, e in enumerate(self.exponents):
-            v = 1.0
-            for x, a in zip(pt, e):
-                if a:
-                    v *= x ** a
-            out[i] = v
-        return out
+        exps = np.array(self.exponents, dtype=np.int64).reshape(len(self), self.nvars)
+        if pts.ndim == 2:
+            exps = exps[:, np.newaxis, :]
+        return np.prod(pts ** exps, axis=-1)
 
     def __repr__(self) -> str:
         return f"MonomialBasis(nvars={self.nvars}, degree={self.degree}, size={len(self)})"
@@ -129,14 +127,23 @@ def sum_positions(nvars: int, d1: int, d2: int) -> np.ndarray:
     return table
 
 
+def as_integer(value, name: str) -> int:
+    """value as an int, or a ValueError naming it: the one rule for integers
+    read from JSON accepts ints and integral floats, not 2.5, true or "2"."""
+    if type(value) is not int and (  # an int skips the slow ABC checks
+        isinstance(value, bool)
+        or not isinstance(value, (numbers.Integral, float))
+        or isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _validate_exponent(nvars: int, exponent) -> tuple:
     try:
-        e = tuple(int(a) for a in exponent)
-        integral = e == tuple(exponent)
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise ValueError(f"exponent {exponent!r} must be a list of integers")
+        e = tuple(as_integer(a, "an exponent") for a in exponent)
+    except (TypeError, ValueError):
+        raise ValueError(f"exponent {exponent!r} must be a list of integers") from None
     if len(e) != nvars:
         raise ValueError(f"exponent {exponent!r} has length {len(e)}, expected {nvars}")
     if any(a < 0 for a in e):

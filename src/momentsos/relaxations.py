@@ -62,8 +62,8 @@ from typing import Sequence, Union
 import numpy as np
 import scipy.linalg as sla
 
-from .moments import Tms
-from .polynomials import Polynomial, basis_size, monomial_basis, sum_positions
+from .moments import Tms, localizing_index
+from .polynomials import Polynomial, as_integer, basis_size, monomial_basis, sum_positions
 from .sdp import PsdBlock, SdpProblem, SdpSolution, _svec_index
 
 __all__ = [
@@ -257,6 +257,15 @@ def homogenize_set(set_: SemialgebraicSet) -> SemialgebraicSet:
     )
 
 
+def homogenization_warnings(set_: SemialgebraicSet) -> list:
+    """The caveat on every homogenized relaxation over a set not asserted
+    closed at infinity, which warnings and reports both quote."""
+    return [] if set_.closed_at_infinity else [
+        "the set is not asserted closed at infinity: homogenized values "
+        "are lower bounds but may miss the original optimum"
+    ]
+
+
 def homogenize_gmp(gmp: GmpProblem) -> GmpProblem:
     """Degree-d homogenization of every pairing and the objective."""
     return GmpProblem(
@@ -413,12 +422,9 @@ def _ideal_span(h: Polynomial, degree: int) -> np.ndarray:
     The columns are the degree-`degree` monomials in graded order, and the
     rows follow beta in graded order.
     """
-    n = h.nvars
-    shifted = sum_positions(n, h.degree, degree - h.degree)
-    gpos = monomial_basis(n, h.degree).index
-    rows = np.zeros((shifted.shape[1], basis_size(n, degree)))
-    for g, cg in h.terms.items():
-        rows[np.arange(len(rows)), shifted[gpos[g]]] += cg
+    coef, pos = localizing_index(h, degree - h.degree)
+    rows = np.zeros((pos.shape[1], basis_size(h.nvars, degree)))
+    np.put_along_axis(rows, pos.T, coef, axis=1)
     return rows
 
 
@@ -461,19 +467,16 @@ def _localizing_block(q: Polynomial, k: int, kept: np.ndarray) -> PsdBlock:
     Entries are emitted term by term of q, then row-major over the upper
     triangle, which fixes the order in which PsdBlock merges duplicates.
     """
-    n = q.nvars
     s = (2 * k - q.degree) // 2
     rows, cols, _ = _svec_index(len(kept))  # cached row-major upper triangle
-    pairs = sum_positions(n, s, s)[kept[rows], kept[cols]]
-    shifted = sum_positions(n, q.degree, 2 * s)
-    gpos = monomial_basis(n, q.degree).index
-    terms = q.terms
+    pairs = sum_positions(q.nvars, s, s)[kept[rows], kept[cols]]
+    coef, pos = localizing_index(q, 2 * s)
     return PsdBlock(
         len(kept),
-        np.concatenate([shifted[gpos[g], pairs] for g in terms]),
-        np.tile(rows, len(terms)),
-        np.tile(cols, len(terms)),
-        np.repeat(list(terms.values()), len(pairs)),
+        pos[:, pairs].ravel(),
+        np.tile(rows, len(coef)),
+        np.tile(cols, len(coef)),
+        np.repeat(coef, len(pairs)),
     )
 
 
@@ -598,13 +601,8 @@ def homogenized_relaxation(
     Atom weights scale by tau^d under dehomogenization, where d is the
     problem's degree bound.
     """
-    if not problem.set.closed_at_infinity:
-        warnings.warn(
-            "homogenized relaxation of a set not asserted closed at infinity: "
-            "values remain lower bounds but may not converge to the original "
-            "optimum",
-            stacklevel=2,
-        )
+    for message in homogenization_warnings(problem.set):
+        warnings.warn(message, stacklevel=2)
     return compile_relaxation(problem, Variant.HOMOGENIZED, k)
 
 
@@ -640,14 +638,6 @@ def _poly_from_json(nvars: int, data, field: str) -> Polynomial:
     return poly
 
 
-def _integer_from_json(value, field: str) -> int:
-    """value as an int; a ValueError naming field unless it is integral."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"'{field}' must be an integer, got {value!r}")
-    return int(value)
-
-
 def _object_from_json(data, field: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"'{field}' must be an object, got {data!r}")
@@ -675,7 +665,7 @@ def problem_from_json(data: dict) -> Union[GmpProblem, PopProblem]:
     """
     if "n" not in data or "f" not in data:
         raise ValueError("problem JSON needs at least 'n' and 'f'")
-    n = _integer_from_json(data["n"], "n")
+    n = as_integer(data["n"], "'n'")
     if n < 1:
         raise ValueError("'n' must be a positive integer")
     f = _poly_from_json(n, data["f"], "f")
@@ -705,8 +695,8 @@ def problem_from_json(data: dict) -> Union[GmpProblem, PopProblem]:
             objective=f,
             a=_polys_from_json(n, g["a"], "gmp.a"),
             b=b,
-            m1=_integer_from_json(g["m1"], "gmp.m1"),
-            d=_integer_from_json(g["d"], "gmp.d"),
+            m1=as_integer(g["m1"], "'gmp.m1'"),
+            d=as_integer(g["d"], "'gmp.d'"),
         )
     return PopProblem(set=set_, objective=f)
 

@@ -27,7 +27,6 @@ from momentsos import (
     tms_from_atoms,
     verify_atoms,
 )
-from momentsos import certificates as certificates_module
 
 import oracles
 
@@ -134,16 +133,31 @@ def test_extract_atoms_lists_atoms_lexicographically():
 
 @pytest.mark.parametrize("n, t, r", [(6, 3, 9), (3, 3, 2), (2, 2, 4), (1, 2, 1)])
 def test_vandermonde_equals_the_monomial_loop(n, t, r):
-    # extract_atoms fits the weights on this matrix; the broadcast must give
-    # the per-monomial products bit for bit, so that no weight moves
+    # extract_atoms fits the weights on this matrix and tms_from_atoms sums
+    # its columns; the broadcast must give the per-monomial products bit for
+    # bit, so that no weight or reconstructed moment moves
     rng = np.random.default_rng(n + 10 * t + 100 * r)
     points = rng.standard_normal((r, n))
     points[rng.random((r, n)) < 0.2] = 0.0
     basis = monomial_basis(n, 2 * t)
     want = np.array([[np.prod(pt ** np.array(e)) for pt in points] for e in basis.exponents])
-    got = certificates_module._vandermonde(points, basis)
+    got = basis.evaluate(points)
     assert got.shape == (basis_size(n, 2 * t), r)
     assert np.array_equal(got, want)
+    # one point gives that point's column bit for bit.  The scalar loop that
+    # evaluate ran before it broadcast agrees to within a few ulps: its
+    # x ** a is the C library's pow, numpy's array power may be a SIMD one
+    # (AVX-512 builds), and the two differ by an ulp on some powers
+    for ell, pt in enumerate(points):
+        assert np.array_equal(basis.evaluate(pt), got[:, ell])
+        loop = np.empty(len(basis))
+        for i, e in enumerate(basis.exponents):
+            v = 1.0
+            for x, a in zip(pt, e):
+                if a:
+                    v *= x ** a
+            loop[i] = v
+        assert np.allclose(basis.evaluate(pt), loop, rtol=1e-15, atol=0)
 
 
 def test_extract_atoms_needs_enough_degree():

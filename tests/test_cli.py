@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +16,7 @@ from momentsos import (
 from momentsos import cli, hierarchy
 from momentsos.cli import main
 
-from conftest import PROBLEMS
+from conftest import PROBLEMS, ROOT
 
 
 EX35 = str(PROBLEMS / "ex35.json")
@@ -81,6 +84,17 @@ def test_check_kkt(tmp_path, capsys):
 
 def test_check_kkt_space_separated_point():
     assert run("check-kkt", EX35_SUB, "--point", "0.5774 0.5774 0.5774") == 0
+
+
+def test_cli_import_leaves_scipy_optimize_to_check_kkt():
+    # a fresh interpreter: importing scipy.optimize costs ~0.3 s, which every
+    # solve would pay although only check-kkt's multiplier fit needs it
+    paths = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    probe = "import sys, momentsos.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_dump_round_trip(tmp_path, capsys):

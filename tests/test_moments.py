@@ -16,6 +16,8 @@ from momentsos import (
     pair,
     tms_from_atoms,
 )
+from momentsos.moments import localizing_index
+from momentsos.relaxations import _ideal_span
 
 import oracles
 
@@ -43,6 +45,19 @@ def test_tms_json_round_trip():
     back = Tms.from_json(json.loads(json.dumps(w.to_json())))
     assert back.nvars == 3 and back.degree == 3
     assert np.allclose(back.values, w.values)
+
+
+@pytest.mark.parametrize("data, message", [
+    # int() used to read 2.5 and 2.9 as 2, and true as 1
+    ({"n": 2.5, "d": 2, "values": [0.0] * 6}, r"tms 'n' must be an integer, got 2.5"),
+    ({"n": 2, "d": 2.9, "values": [0.0] * 6}, r"tms 'd' must be an integer, got 2.9"),
+    ({"n": True, "d": 2, "values": [0.0] * 3}, r"tms 'n' must be an integer, got True"),
+    ({"n": 1, "d": 1, "values": [1.0, math.nan]}, r"tms 'values' has a non-finite entry"),
+    ({"n": 1, "d": 1, "values": [math.inf, 0.0]}, r"tms 'values' has a non-finite entry"),
+])
+def test_tms_from_json_rejects_non_integers_and_non_finite_values(data, message):
+    with pytest.raises(ValueError, match=message):
+        Tms.from_json(data)
 
 
 def test_pair_against_lookup_oracle():
@@ -200,6 +215,39 @@ def test_structured_matrices_match_loop_oracles():
             localizing_vector(q, w, 2 * k),
             oracles.localizing_vector(q.terms, n, w.values, 2 * k),
         )
+
+
+def test_localizing_vector_is_the_ideal_span_applied_to_the_moments():
+    """V_h[w] and the compiler's ideal rows read one index: row beta of
+    _ideal_span(h, 2k) is the coefficient vector of h * x^beta."""
+    rng = np.random.default_rng(15)
+    checked = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        two_k = int(rng.integers(2, 7))
+        w = random_tms(rng, n, two_k)
+        h = Polynomial(n, oracles.random_terms(rng, n, min(3, two_k), 4))
+        if len(h.terms) < 2:
+            continue
+        checked += 1
+        span = _ideal_span(h, two_k)
+        assert span.shape == (basis_size(n, two_k - h.degree), basis_size(n, two_k))
+        assert np.allclose(localizing_vector(h, w, two_k), span @ w.values,
+                           rtol=1e-13, atol=1e-13)
+    assert checked >= 20
+
+
+def test_localizing_index_shifts_every_term():
+    # x1^2 - 3 x2 in two variables, shifted by the monomials of degree <= 1
+    q = Polynomial(2, {(2, 0): 1.0, (0, 1): -3.0})
+    coef, pos = localizing_index(q, 1)
+    basis = monomial_basis(2, 3)
+    assert np.array_equal(coef, [1.0, -3.0])
+    shifts = [(0, 0), (1, 0), (0, 1)]
+    assert pos.tolist() == [
+        [basis.position((g[0] + a[0], g[1] + a[1])) for a in shifts]
+        for g in q.terms
+    ]
 
 
 def test_localizing_rejects_zero_polynomial():

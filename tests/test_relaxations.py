@@ -465,6 +465,15 @@ def test_json_rejects_bad_input():
         problem_from_json({"n": 1, "f": good, "gmp": {**gmp, "m1": 0.5}})
     with pytest.raises(ValueError, match=r"'f': exponent \[1.5\] must be a list of integers"):
         problem_from_json({"n": 1, "f": [{"c": 1.0, "e": [1.5]}]})
+    # a boolean is not an integer, as a count or as an exponent
+    with pytest.raises(ValueError, match="'n' must be an integer, got True"):
+        problem_from_json({"n": True, "f": good})
+    with pytest.raises(ValueError, match="'gmp.d' must be an integer, got True"):
+        problem_from_json({"n": 1, "f": good, "gmp": {**gmp, "d": True}})
+    with pytest.raises(ValueError, match=r"'f': exponent \[True, 0\] must be a list of integers"):
+        problem_from_json({"n": 2, "f": [{"c": 1, "e": [True, 0]}]})
+    with pytest.raises(ValueError, match=r"'f': exponent '1' must be a list of integers"):
+        problem_from_json({"n": 1, "f": [{"c": 1, "e": "1"}]})
     # an integral float is an integer
     assert problem_from_json({"n": 1.0, "f": [{"c": 1.0, "e": [2.0]}]}).nvars == 1
 
