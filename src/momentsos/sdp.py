@@ -46,17 +46,19 @@ The algorithm is an infeasible-start path-following method with
 Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  Per
 iteration one Schur complement M in the free variables is formed.  With
 W_j = Ginv_j^T Ginv_j from block j's scaling, the block adds
-M_uv = <G_u, W_j G_v W_j> on its active variables (the formula of Fujisawa,
-Kojima and Nakata, as in SDPA).  `PsdBlock.schur` forms each W G_v W from
-the stored entries alone, as W[:, tgt] diag(coef) W[src, :] over v's r_v
-entries, at side^2 r_v instead of side^3 per variable, and reads row v of M
-off with one sparse product with a CSR matrix of the entries, whose rows are
-the global variable indices.  Each block adds its rows straight into the
-solver's nfree-by-nfree M, which is symmetrized once per iteration, after
-every block has added its rows (`_schur_complement`).  The Newton step maps
-through the same entries with `PsdBlock.adjoint` and `PsdBlock.materialize`.
-No basis of the block's symmetric-matrix space is formed; only the block
-factorizations (Cholesky, SVD, eigenvalues) are dense.
+M_uv = <G_u, W_j G_v W_j> at u >= v on its active variables (the formula
+of Fujisawa, Kojima and Nakata, as in SDPA, on one triangle).
+`PsdBlock.schur` forms each W G_v W from the stored entries alone, and only
+on a trailing square [lo:, lo:] that holds every G_u with u >= v, as
+W[lo:, tgt] diag(coef) W[src, lo:] over v's r_v entries: (side - lo)^2 r_v
+instead of side^3 per variable.  It reads the rows off with one sparse
+product with a CSR matrix of the entries, whose rows are the global
+variable indices, straight into the solver's nfree-by-nfree M, whose upper
+triangle `_schur_complement` then mirrors into the lower one.  The Newton
+step maps through the same entries with `PsdBlock.adjoint` and
+`PsdBlock.materialize`.  No basis of the block's symmetric-matrix space is
+formed; only the block factorizations (Cholesky, SVD, eigenvalues) are
+dense.
 
 M is dense in the moments, so the nfree-by-nfree arrays, not the
 arithmetic, set how large a relaxation fits in memory.  One iteration holds
@@ -64,7 +66,8 @@ two of them: M, allocated once per solve and rebuilt in place, and the
 Cholesky factor of the reduced Schur complement (below); the last
 iteration's factor is released before M is rebuilt.  Besides these it
 holds the batch work arrays of `PsdBlock.schur`, within _SCHUR_BUDGET
-doubles, one _SYM_TILE tile while M is symmetrized and, when the null space
+doubles, the read-off tables of its groups (a few hundred KB on the largest
+blocks), one _SYM_TILE tile while M is mirrored and, when the null space
 has a nonzero T, the (nfree - r)-by-nfree rows of N^T M.
 
 The equality rows have one owner, `_EqualityRows`, built once per solve:
@@ -97,7 +100,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -152,16 +155,21 @@ _PACK_SIDE = 24
 
 # Size of one PsdBlock.schur batch, unless the batch is a single variable:
 # its variables times its largest entry count (both triangles, the padding
-# included) times side^2, the multiply-adds of its W G_v W stack and a bound
-# on the stack's doubles, stay within this; so do its variables times the
-# rows of the block's read-off (the last active variable plus one), the
-# doubles of the rows that the batch adds into M.
-_SCHUR_BUDGET = 1 << 20
+# included) times the area (side - lo)^2 of its group's trailing square, the
+# multiply-adds of its W G_v W stack and a bound on the stack's doubles, stay
+# within this; so do its variables times the rows of its group's read-off,
+# the doubles of the rows that the batch adds into M.  A block starts a new
+# group only where that saves this many multiply-adds.  Both blocks of the
+# ladder's n = 6, k = 3 rung took 27.8 ms a call at 2^19 against 34.4, 33.5
+# and 37.0 ms at 2^20, 2^18 and 2^17, and ex36's 14.0 against 14.9, 14.7 and
+# 16.8 (medians, 1 BLAS thread, shared 2-vCPU VM): larger stacks fall out of
+# cache, and smaller batches pay a fixed cost each.
+_SCHUR_BUDGET = 1 << 19
 
-# Side of the square tiles in which _schur_complement symmetrizes M in place:
-# two tiles of doubles (256 KB) stay in cache.  On a 924-wide M this took
-# 2.3 ms against 2.8 ms for 64 and 2.6 ms for 256, and 4.4 ms for
-# `m += m.T; m *= 0.5` (timeit, warm M, 1 BLAS thread, shared 2-vCPU VM).
+# Side of the square tiles in which _schur_complement mirrors M's upper
+# triangle: two tiles of doubles (256 KB) stay in cache.  Averaging M with M^T
+# in such tiles took 2.3 ms on a 924-wide M against 2.8 ms for 64, 2.6 ms for
+# 256 and 4.4 ms for `m += m.T` (timeit, 1 BLAS thread, shared 2-vCPU VM).
 _SYM_TILE = 128
 
 
@@ -195,15 +203,12 @@ class PsdBlock:
     row <= col, sorted by (var, row, col) with duplicates merged; each entry
     contributes coef to positions (row, col) and (col, row) of G_var.
 
-    The constructor lays out once the index arrays that the per-iteration
+    The constructor lays out the index arrays that the per-iteration
     operations read: the flat positions of the entries in both triangles
-    (one `np.bincount` builds S(w) or a G_v), the sorted `active` variables,
-    a CSR matrix R of shape (active[-1] + 1, side^2) whose row u holds
-    variable u's weighted upper entries at their flat positions (empty for
-    an inactive u), so that R vec(X) = (<G_u, X>)_u is indexed like the
-    solver's variables, and the batches of `schur`: the active variables
-    sorted by entry count, each batch's entry lists in both triangles padded
-    with zero coefficients to its largest count.
+    (one `np.bincount` builds S(w) or a G_v) and the sorted `active`
+    variables.  The tables of `schur` (`_schur_groups`) are built at its
+    first call, so the small blocks that `solve_sdp` packs into one never
+    build them.
     `scaled_rows`, the dense formation that `schur` replaced, is not used by
     the solver: it is the tests' reference, and the benchmark's tracer
     (bench/tracing.py) still looks the name up.
@@ -253,40 +258,75 @@ class PsdBlock:
         # every entry in both triangles: G_var[tgt, src] += coef
         off = np.flatnonzero(row != col)
         ent = np.concatenate([np.arange(len(var)), off])
-        tgt = np.concatenate([row, col[off]])
-        src = np.concatenate([col, row[off]])
-        self._sym_pos = tgt * side + src
+        self._sym_pos = np.concatenate([row * side + col, col[off] * side + row[off]])
         self._sym_var = var[ent]
         self._sym_coef = coef[ent]
         self._flat = row * side + col
         self._wcoef = coef * np.where(row == col, 1.0, 2.0)
         self.active = var[_run_starts(var)]
-        nrows = int(self.active[-1]) + 1 if len(var) else 0
-        self._readoff = sparse.csr_array(
-            (self._wcoef, self._flat, np.searchsorted(var, np.arange(nrows + 1))),
-            shape=(nrows, side * side),
-        )
-        # the batches: runs of the active variables in order of entry count
-        # (both triangles), each as long as _SCHUR_BUDGET allows
+
+    @cached_property
+    def _schur_groups(self) -> list:
+        """The tables of `schur`, built at its first call: one tuple
+        (u0, lo, R, rows, tgt, src, coef, bounds) per group.
+
+        The active variables are cut, in index order, into groups; a new one
+        starts where the trailing square's area has halved and the
+        multiply-adds it saves on the variables from there on reach
+        _SCHUR_BUDGET, so a small block keeps one group.  The entries of all
+        variables u >= u0 lie in [lo:, lo:], which the CSR matrix R maps to
+        (<G_u, X>)_u.  `rows` holds the group's variables by entry count;
+        batch (b0, b1, e0, e1) is rows[b0:b1] with their entries in both
+        triangles, (tgt, src, coef)[e0:e1], shifted by -lo and padded with
+        zero coefficients to the batch's largest count.
+        """
+        side, var, active = self.side, self.var, self.active
+        if not len(active):
+            return []
+        first = _run_starts(var)
+        lo = np.minimum.accumulate(self.row[first][::-1])[::-1]
+        area = (side - lo) ** 2
+        count = np.bincount(self._sym_var)[active]
+        saved = np.cumsum(count[::-1])[::-1] * (side * side - area)
+        starts = [0]
+        while True:
+            g = starts[-1]
+            split = (2 * area[g:] <= area[g]) & (saved[g:] >= _SCHUR_BUDGET)
+            if not split.any():
+                break
+            starts.append(g + int(np.argmax(split)))
+        nrows = int(active[-1]) + 1
         by_var = np.argsort(self._sym_var, kind="stable")
-        count = np.bincount(self._sym_var)[self.active]
         offset = np.cumsum(count) - count
-        by_count = np.argsort(count, kind="stable")
-        count, offset = count[by_count], offset[by_count]
-        self._batches = []
-        b0 = 0
-        while b0 < len(count):
-            # padded[j]: padded entries of a batch of the next j + 1 variables
-            padded = np.arange(1, len(count) - b0 + 1) * count[b0:]
-            fits = np.searchsorted(padded, _SCHUR_BUDGET // side**2, "right")
-            fits = min(fits, _SCHUR_BUDGET // nrows)
-            b1 = b0 + max(1, int(fits))
-            pad = np.arange(count[b1 - 1])
-            real = pad < count[b0:b1, np.newaxis]
-            ent = by_var[np.where(real, offset[b0:b1, np.newaxis] + pad, 0)]
-            coef_b = np.where(real, self._sym_coef[ent], 0.0)[:, :, np.newaxis]
-            self._batches.append((by_count[b0:b1], tgt[ent], src[ent], coef_b))
-            b0 = b1
+        tgt, src = np.divmod(self._sym_pos, side)
+        groups = []
+        for g0, g1 in zip(starts, starts[1:] + [len(active)]):
+            u0, lo_g, tail = int(active[g0]), int(lo[g0]), slice(first[g0], None)
+            a = side - lo_g
+            flat = (self.row[tail] - lo_g) * a + self.col[tail] - lo_g
+            indptr = np.searchsorted(var, np.arange(u0, nrows + 1)) - first[g0]
+            readoff = sparse.csr_array((self._wcoef[tail], flat, indptr), shape=(nrows - u0, a * a))
+            by_count = g0 + np.argsort(count[g0:g1], kind="stable")
+            ents, reals, bounds = [], [], []
+            b0 = e0 = 0
+            while b0 < len(by_count):
+                # padded[j]: padded entries of a batch of the next j + 1 variables
+                padded = np.arange(1, len(by_count) - b0 + 1) * count[by_count[b0:]]
+                fits = np.searchsorted(padded, _SCHUR_BUDGET // a**2, "right")
+                fits = min(fits, _SCHUR_BUDGET // (nrows - u0))
+                b1 = b0 + max(1, int(fits))
+                cnt = count[by_count[b0:b1], np.newaxis]
+                pad = np.arange(cnt[-1, 0])
+                # a padding slot repeats the variable's last entry, at coef 0
+                ents.append(offset[by_count[b0:b1], np.newaxis] + np.minimum(pad, cnt - 1))
+                reals.append(pad < cnt)
+                bounds.append((b0, b1, e0, e0 + ents[-1].size))
+                b0, e0 = b1, e0 + ents[-1].size
+            ent = by_var[np.concatenate([e.ravel() for e in ents])]
+            coef_g = np.where(np.concatenate([r.ravel() for r in reals]), self._sym_coef[ent], 0.0)
+            groups.append((u0, lo_g, readoff, active[by_count], tgt[ent] - lo_g,
+                           src[ent] - lo_g, coef_g[:, np.newaxis], np.array(bounds)))
+        return groups
 
     @classmethod
     def from_dense(cls, const: np.ndarray, coeffs: dict) -> "PsdBlock":
@@ -325,23 +365,28 @@ class PsdBlock:
         """Add the block's rows of the Schur complement into m, in place.
 
         For each active variable v, row v of m gains <G_u, W G_v W> at every
-        column u < R.shape[0] (W = Ginv^T Ginv for the Nesterov-Todd scaling
-        Ginv): the formula of Fujisawa, Kojima and Nakata (Math. Prog. 79,
-        1997) applied to the stored entries instead of a dense G_v.  With
-        v's r_v entries (tgt, src, coef) in both triangles,
-        W G_v W = W[:, tgt] diag(coef) W[src, :], which costs side^2 r_v
-        instead of side^3; one batched product forms it for a batch of
-        variables, and one sparse product reads their rows of m off as
-        R [vec(W G_v W)]_v, R as in the class docstring.  Rows of inactive
-        variables are left as they are.  The added term is symmetric only up
-        to rounding; the caller symmetrizes the sum over its blocks.
+        column u >= v up to active[-1] (W = Ginv^T Ginv for the
+        Nesterov-Todd scaling Ginv): the formula of Fujisawa, Kojima and
+        Nakata (Math. Prog. 79, 1997) on one triangle, as they form it,
+        applied to the stored entries instead of a dense G_v.  Every G_u
+        with u >= v lies in the trailing square [lo:, lo:] of v's group
+        (`_schur_groups`), so only that square of W G_v W is formed, as
+        W[lo:, tgt] diag(coef) W[src, lo:] over v's r_v entries (both
+        triangles): (side - lo)^2 r_v instead of side^3.  One batched
+        product forms it for a batch of variables, and one sparse product
+        with the group's R reads their rows off at the columns u >= u0.
+        Their values at u0 <= u < v are partial sums, which the caller
+        overwrites with the mirror of the upper triangle.  Rows of inactive
+        variables are left as they are.
         """
-        nrows = self._readoff.shape[0]
-        for cols, tgt, src, coef in self._batches:
-            # W[:, tgt] = W[tgt, :]^T, as W is symmetric
-            wgw = np.matmul((coef * w[tgt]).transpose(0, 2, 1), w[src])
-            r = self._readoff @ wgw.reshape(len(cols), -1).T
-            m[self.active[cols], :nrows] += r.T
+        for u0, lo, readoff, rows, tgt, src, coef, bounds in self._schur_groups:
+            wl = w[lo:, lo:]
+            for b0, b1, e0, e1 in bounds.tolist():
+                # W[lo:, tgt] = W[tgt, lo:]^T, as W is symmetric
+                left = (coef[e0:e1] * wl[tgt[e0:e1]]).reshape(b1 - b0, -1, len(wl))
+                wgw = np.matmul(left.transpose(0, 2, 1), wl[src[e0:e1]].reshape(left.shape))
+                r = readoff @ wgw.reshape(b1 - b0, -1).T
+                m[rows[b0:b1], u0 : u0 + readoff.shape[0]] += r.T
 
     def scaled_rows(self, ginv: np.ndarray, nfree: int, chunk: int = 512) -> np.ndarray:
         """Matrix V with V[v] = svec(Ginv G_v Ginv^T): the dense Schur formation.
@@ -1094,25 +1139,23 @@ def _schur_complement(blocks, ginvs, m: np.ndarray) -> np.ndarray:
     """m = sum_j M_j with (M_j)_uv = <G_ju, W_j G_jv W_j>, W_j = Ginv_j^T Ginv_j.
 
     Each block adds its rows into m (`PsdBlock.schur`, whose batch work
-    arrays stay within _SCHUR_BUDGET doubles), and the sum A is replaced by
-    (A + A^T) / 2 in place, one pair of _SYM_TILE tiles at a time: entry
-    (u, v) and entry (v, u) both become (A_uv + A_vu) * 0.5, the values of
-    `m += m.T; m *= 0.5`, which buffers a whole transpose.  So m is exactly
-    symmetric, and forming it allocates no n-by-n array.  Rows and columns
-    of variables that no block touches are zero.  Returns m.
+    arrays stay within _SCHUR_BUDGET doubles); their entries at u >= v, the
+    upper triangle, are the sum, and the upper triangle is copied into the
+    lower one, over the partial sums there, one _SYM_TILE tile at a time.
+    So m is exactly symmetric, and forming it allocates no n-by-n array.
+    Rows and columns of variables that no block touches are zero.  Returns
+    m.
     """
     m.fill(0.0)
     for blk, ginv in zip(blocks, ginvs):
         blk.schur(ginv.T @ ginv, m)
     n = m.shape[0]
+    low = np.tri(_SYM_TILE, k=-1, dtype=bool)
     for i in range(0, n, _SYM_TILE):
-        for j in range(i, n, _SYM_TILE):
-            upper = m[i : i + _SYM_TILE, j : j + _SYM_TILE]
-            lower = m[j : j + _SYM_TILE, i : i + _SYM_TILE]
-            upper += lower.T  # numpy buffers a diagonal tile's own transpose
-            upper *= 0.5
-            if j > i:
-                lower[...] = upper.T
+        diag = m[i : i + _SYM_TILE, i : i + _SYM_TILE]
+        np.copyto(diag, diag.T, where=low[: len(diag), : len(diag)])
+        for j in range(i + _SYM_TILE, n, _SYM_TILE):
+            m[j : j + _SYM_TILE, i : i + _SYM_TILE] = m[i : i + _SYM_TILE, j : j + _SYM_TILE].T
     return m
 
 

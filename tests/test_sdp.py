@@ -352,18 +352,42 @@ def relative_error(got, want):
     return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300) if want.size else 0.0
 
 
+def check_groups(blk):
+    """The grouping invariant of blk.schur: the groups partition `active`
+    in index order; all entries of a group's variables and of every later
+    one lie in its trailing square [lo:, lo:], so lo <= lo(v) for each of
+    its variables v; its read-off has a row per variable from its first on;
+    and each batch of more than one variable keeps its padded entries times
+    (side - lo)^2, and its variables times its read-off rows, within
+    _SCHUR_BUDGET.  Returns the groups."""
+    budget = sdp_module._SCHUR_BUDGET
+    groups = blk._schur_groups
+    parts = []
+    for u0, lo, readoff, rows, tgt, src, coef, bounds in groups:
+        assert rows.min() == u0
+        parts.append(np.sort(rows))
+        assert blk.row[blk.var >= u0].min() >= lo
+        area = (blk.side - lo) ** 2
+        assert readoff.shape == (blk.active[-1] + 1 - u0, area)
+        assert tgt.min() >= 0 and src.min() >= 0 and max(tgt.max(), src.max()) < blk.side - lo
+        assert bounds[0, 0] == 0 and bounds[-1, 1] == len(rows) and bounds[-1, 3] == len(tgt)
+        assert np.array_equal(bounds[1:, [0, 2]], bounds[:-1, [1, 3]])
+        for b0, b1, e0, e1 in bounds:
+            assert (e1 - e0) % (b1 - b0) == 0
+            assert b1 - b0 == 1 or (
+                (e1 - e0) * area <= budget and (b1 - b0) * readoff.shape[0] <= budget
+            )
+    assert np.array_equal(np.concatenate(parts or [[]]), blk.active)
+    return groups
+
+
 def block_rows(blk, w, nfree, sentinel=7.0):
     """blk.schur(w, m) on m = 0, with the rows of blk's inactive variables
-    preset to sentinel; checks that those rows stay untouched and that a
-    second call adds the same rows again, and returns the first call's m
-    with the sentinel rows zeroed.  Also checks that each batch of more than
-    one variable keeps its padded entries times side^2, and its variables
-    times its read-off rows, within _SCHUR_BUDGET."""
-    budget = sdp_module._SCHUR_BUDGET
-    for cols, tgt, _, _ in blk._batches:
-        assert len(cols) == 1 or (
-            tgt.size * blk.side**2 <= budget and len(cols) * blk._readoff.shape[0] <= budget
-        )
+    preset to sentinel; checks the grouping invariant (`check_groups`), that
+    those rows stay untouched and that a second call adds the same rows
+    again, and returns the first call's m with the sentinel rows zeroed.
+    Its entries at u >= v are the block's; those at u < v are partial."""
+    check_groups(blk)
     inactive = np.setdiff1d(np.arange(nfree), blk.active)
     m = np.zeros((nfree, nfree))
     m[inactive] = sentinel
@@ -378,7 +402,8 @@ def block_rows(blk, w, nfree, sentinel=7.0):
 
 @pytest.mark.parametrize("budget", [1 << 20, 16])
 def test_schur_matches_dense_reference(monkeypatch, budget):
-    """blk.schur(Ginv^T Ginv, m) adds V V^T into m, V = scaled_rows."""
+    """blk.schur(Ginv^T Ginv, m) adds the upper triangle of V V^T into m,
+    V = scaled_rows."""
     monkeypatch.setattr(sdp_module, "_SCHUR_BUDGET", budget)  # 16 forces many batches
     rng = np.random.default_rng(11)
     sizes = ((1, 1), (4, 6), (9, 40))  # (nfree, entries before duplication)
@@ -388,8 +413,7 @@ def test_schur_matches_dense_reference(monkeypatch, budget):
         v = blk.scaled_rows(ginv, nfree)
         want = v @ v.T
         got = block_rows(blk, ginv.T @ ginv, nfree)
-        assert relative_error(got, want) <= 1e-12
-        assert relative_error(0.5 * (got + got.T), want) <= 1e-12
+        assert relative_error(np.triu(got), np.triu(want)) <= 1e-12
         assert not np.any(v[np.setdiff1d(np.arange(nfree), blk.active)])
 
 
@@ -421,14 +445,13 @@ def test_schur_matches_dense_reference_on_relaxation_blocks(monkeypatch, budget)
         count = np.bincount(blk._sym_var)[blk.active]
         assert count.min() < count.max()
         if budget == 1:
-            assert len(blk._batches) == len(blk.active)
+            assert sum(len(g[-1]) for g in check_groups(blk)) == len(blk.active)
         nfree = int(blk.var.max()) + 3  # two variables beyond the block's
         ginv = random_scaling(rng, side)
         v = blk.scaled_rows(ginv, nfree)
         want = v @ v.T
         got = block_rows(blk, ginv.T @ ginv, nfree)
-        assert relative_error(got, want) <= 1e-12
-        assert relative_error(0.5 * (got + got.T), want) <= 1e-12
+        assert relative_error(np.triu(got), np.triu(want)) <= 1e-12
 
 
 def test_schur_of_block_without_entries():
@@ -441,13 +464,29 @@ def test_schur_of_block_without_entries():
     assert blk.adjoint(np.ones((3, 3)), 2).tolist() == [0.0, 0.0]
 
 
+def quartic_relaxation(n, k, box=False, seed=5):
+    """The order-k relaxation of a dense random quartic in n variables on
+    the unit ball, or on the box [-1, 1]^n; its blocks depend on n, k and
+    the set alone."""
+    rng = np.random.default_rng(seed)
+    exps = [e for e in itertools.product(range(5), repeat=n) if sum(e) <= 4]
+    f = [{"c": float(c), "e": list(e)} for e, c in zip(exps, rng.standard_normal(len(exps)))]
+    one = {"c": 1.0, "e": [0] * n}
+    squares = [{"c": -1.0, "e": [2 if j == i else 0 for j in range(n)]} for i in range(n)]
+    ineq = [[one, sq] for sq in squares] if box else [[one] + squares]
+    pop = problem_from_json({"n": n, "f": f, "set": {"ineq": ineq}})
+    return compile_relaxation(pop, "plain", k).sdp
+
+
 def schur_cases():
     """Problems for the solver's Schur assembly, by name.
 
     ex36 (plain, k = 3) has blocks 63 + 6x25 and one inequality row on 924
     moments, some of which only its equality rows reach; 'packed' packs two
     small blocks with the inequality rows' block, and its variable 5 appears
-    only in an equality row.
+    only in an equality row; 'ball' is the moment block (side 56) of the
+    unit ball at n = 5, k = 3, whose variables fall into several groups, on
+    its 462 moments and one variable that no block touches.
     """
     ex36 = compile_relaxation(load_problem("ex36.json"), "plain", 3).sdp
     rng = np.random.default_rng(21)
@@ -459,14 +498,18 @@ def schur_cases():
         ineq_d=[0.0, -1.0],
         psd_blocks=small,
     )
-    return {"ex36": ex36, "packed": packed}
+    moment = quartic_relaxation(5, 3).psd_blocks[0]
+    ball = SdpProblem(463, np.zeros(463), psd_blocks=[moment])
+    return {"ex36": ex36, "packed": packed, "ball": ball}
 
 
 @pytest.mark.parametrize("budget", [1 << 20, 1])
-@pytest.mark.parametrize("case", ["ex36", "packed"])
+@pytest.mark.parametrize("case", ["ex36", "packed", "ball"])
 def test_schur_complement_matches_dense_reference(monkeypatch, budget, case):
     """The solver's M is sum_j V_j V_j^T, V_j = scaled_rows of cone block j,
-    exactly symmetric and zero on the variables that no block touches."""
+    exactly symmetric and zero on the variables that no block touches; its
+    upper triangle is the blocks' rows bit for bit, its lower one their
+    mirror."""
     monkeypatch.setattr(sdp_module, "_SCHUR_BUDGET", budget)
     prob = schur_cases()[case]
     nfree = prob.nfree
@@ -475,8 +518,10 @@ def test_schur_complement_matches_dense_reference(monkeypatch, budget, case):
         # the last block is the one inequality row's, alone as 25 + 1 > _PACK_SIDE
         assert [b.side for b in blocks] == [63] + [25] * 6 + [1]
         assert [len(b.active) for b in blocks] == [731] + [189] * 6 + [6]
-    else:
+    elif case == "packed":
         assert [b.side for b in blocks] == [3 + 2 + 2]  # one group, the rows included
+    else:
+        assert [b.side for b in blocks] == [56] and len(check_groups(blocks[0])) > 1
     rng = np.random.default_rng(22)
     ginvs = [random_scaling(rng, b.side) for b in blocks]
     want = sum(b.scaled_rows(g, nfree) @ b.scaled_rows(g, nfree).T
@@ -484,18 +529,20 @@ def test_schur_complement_matches_dense_reference(monkeypatch, budget, case):
     got = sdp_module._schur_complement(blocks, ginvs, np.full((nfree, nfree), np.nan))
     assert relative_error(got, want) <= 1e-12
     assert np.array_equal(got, got.T)
-    assert np.array_equal(got, unsymmetrized_average(blocks, ginvs, nfree))
+    assert_mirrors_block_rows(got, blocks, ginvs)
     untouched = np.setdiff1d(np.arange(nfree), np.concatenate([b.active for b in blocks]))
-    assert len(untouched) and (case == "ex36" or 5 in untouched)
+    assert len(untouched) and (case != "packed" or 5 in untouched)
     assert not got[untouched].any() and not got[:, untouched].any()
 
 
-def unsymmetrized_average(blocks, ginvs, nfree):
-    """0.5 * (A + A^T) for the sum A of the blocks' rows, before any symmetrization."""
-    a = np.zeros((nfree, nfree))
+def assert_mirrors_block_rows(got, blocks, ginvs):
+    """got's upper triangle bit-equals the sum A of the blocks' rows at
+    u >= v, before any mirroring, and its lower triangle is the mirror."""
+    a = np.zeros_like(got)
     for blk, ginv in zip(blocks, ginvs):
         blk.schur(ginv.T @ ginv, a)
-    return 0.5 * (a + a.T)
+    assert np.array_equal(np.triu(got), np.triu(a))
+    assert np.array_equal(np.tril(got, -1), np.triu(got, 1).T)
 
 
 TILE = sdp_module._SYM_TILE
@@ -503,9 +550,9 @@ TILE = sdp_module._SYM_TILE
 
 @pytest.mark.parametrize("nfree", [TILE - 1, TILE, TILE + 1, 300])
 def test_schur_complement_symmetrizes_in_tiles_exactly(nfree):
-    """The tiled in-place symmetrization gives 0.5 * (A + A^T) bit for bit on
-    sides one below, at and one above the tile, and on 300, which is no
-    multiple of it."""
+    """The tiled in-place mirror copies the upper triangle of the blocks'
+    rows into the lower one bit for bit on sides one below, at and one above
+    the tile, and on 300, which is no multiple of it."""
     rng = np.random.default_rng(nfree)
     nent = 4 * nfree
     blocks = [
@@ -515,8 +562,32 @@ def test_schur_complement_symmetrizes_in_tiles_exactly(nfree):
     ]
     ginvs = [random_scaling(rng, b.side) for b in blocks]
     got = sdp_module._schur_complement(blocks, ginvs, np.full((nfree, nfree), np.nan))
-    assert np.array_equal(got, unsymmetrized_average(blocks, ginvs, nfree))
+    assert_mirrors_block_rows(got, blocks, ginvs)
     assert np.array_equal(got, got.T)
+
+
+def test_schur_groups_restrict_large_blocks_and_keep_small_ones_whole():
+    """A timing-free guard on the Schur groups.  On the ladder's largest
+    block, the moment block of the unit ball at n = 6, k = 3 (side 84), the
+    W G_v W stacks cover at most 0.7 of active x side^2; every block of side
+    <= _PACK_SIDE that the solver iterates on in the ladder's (ball,
+    n = 3..6, k = 2, 3) and the small workload's relaxations (ball and box,
+    n = 2, 3, k = 2..4) is one group, with no per-group overhead."""
+    moment = quartic_relaxation(6, 3).psd_blocks[0]
+    assert moment.side == 84 and len(moment.active) == 924
+    formed = sum((b1 - b0) * (moment.side - g[1]) ** 2
+                 for g in check_groups(moment) for b0, b1, _, _ in g[-1])
+    assert formed <= 0.7 * len(moment.active) * moment.side**2
+    cases = [(n, k, False) for n in (3, 4, 5, 6) for k in (2, 3)]
+    cases += [(n, k, box) for n in (2, 3) for k in (2, 3, 4) for box in (False, True)]
+    small = 0
+    for n, k, box in cases:
+        blocks, _ = sdp_module._pack(sdp_module._cone_blocks(quartic_relaxation(n, k, box)))
+        for blk in blocks:
+            if blk.side <= sdp_module._PACK_SIDE:
+                assert len(check_groups(blk)) == 1, (n, k, box, blk.side)
+                small += 1
+    assert small >= len(cases)
 
 
 def test_newton_identities_match_svec_reference():
@@ -961,18 +1032,11 @@ def test_newton_path_holds_m_and_one_factor(monkeypatch):
     Cholesky factor of the reduced Schur complement and small change.  A
     third nfree-by-nfree array (the last iteration's factor, a transpose
     buffer, a copy of the reduced matrix) would pass 3 nfree^2.  A tiny
-    _SCHUR_BUDGET keeps PsdBlock.schur's batch work arrays negligible; it
-    must be set before the blocks are built."""
+    _SCHUR_BUDGET keeps PsdBlock.schur's batch work arrays negligible; the
+    tables of `schur`, which its first call builds inside the solve, are
+    traced too."""
     monkeypatch.setattr(sdp_module, "_SCHUR_BUDGET", 4096)
-    n = 5
-    rng = np.random.default_rng(5)
-    exps = [e for e in itertools.product(range(5), repeat=n) if sum(e) <= 4]
-    f = [{"c": float(c), "e": list(e)} for e, c in zip(exps, rng.standard_normal(len(exps)))]
-    ball = [{"c": 1.0, "e": [0] * n}] + [
-        {"c": -1.0, "e": [2 if j == i else 0 for j in range(n)]} for i in range(n)
-    ]
-    pop = problem_from_json({"n": n, "f": f, "set": {"ineq": [ball]}})
-    prob = compile_relaxation(pop, "plain", 3).sdp
+    prob = quartic_relaxation(5, 3)
     assert prob.nfree == 462
     tracemalloc.start()
     try:
