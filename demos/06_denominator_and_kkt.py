@@ -29,6 +29,10 @@ print("\nstatus:", result.status)
 print("value :", result.value)
 atom = result.measure.points[0]
 print("atom  :", np.round(atom, 6))
+# The relaxation's own measure has <theta^3, w> = 1, so its weight at the
+# atom is 1/theta(atom)^3 = 1/64; the reported measure is the POP's, mass 1.
+print("weight:", round(result.measure.weights[0], 6),
+      " relaxation's weight:", round(result.certificate.raw_measure.weights[0], 6))
 
 # Interrogate the atom with the standard nonlinear-programming conditions:
 # constraint-gradient independence (licq), stationarity with multipliers,

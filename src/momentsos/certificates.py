@@ -6,8 +6,6 @@ atoms verify against the problem data.  The pieces are usable separately:
 
 * flat_truncation: rank stabilization test on nested moment matrices.
 * extract_atoms: multiplication-operator recovery of atoms from a flat tms.
-* dehomogenize_atoms: map sphere atoms (tau, v) back to v/tau, splitting off
-  directions at infinity (tau ~ 0).
 * verify_atoms: feasibility / pairing / objective checks for a candidate
   atomic measure.
 * check_optimality: local first- and second-order tests (LICQ, KKT
@@ -16,8 +14,8 @@ atoms verify against the problem data.  The pieces are usable separately:
 * certify_relaxation: glue that runs the pipeline on a solved relaxation.
   One path serves every variant: flat truncation, extraction (the zero
   measure when the moment matrix vanishes), the moment error, verification
-  against the relaxed problem, an atom map back to the source problem
-  (dehomogenization for the homogenized variant, the identity otherwise)
+  against the relaxed problem, the compiled relaxation's own map of the
+  atoms back to the source problem (`CompiledRelaxation.source_measure`)
   with verification there, and one certified/reason decision.
 """
 
@@ -30,9 +28,9 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .moments import AtomicMeasure, Tms, moment_matrix, tms_from_atoms
+from .moments import AtomicMeasure, Tms, dehomogenize_atoms, moment_matrix, tms_from_atoms
 from .polynomials import Polynomial, basis_size, monomial_basis, sum_positions
-from .relaxations import CompiledRelaxation, PopProblem, SemialgebraicSet, Variant
+from .relaxations import CompiledRelaxation, PopProblem, SemialgebraicSet
 from .sdp import SdpSolution
 
 __all__ = [
@@ -199,46 +197,6 @@ def extract_atoms(
     return AtomicMeasure(weights=weights, points=points)
 
 
-def dehomogenize_atoms(
-    measure: AtomicMeasure, degree: int, tau_tol: float = 1e-6
-) -> tuple:
-    """Split sphere atoms (tau, v) into finite points v/tau and directions.
-
-    Weights of finite atoms scale by tau^degree, matching how pairings were
-    homogenized.  Atoms with |tau| <= tau_tol are returned unchanged (in
-    homogeneous coordinates) as the second component; they carry mass at
-    infinity.  Atoms with tau < -tau_tol are sign-flipped first, which is
-    valid because homogenized data is evaluated on antipodal pairs equally
-    only when degrees are even; callers using odd data with a free sign
-    should have kept the tau >= 0 constraint.
-    """
-    finite_pts, finite_wts = [], []
-    inf_pts, inf_wts = [], []
-    for lam, point in zip(measure.weights, measure.points):
-        tau = point[0]
-        if abs(tau) <= tau_tol:
-            inf_pts.append(point)
-            inf_wts.append(lam)
-            continue
-        if tau < 0:
-            point = -point
-            tau = -tau
-        finite_pts.append(point[1:] / tau)
-        finite_wts.append(lam * tau ** degree)
-    n = measure.points.shape[1]
-    finite = (
-        AtomicMeasure(np.array(finite_wts), np.array(finite_pts))
-        if finite_pts
-        else AtomicMeasure.empty(n - 1)
-    )
-    at_inf = (
-        AtomicMeasure(np.array(inf_wts), np.array(inf_pts))
-        if inf_pts
-        else AtomicMeasure.empty(n)
-    )
-    return finite, at_inf
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Numeric summary of how well an atomic measure fits problem data."""
@@ -352,13 +310,12 @@ def certify_relaxation(
 
     Every variant takes the same path.  The atoms extracted at the flat
     order (none for the zero measure) are checked against the relaxed
-    problem `comp.relaxed` (raw_report), then mapped to the source problem's
-    coordinates and checked there (report).  The map is dehomogenization for
-    the homogenized variant: sphere atoms (tau, v) become v/tau, and mass at
-    infinity blocks certification but is reported rather than discarded.
-    For the other variants the relaxed problem has the source's variables,
-    the map is the identity and the raw report serves as the report.  For a
-    POP every recovered atom must attain the value.
+    problem `comp.relaxed` (raw_report), then mapped back to the source
+    problem by `comp.source_measure` and checked against its moment problem
+    (report).  Mass at infinity, which only the homogenized map finds,
+    blocks certification but is reported rather than discarded; the
+    pairings and the value are then not checked.  For a POP every
+    recovered atom must attain the value.
     """
     w = comp.tms(sol)
     value = comp.moment_value(sol)
@@ -379,31 +336,21 @@ def certify_relaxation(
     recon = tms_from_atoms(raw, 2 * flat.order)
     w_flat = w.truncate(2 * flat.order)
     moment_error = float(np.max(np.abs(recon.values - w_flat.values)))
-    relaxed = comp.relaxed
-    raw_rep = verify_atoms(
-        raw,
-        relaxed.set,
-        pairings=relaxed.pairings,
-        objective=relaxed.objective,
-        expected_value=value,
-        feas_tol=feas_tol,
-    )
 
-    if comp.variant is Variant.HOMOGENIZED:
-        measure, at_inf = dehomogenize_atoms(raw, relaxed.d, tau_tol)
-        gmp = comp.source.as_gmp()
-        finite = at_inf.num_atoms == 0
-        rep = verify_atoms(
-            measure,
+    def verify(atoms, gmp, finite=True):
+        return verify_atoms(
+            atoms,
             gmp.set,
             pairings=gmp.pairings if finite else None,
             objective=gmp.objective,
             expected_value=value if finite else None,
             feas_tol=feas_tol,
         )
-    else:
-        measure, at_inf, rep, finite = raw, None, raw_rep, True
 
+    raw_rep = verify(raw, comp.relaxed)
+    measure, at_inf = comp.source_measure(raw, tau_tol)
+    finite = at_inf is None or at_inf.num_atoms == 0
+    rep = verify(measure, comp.source.as_gmp(), finite)
     certified = bool(raw_rep.ok and rep.ok and finite and moment_error <= feas_tol)
     if certified and isinstance(comp.source, PopProblem):
         f = comp.source.objective

@@ -196,11 +196,10 @@ def _run_hierarchy(args, command: str) -> int:
     if args.seed < 0:
         raise _InputError("--seed must be non-negative")
     problem = _load_problem(args.problem)
-    variant = Variant(args.variant)
     try:
         result = solve_hierarchy(
             problem,
-            variant,
+            args.variant,
             args.kmin,
             args.kmax,
             tol=args.tol,
@@ -223,7 +222,7 @@ def _run_hierarchy(args, command: str) -> int:
     report = _report_header(command, args)
     report.update(
         {
-            "variant": variant.value,
+            "variant": args.variant,
             "problem_kind": kind,
             "nvars": problem.nvars,
             "k_min": result.records[0].order if result.records else args.kmin,
@@ -264,7 +263,7 @@ def _run_hierarchy(args, command: str) -> int:
     _write_report(report, args.out)
 
     print(f"problem: {args.problem} ({kind}, {problem.nvars} variables)")
-    print(f"variant: {variant.value}")
+    print(f"variant: {args.variant}")
     for warning in result.warnings:
         print(f"warning: {warning}")
     print(f"{'k':>3}  {'status':<18} {'moment value':>16} {'sos value':>16}  certified")
@@ -352,18 +351,17 @@ def _run_check_kkt(args) -> int:
 
 def _run_dump(args) -> int:
     problem = _load_problem(args.problem)
-    variant = Variant(args.variant)
     try:
         k = args.kmin
         if k is None:
-            k = variant_minimum_order(problem, variant)
-        comp = compile_relaxation(problem, variant, k)
+            k = variant_minimum_order(problem, args.variant)
+        comp = compile_relaxation(problem, args.variant, k)
     except ValueError as exc:
         raise _InputError(str(exc))
     if args.out:
         with open(args.out, "w") as fh:
             write_sparse_sdp(comp.sdp, fh)
-        print(f"wrote order-{k} {variant.value} SDP to {args.out}")
+        print(f"wrote order-{k} {args.variant} SDP to {args.out}")
     else:
         write_sparse_sdp(comp.sdp, sys.stdout)
     return 0

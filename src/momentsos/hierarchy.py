@@ -30,7 +30,6 @@ from .relaxations import (
     SosCertificate,
     Variant,
     compile_relaxation,
-    homogenization_warnings,
     variant_minimum_order,
     # bench/tracing.py looks the per-variant compilers up in this module, so
     # they stay importable here; solve_hierarchy uses compile_relaxation.
@@ -80,15 +79,13 @@ class HierarchyResult:
 
     @property
     def certificate(self) -> Optional[MomentCertificate]:
-        for rec in self.records:
-            if rec.certified:
-                return rec.certificate
-        return None
+        # the sweep stops at its certified order
+        return self.records[-1].certificate if self.converged else None
 
 
 def solve_hierarchy(
     problem: Union[GmpProblem, PopProblem],
-    variant: Union[Variant, str] = Variant.PLAIN,
+    variant: Union[Variant, str] = "plain",
     k_min: Optional[int] = None,
     k_max: Optional[int] = None,
     *,
@@ -117,7 +114,6 @@ def solve_hierarchy(
         raise ValueError("max_iter must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    variant = Variant(variant)
     if k_min is None:
         k_min = variant_minimum_order(problem, variant)
     if k_max is None:
@@ -125,13 +121,7 @@ def solve_hierarchy(
     if k_max < k_min:
         raise ValueError("k_max must be at least k_min")
 
-    result_warnings = (
-        homogenization_warnings(problem.set) if variant is Variant.HOMOGENIZED else []
-    )
-
     records: list = []
-    solved_any = False
-    converged_at: Optional[OrderRecord] = None
     for k in range(k_min, k_max + 1):
         comp = compile_relaxation(problem, variant, k)
         sol = solve_sdp(comp.sdp, tol=tol, max_iter=max_iter, verbose=verbose)
@@ -148,42 +138,23 @@ def solve_hierarchy(
         records.append(rec)
         if sol.status is not SdpStatus.OPTIMAL:
             continue
-        solved_any = True
         rec.certificate = certify_relaxation(
             comp, sol, rank_tol=rank_tol, feas_tol=feas_tol, tau_tol=tau_tol, seed=seed
         )
         rec.sos = comp.sos_certificate(sol)
         if rec.certificate.certified:
-            converged_at = rec
             break
 
-    if converged_at is not None:
-        cert = converged_at.certificate
-        return HierarchyResult(
-            status="converged",
-            value=cert.value,
-            order=converged_at.order,
-            records=records,
-            measure=cert.measure,
-            atoms_at_infinity=cert.atoms_at_infinity,
-            theta=converged_at.sos.theta if converged_at.sos is not None else None,
-            warnings=result_warnings,
-        )
-    if solved_any:
-        last = next(
-            (r for r in reversed(records) if r.moment_value is not None), None
-        )
-        return HierarchyResult(
-            status="unresolved",
-            value=last.moment_value if last else None,
-            order=last.order if last else None,
-            records=records,
-            warnings=result_warnings,
-        )
+    # the first certified order ends the sweep, so it is the last solved one
+    last = next((r for r in reversed(records) if r.moment_value is not None), None)
+    cert = last.certificate if last is not None and last.certified else None
     return HierarchyResult(
-        status="failed",
-        value=None,
-        order=None,
+        status="failed" if last is None else "converged" if cert else "unresolved",
+        value=None if last is None else last.moment_value,
+        order=None if last is None else last.order,
         records=records,
-        warnings=result_warnings,
+        measure=cert.measure if cert else None,
+        atoms_at_infinity=cert.atoms_at_infinity if cert else None,
+        theta=last.sos.theta if cert else None,
+        warnings=comp.warnings,
     )

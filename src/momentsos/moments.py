@@ -36,6 +36,7 @@ from .polynomials import (
 __all__ = [
     "Tms",
     "AtomicMeasure",
+    "dehomogenize_atoms",
     "pair",
     "tms_from_atoms",
     "moment_matrix",
@@ -145,6 +146,46 @@ class AtomicMeasure:
             np.array([a["weight"] for a in atoms]),
             np.array([a["point"] for a in atoms]),
         )
+
+
+def dehomogenize_atoms(
+    measure: AtomicMeasure, degree: int, tau_tol: float = 1e-6
+) -> tuple:
+    """Split sphere atoms (tau, v) into finite points v/tau and directions.
+
+    Weights of finite atoms scale by tau^degree, matching how pairings were
+    homogenized.  Atoms with |tau| <= tau_tol are returned unchanged (in
+    homogeneous coordinates) as the second component; they carry mass at
+    infinity.  Atoms with tau < -tau_tol are sign-flipped first, which is
+    valid because homogenized data is evaluated on antipodal pairs equally
+    only when degrees are even; callers using odd data with a free sign
+    should have kept the tau >= 0 constraint.
+    """
+    finite_pts, finite_wts = [], []
+    inf_pts, inf_wts = [], []
+    for lam, point in zip(measure.weights, measure.points):
+        tau = point[0]
+        if abs(tau) <= tau_tol:
+            inf_pts.append(point)
+            inf_wts.append(lam)
+            continue
+        if tau < 0:
+            point = -point
+            tau = -tau
+        finite_pts.append(point[1:] / tau)
+        finite_wts.append(lam * tau ** degree)
+    n = measure.points.shape[1]
+    finite = (
+        AtomicMeasure(np.array(finite_wts), np.array(finite_pts))
+        if finite_pts
+        else AtomicMeasure.empty(n - 1)
+    )
+    at_inf = (
+        AtomicMeasure(np.array(inf_wts), np.array(inf_pts))
+        if inf_pts
+        else AtomicMeasure.empty(n)
+    )
+    return finite, at_inf
 
 
 def pair(p: Polynomial, w: Tms) -> float:

@@ -37,9 +37,11 @@ reads it off the SDP dual, so weak duality between the two sides is
 structural rather than numerical luck.  Its Gram matrices are the block duals
 zero-padded from J to the full basis, which keeps the SOS identity exact.
 
-Three variants are compiled:
+Three variants are compiled, and only this module tells them apart: each
+`CompiledRelaxation` maps its atoms back to the source problem
+(`source_measure`) and carries the variant's caveats (`warnings`).
 
-* plain: the relaxation above.
+* plain: the relaxation above; atoms map back unchanged.
 * homogenized: for sets that need not be compact, work on the unit sphere in
   one more variable x0 (prepended), replacing each polynomial p by its
   homogenization x0^deg(p) p(x/x0) to common degree d and adding the sphere
@@ -49,6 +51,8 @@ Three variants are compiled:
   and ask for a truncated ideal + quadratic module certificate.  In moment
   form this is a relaxation over the original variables with normalization
   <theta^k, w> = 1 and objective <theta^k f, w>; gamma* is its optimal value.
+  An atom's weight maps back multiplied by theta(x)^k, which makes the
+  measure a probability measure with integral of f equal to gamma*.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import Sequence, Union
 import numpy as np
 import scipy.linalg as sla
 
-from .moments import Tms, localizing_index
+from .moments import AtomicMeasure, Tms, dehomogenize_atoms, localizing_index
 from .polynomials import Polynomial, as_integer, basis_size, monomial_basis, sum_positions
 from .sdp import PsdBlock, SdpProblem, SdpSolution, _svec_index
 
@@ -359,6 +363,24 @@ class CompiledRelaxation:
     def tms(self, sol: SdpSolution) -> Tms:
         return Tms(self.nvars, self.tms_degree, sol.x)
 
+    @property
+    def warnings(self) -> list:
+        """Caveats on this relaxation's values, for warnings and reports."""
+        if self.variant is Variant.HOMOGENIZED:
+            return homogenization_warnings(self.source.set)
+        return []
+
+    def source_measure(self, raw: AtomicMeasure, tau_tol: float) -> tuple:
+        """(measure, atoms at infinity or None): atoms of `relaxed` mapped to
+        the source problem, as the module docstring states per variant."""
+        if self.variant is Variant.HOMOGENIZED:
+            return dehomogenize_atoms(raw, self.relaxed.d, tau_tol)
+        if self.variant is Variant.DENOMINATOR:
+            theta_k = self.relaxed.a[0]
+            scale = np.array([theta_k.evaluate(p) for p in raw.points])
+            return AtomicMeasure(raw.weights * scale, raw.points), None
+        return raw, None
+
     def moment_value(self, sol: SdpSolution) -> float:
         return float(sol.obj_primal)
 
@@ -601,9 +623,10 @@ def homogenized_relaxation(
     Atom weights scale by tau^d under dehomogenization, where d is the
     problem's degree bound.
     """
-    for message in homogenization_warnings(problem.set):
+    comp = compile_relaxation(problem, Variant.HOMOGENIZED, k)
+    for message in comp.warnings:
         warnings.warn(message, stacklevel=2)
-    return compile_relaxation(problem, Variant.HOMOGENIZED, k)
+    return comp
 
 
 def denominator_relaxation(pop: PopProblem, k: int) -> CompiledRelaxation:
@@ -663,6 +686,8 @@ def problem_from_json(data: dict) -> Union[GmpProblem, PopProblem]:
     (not strings or booleans), set and gmp objects, eq, ineq and a lists,
     the set's flags booleans and b a flat list.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"problem JSON must be an object, got {type(data).__name__}")
     if "n" not in data or "f" not in data:
         raise ValueError("problem JSON needs at least 'n' and 'f'")
     n = as_integer(data["n"], "'n'")

@@ -1,7 +1,7 @@
 import json
 import pathlib
 
-from momentsos import problem_from_json
+from momentsos import Polynomial, PopProblem, SemialgebraicSet, problem_from_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PROBLEMS = ROOT / "problems"
@@ -10,3 +10,13 @@ PROBLEMS = ROOT / "problems"
 def load_problem(name):
     with open(PROBLEMS / name) as fh:
         return problem_from_json(json.load(fh))
+
+
+def motzkin_pop():
+    """min of the Motzkin polynomial over the plane: 0 at (+-1, +-1).
+
+    It is nonnegative but not a sum of squares, so the plain hierarchy has
+    an unbounded moment side at every order.
+    """
+    terms = {(4, 2): 1.0, (2, 4): 1.0, (2, 2): -3.0, (0, 0): 1.0}
+    return PopProblem(SemialgebraicSet(2), Polynomial(2, terms))

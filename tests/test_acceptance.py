@@ -154,6 +154,18 @@ def test_ex48_denominator_order3_value(run_ex48):
     assert elapsed < 120.0
 
 
+def test_ex48_denominator_measure_is_probability(run_ex48):
+    """The certified measure is the source POP's: the relaxation's weights
+    times theta^3 at each atom, so mass 1 at (1, 1, -1); the raw measure keeps
+    the relaxation's own weights, of mass <theta^3, w> / theta(x)^3 = 1/64."""
+    _, result, _ = run_ex48
+    assert result.measure.mass == pytest.approx(1.0, abs=1e-6)
+    assert_atoms_match(result.measure.points, [(1.0, 1.0, -1.0)], 1e-3)
+    raw = result.certificate.raw_measure
+    assert np.array_equal(raw.points, result.measure.points)
+    assert raw.mass == pytest.approx(1.0 / 64.0, rel=1e-4)
+
+
 def test_kkt_suite():
     """First/second-order checks on known minimizers, within one second."""
     t0 = time.monotonic()

@@ -233,6 +233,19 @@ def test_bad_option_values_fail_before_solving(monkeypatch, capsys, flag, value)
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, kind", [
+    ("5", "int"), ("true", "bool"), ("null", "NoneType"), ("[]", "list"),
+])
+def test_problem_file_that_is_not_an_object(tmp_path, capsys, text, kind):
+    # 5 used to fail with "argument of type 'int' is not iterable", and []
+    # with "needs at least 'n' and 'f'"
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    assert run("solve", str(path)) == 1
+    err = capsys.readouterr().err
+    assert f"problem JSON must be an object, got {kind}" in err
+
+
 def test_schema_error_names_offending_term(tmp_path, capsys):
     path = tmp_path / "mismatched.json"
     path.write_text(json.dumps({"n": 3, "f": [{"c": 1.0, "e": [2, 0]}]}))

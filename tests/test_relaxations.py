@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ from momentsos import (
 )
 
 import oracles
-from momentsos.relaxations import _face_rows
-from conftest import load_problem
+from momentsos.relaxations import _face_rows, homogenization_warnings
+from conftest import load_problem, motzkin_pop
 
 
 def x(n, i):
@@ -305,6 +306,52 @@ def test_denominator_interval_value():
     result = solve_hierarchy(interval_pop(), "denominator", 1, 1)
     assert result.status == "converged"
     assert result.value == pytest.approx(-1.0, abs=1e-5)
+
+
+def test_denominator_interval_measure_is_probability():
+    # theta = 1 + x^2 is 2 at the minimizer x = 1, so the relaxation's own
+    # weight there is 1/2 and the source POP's weight is 1
+    result = solve_hierarchy(interval_pop(), "denominator", 1, 1)
+    assert result.measure.weights == pytest.approx([1.0], abs=1e-6)
+    assert result.measure.points[:, 0] == pytest.approx([1.0], abs=1e-6)
+    assert result.certificate.raw_measure.weights == pytest.approx([0.5], abs=1e-6)
+    assert result.certificate.report.ok
+
+
+def test_sweep_unresolved_reports_the_last_solved_order():
+    # Motzkin with denominators solves at k = 3, but its atoms fail verification
+    result = solve_hierarchy(motzkin_pop(), "denominator", 3, 3)
+    last = result.records[-1]
+    assert result.status == "unresolved" and not result.converged
+    assert last.status == "optimal" and not last.certified
+    assert (result.value, result.order) == (last.moment_value, last.order)
+    assert result.measure is None and result.atoms_at_infinity is None
+    assert result.theta is None and result.certificate is None
+
+
+def test_sweep_failed_when_no_order_solves():
+    # the plain Motzkin relaxation has an unbounded moment side
+    result = solve_hierarchy(motzkin_pop(), "plain", 3, 3)
+    assert result.status == "failed"
+    assert result.records[-1].status == "numerical_failure"
+    assert result.value is None and result.order is None
+    assert result.measure is None and result.theta is None
+    assert result.certificate is None
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_homogenized_sweep_warns_unless_closed_at_infinity(closed):
+    half_line = SemialgebraicSet(1, inequalities=(x(1, 0),), closed_at_infinity=closed)
+    pop = PopProblem(half_line, (x(1, 0) - 1.0) ** 2)
+    expected = homogenization_warnings(half_line)
+    assert bool(expected) is not closed
+    result = solve_hierarchy(pop, "homogenized", 1, 1)
+    assert result.warnings == expected
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert homogenized_relaxation(pop, 1).warnings == expected
+    assert [str(w.message) for w in caught] == expected
+    assert solve_hierarchy(pop, "plain", 1, 1).warnings == []
 
 
 def test_plain_and_homogenized_agree_on_compact_set():

@@ -23,7 +23,7 @@ from momentsos import (
 from momentsos import sdp as sdp_module
 
 import oracles
-from conftest import load_problem
+from conftest import load_problem, motzkin_pop
 
 
 def random_psd_problem(rng, nfree=4, side=3, num_eq=2):
@@ -1025,6 +1025,25 @@ def test_singular_optimum_reaches_tol_without_fallback(name, variant):
     sol = solve_sdp(prob)
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.message == ""
+
+
+def test_stops_at_max_iter_with_the_best_residual():
+    # one iteration cannot reach tol or the fallback's accept level
+    prob = compile_relaxation(load_problem("ex35.json"), "plain", 3).sdp
+    sol = solve_sdp(prob, max_iter=1)
+    assert sol.status is SdpStatus.MAX_ITERATIONS
+    assert sol.message == "stopped after 1 iterations with residual 1.00e+00"
+    assert sol.iterations == 1
+
+
+def test_numerical_failure_when_progress_stalls():
+    # the plain Motzkin relaxation has an unbounded moment side: the best
+    # residual stops improving for eight iterations, far above tol
+    prob = compile_relaxation(motzkin_pop(), "plain", 3).sdp
+    sol = solve_sdp(prob)
+    assert sol.status is SdpStatus.NUMERICAL_FAILURE
+    assert sol.message == "no further progress"
+    assert sol.iterations == 14
 
 
 def test_newton_path_holds_m_and_one_factor(monkeypatch):
