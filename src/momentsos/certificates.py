@@ -21,6 +21,7 @@ atoms verify against the problem data.  The pieces are usable separately:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -109,11 +110,12 @@ def flat_truncation(
         raise ValueError(f"d0={d0} exceeds the half degree {k} of the sequence")
     if dK < 1:
         raise ValueError("dK must be at least 1")
+    # M_t is M_{t'-dK} again at t' = t + dK: one SVD per order
+    rank_at = functools.cache(lambda s: numerical_rank(moment_matrix(w, s), rank_tol))
     ranks = []
     hit = None
     for t in range(d0, k + 1):
-        r_lo = numerical_rank(moment_matrix(w, t - dK), rank_tol)
-        r_hi = numerical_rank(moment_matrix(w, t), rank_tol)
+        r_lo, r_hi = rank_at(t - dK), rank_at(t)
         ranks.append((t, r_lo, r_hi))
         if r_lo == r_hi and hit is None:
             hit = (t, r_hi)
@@ -234,17 +236,10 @@ def verify_atoms(
     pairings entries are (polynomial, rhs, is_equality).  All comparisons use
     feas_tol scaled by 1 + the magnitude of the quantity compared.
     """
-    eq_v = 0.0
-    ineq_v = 0.0
-    for point in measure.points:
-        for c in set_.equalities:
-            eq_v = max(eq_v, abs(c.evaluate(point)))
-        for c in set_.inequalities:
-            ineq_v = max(ineq_v, -min(c.evaluate(point), 0.0))
+    eq_v, ineq_v = set_.violations(measure.points)
     pair_v = 0.0
     for poly, rhs, is_eq in pairings or []:
-        val = measure.integrate(poly)
-        gap = val - rhs
+        gap = measure.integrate(poly) - rhs
         miss = abs(gap) if is_eq else max(-gap, 0.0)
         pair_v = max(pair_v, miss / (1.0 + abs(rhs)))
     obj = measure.integrate(objective) if objective is not None else float("nan")
@@ -350,14 +345,12 @@ def certify_relaxation(
     raw_rep = verify(raw, comp.relaxed)
     measure, at_inf = comp.source_measure(raw, tau_tol)
     finite = at_inf is None or at_inf.num_atoms == 0
-    rep = verify(measure, comp.source.as_gmp(), finite)
+    # raw itself comes back only when relaxed is the source's moment problem
+    rep = raw_rep if measure is raw else verify(measure, comp.source.as_gmp(), finite)
     certified = bool(raw_rep.ok and rep.ok and finite and moment_error <= feas_tol)
     if certified and isinstance(comp.source, PopProblem):
-        f = comp.source.objective
-        certified = all(
-            abs(f.evaluate(p) - value) <= feas_tol * (1.0 + abs(value))
-            for p in measure.points
-        )
+        f_atoms = comp.source.objective.evaluate(measure.points)
+        certified = bool(np.all(np.abs(f_atoms - value) <= feas_tol * (1.0 + abs(value))))
     if not finite:
         reason = "measure carries mass at infinity"
     elif flat.zero_measure:
@@ -447,10 +440,9 @@ def check_optimality(
     set_ = pop.set
     f = pop.objective
 
-    feasible = set_.contains(x, act_tol)
-    active = tuple(
-        j for j, c in enumerate(set_.inequalities) if abs(c.evaluate(x)) <= act_tol
-    )
+    eq_vals, slack = set_.values(x)
+    feasible = bool(np.all(np.abs(eq_vals) <= act_tol) and np.all(slack >= -act_tol))
+    active = tuple(np.flatnonzero(np.abs(slack) <= act_tol).tolist())
 
     grads = [c.gradient_at(x) for c in set_.equalities]
     grads += [set_.inequalities[j].gradient_at(x) for j in active]
@@ -481,25 +473,16 @@ def check_optimality(
     lam = mults[:n_eq]
     mu_active = mults[n_eq:]
     mu = np.zeros(len(set_.inequalities))
-    for j, m in zip(active, mu_active):
-        mu[j] = m
+    mu[list(active)] = mu_active
     # strict complementarity: every inequality has either slack or multiplier
-    if len(set_.inequalities):
-        scc = bool(
-            min(m + c.evaluate(x) for m, c in zip(mu, set_.inequalities)) > tol
-        )
-    else:
-        scc = True
+    scc = bool(np.all(mu + slack > tol))
 
     hess = f.hessian_at(x)
     for lam_l, c in zip(lam, set_.equalities):
         hess = hess - lam_l * c.hessian_at(x)
     for j, m in zip(active, mu_active):
         hess = hess - m * set_.inequalities[j].hessian_at(x)
-    if g.shape[0]:
-        null = sla.null_space(g)
-    else:
-        null = np.eye(n)
+    null = sla.null_space(g) if g.shape[0] else np.eye(n)
     if null.shape[1] == 0:
         sosc = True
         min_eig = None
@@ -509,7 +492,7 @@ def check_optimality(
         sosc = min_eig > tol
     return OptimalityReport(
         point=x,
-        objective=float(f.evaluate(x)),
+        objective=f.evaluate(x),
         feasible=feasible,
         active_inequalities=active,
         licq=licq,

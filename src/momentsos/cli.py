@@ -20,7 +20,10 @@ and flags except for the timestamp field.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
+import logging
 import math
 import sys
 import time
@@ -58,6 +61,7 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(f"{message}\n{self.format_usage()}")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so a process builds it once
 def _build_parser() -> _Parser:
     parser = _Parser(prog="momentsos", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -88,7 +92,7 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--seed", type=int, default=0, help="extraction mixing seed")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--verbose", action="store_true", help="print solver iterations")
+        p.add_argument("--verbose", action="store_true", help="log iterations to stderr")
 
     ps = sub.add_parser("solve", help="run the hierarchy and report the result")
     add_common(ps)
@@ -207,7 +211,6 @@ def _run_hierarchy(args, command: str) -> int:
             feas_tol=args.feas_tol,
             tau_tol=args.tau_tol,
             seed=args.seed,
-            verbose=args.verbose,
         )
     except ValueError as exc:
         raise _InputError(str(exc))
@@ -367,12 +370,28 @@ def _run_dump(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _debug_log_to_stderr():
+    """Send the package's DEBUG records (the solver's iterations) to stderr."""
+    logger = logging.getLogger("momentsos")
+    handler = logging.StreamHandler(sys.stderr)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command in ("solve", "certify-flat"):
-            return _run_hierarchy(args, args.command)
+            with _debug_log_to_stderr() if args.verbose else contextlib.nullcontext():
+                return _run_hierarchy(args, args.command)
         if args.command == "check-kkt":
             return _run_check_kkt(args)
         return _run_dump(args)

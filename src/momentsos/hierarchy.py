@@ -95,7 +95,6 @@ def solve_hierarchy(
     tau_tol: float = 1e-6,
     max_iter: int = 200,
     seed: int = 0,
-    verbose: bool = False,
 ) -> HierarchyResult:
     """Sweep relaxation orders k_min..k_max and certify the first flat one.
 
@@ -124,7 +123,7 @@ def solve_hierarchy(
     records: list = []
     for k in range(k_min, k_max + 1):
         comp = compile_relaxation(problem, variant, k)
-        sol = solve_sdp(comp.sdp, tol=tol, max_iter=max_iter, verbose=verbose)
+        sol = solve_sdp(comp.sdp, tol=tol, max_iter=max_iter)
         rec = OrderRecord(
             order=k,
             status=sol.status.value,

@@ -128,9 +128,7 @@ class AtomicMeasure:
         return float(self.weights.sum())
 
     def integrate(self, p: Polynomial) -> float:
-        return float(
-            sum(w * p.evaluate(pt) for w, pt in zip(self.weights, self.points))
-        )
+        return float(self.weights @ p.evaluate(self.points))
 
     def to_json(self) -> list:
         return [
@@ -161,31 +159,14 @@ def dehomogenize_atoms(
     only when degrees are even; callers using odd data with a free sign
     should have kept the tau >= 0 constraint.
     """
-    finite_pts, finite_wts = [], []
-    inf_pts, inf_wts = [], []
-    for lam, point in zip(measure.weights, measure.points):
-        tau = point[0]
-        if abs(tau) <= tau_tol:
-            inf_pts.append(point)
-            inf_wts.append(lam)
-            continue
-        if tau < 0:
-            point = -point
-            tau = -tau
-        finite_pts.append(point[1:] / tau)
-        finite_wts.append(lam * tau ** degree)
-    n = measure.points.shape[1]
-    finite = (
-        AtomicMeasure(np.array(finite_wts), np.array(finite_pts))
-        if finite_pts
-        else AtomicMeasure.empty(n - 1)
+    at_inf = np.abs(measure.points[:, 0]) <= tau_tol
+    pts = measure.points[~at_inf]
+    pts = np.where(pts[:, :1] < 0, -pts, pts)
+    tau = pts[:, 0]
+    finite = AtomicMeasure(
+        measure.weights[~at_inf] * tau ** degree, pts[:, 1:] / tau[:, np.newaxis]
     )
-    at_inf = (
-        AtomicMeasure(np.array(inf_wts), np.array(inf_pts))
-        if inf_pts
-        else AtomicMeasure.empty(n)
-    )
-    return finite, at_inf
+    return finite, AtomicMeasure(measure.weights[at_inf], measure.points[at_inf])
 
 
 def pair(p: Polynomial, w: Tms) -> float:
@@ -202,10 +183,7 @@ def pair(p: Polynomial, w: Tms) -> float:
 def tms_from_atoms(measure: AtomicMeasure, degree: int) -> Tms:
     """Moments of an atomic measure up to the given degree."""
     vand = monomial_basis(measure.nvars, degree).evaluate(measure.points)
-    vals = np.zeros(len(vand))
-    for wt, column in zip(measure.weights, vand.T):
-        vals += wt * column
-    return Tms(measure.nvars, degree, vals)
+    return Tms(measure.nvars, degree, vand @ measure.weights)
 
 
 def moment_matrix(w: Tms, k: int) -> np.ndarray:

@@ -52,6 +52,16 @@ def _exponents_of_degree(nvars: int, total: int):
             yield (head,) + tail
 
 
+def _monomials(exps: np.ndarray, points) -> np.ndarray:
+    """x^e for each row e of the (m, n) exponent array: shape (m,) at a point,
+    (r, m) at the rows of an (r, n) array.  One broadcast power and one
+    product per call; every evaluation of monomials at points comes here."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != exps.shape[1]:
+        raise ValueError(f"point must have length {exps.shape[1]}")
+    return np.prod(pts[..., np.newaxis, :] ** exps, axis=-1)
+
+
 class MonomialBasis:
     """All monomials of degree <= degree in nvars variables, in graded order.
 
@@ -86,14 +96,9 @@ class MonomialBasis:
 
     def evaluate(self, points) -> np.ndarray:
         """The basis monomials at a point, or at each row ell of an (r, n) array
-        as column ell of the Vandermonde V: one broadcast power, one product."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim not in (1, 2) or pts.shape[-1] != self.nvars:
-            raise ValueError(f"point must have length {self.nvars}")
+        as column ell of the Vandermonde V."""
         exps = np.array(self.exponents, dtype=np.int64).reshape(len(self), self.nvars)
-        if pts.ndim == 2:
-            exps = exps[:, np.newaxis, :]
-        return np.prod(pts ** exps, axis=-1)
+        return _monomials(exps, points).T
 
     def __repr__(self) -> str:
         return f"MonomialBasis(nvars={self.nvars}, degree={self.degree}, size={len(self)})"
@@ -321,18 +326,13 @@ class Polynomial:
 
     # -- calculus -----------------------------------------------------------
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        pt = tuple(float(x) for x in point)
-        if len(pt) != self.nvars:
-            raise ValueError(f"point must have length {self.nvars}")
-        total = 0.0
-        for e, c in self._terms.items():
-            v = c
-            for x, a in zip(pt, e):
-                if a:
-                    v *= x ** a
-            total += v
-        return total
+    def evaluate(self, points):
+        """p at a point (a float), or at each row of an (r, n) array (r values,
+        each with the bits that evaluating that row alone gives)."""
+        exps = np.array(list(self._terms), dtype=np.int64).reshape(-1, self.nvars)
+        coefs = np.fromiter(self._terms.values(), dtype=float, count=len(self._terms))
+        values = (_monomials(exps, points) * coefs).sum(axis=-1)
+        return float(values) if values.ndim == 0 else values
 
     def partial(self, i: int) -> "Polynomial":
         """Partial derivative with respect to variable i (0-based)."""
@@ -358,8 +358,7 @@ class Polynomial:
         return np.array([g.evaluate(point) for g in self.gradient()])
 
     def hessian_at(self, point) -> np.ndarray:
-        H = self.hessian()
-        return np.array([[h.evaluate(point) for h in row] for row in H])
+        return np.array([[h.evaluate(point) for h in row] for row in self.hessian()])
 
     # -- structural transforms ----------------------------------------------
 

@@ -131,10 +131,26 @@ class SemialgebraicSet:
     def constraints(self) -> tuple:
         return self.equalities + self.inequalities
 
-    def contains(self, point, tol: float) -> bool:
-        return all(abs(c.evaluate(point)) <= tol for c in self.equalities) and all(
-            c.evaluate(point) >= -tol for c in self.inequalities
+    def values(self, points) -> tuple:
+        """(equality values, inequality values), one row per constraint: each
+        constraint evaluated once at a point or over the rows of an (r, n) array."""
+        pts = np.asarray(points, dtype=float)
+        return tuple(
+            np.array([c.evaluate(pts) for c in cs]).reshape((len(cs),) + pts.shape[:-1])
+            for cs in (self.equalities, self.inequalities)
         )
+
+    def violations(self, points) -> tuple:
+        """(largest |c| over the equalities, largest max(-c, 0) = 0 - min(c, 0)
+        over the inequalities; +0.0 when met or with no constraint or point) at
+        a point or over the rows of an (r, n) array.  The one feasibility
+        measure: `contains` and `certificates.verify_atoms` both read it."""
+        eq, ineq = self.values(points)
+        return float(np.abs(eq).max(initial=0.0)), float(0.0 - ineq.min(initial=0.0))
+
+    def contains(self, point, tol: float) -> bool:
+        eq, ineq = self.violations(point)
+        return eq <= tol and ineq <= tol
 
 
 @dataclass(frozen=True)
@@ -372,13 +388,16 @@ class CompiledRelaxation:
 
     def source_measure(self, raw: AtomicMeasure, tau_tol: float) -> tuple:
         """(measure, atoms at infinity or None): atoms of `relaxed` mapped to
-        the source problem, as the module docstring states per variant."""
+        the source problem, as the module docstring states per variant.
+
+        The measure is `raw` itself exactly when `relaxed` is the source's
+        own moment problem (plain), so a check of `raw` against `relaxed`
+        is already the check against the source."""
         if self.variant is Variant.HOMOGENIZED:
             return dehomogenize_atoms(raw, self.relaxed.d, tau_tol)
         if self.variant is Variant.DENOMINATOR:
             theta_k = self.relaxed.a[0]
-            scale = np.array([theta_k.evaluate(p) for p in raw.points])
-            return AtomicMeasure(raw.weights * scale, raw.points), None
+            return AtomicMeasure(raw.weights * theta_k.evaluate(raw.points), raw.points), None
         return raw, None
 
     def moment_value(self, sol: SdpSolution) -> float:

@@ -97,6 +97,7 @@ the best iterate found.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -128,6 +129,9 @@ __all__ = [
     "write_sparse_sdp",
     "read_sparse_sdp",
 ]
+
+# each interior-point iteration logs its objectives and residuals at DEBUG
+_LOG = logging.getLogger(__name__)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -932,7 +936,6 @@ def solve_sdp(
     prob: SdpProblem,
     tol: float = 1e-8,
     max_iter: int = 200,
-    verbose: bool = False,
 ) -> SdpSolution:
     """Solve the SDP to the requested tolerance.
 
@@ -1012,11 +1015,10 @@ def solve_sdp(
             if no_improve >= 8:
                 message = "no further progress"
                 break
-        if verbose:
-            print(
-                f"iter {it:3d}  pobj {res['obj_primal']:+.6e}  dobj {res['obj_dual']:+.6e}"
-                f"  pres {res['primal']:.2e}  dres {res['dual']:.2e}  gap {res['gap']:.2e}"
-            )
+        _LOG.debug(
+            "iter %3d  pobj %+.6e  dobj %+.6e  pres %.2e  dres %.2e  gap %.2e",
+            it, res["obj_primal"], res["obj_dual"], res["primal"], res["dual"], res["gap"],
+        )
         if score <= tol:
             return _finish(SdpStatus.OPTIMAL, prob, eq, w, y, unpack(z_b), res, it, "")
 

@@ -15,11 +15,13 @@ from momentsos import (
     basis_size,
     certify_relaxation,
     check_optimality,
+    compile_relaxation,
     dehomogenize_atoms,
     extract_atoms,
     flat_truncation,
     homogenized_relaxation,
     moment_relaxation,
+    moment_matrix,
     monomial_basis,
     numerical_rank,
     pair,
@@ -27,6 +29,7 @@ from momentsos import (
     tms_from_atoms,
     verify_atoms,
 )
+from momentsos import certificates
 
 import oracles
 
@@ -54,6 +57,28 @@ def test_flat_truncation_on_atomic_moments():
     assert ft.order <= 3
     data = ft.as_json()
     assert data["flat"] is True and data["rank"] == 2
+
+
+@pytest.mark.parametrize("d0, dK, calls", [(2, 1, 4), (2, 2, 5), (4, 1, 2)])
+def test_flat_truncation_computes_each_rank_once(monkeypatch, d0, dK, calls):
+    # M_t at order t is M_{t'-dK} at t' = t + dK; its SVD runs once
+    rng = np.random.default_rng(2)
+    wts, pts = oracles.random_atoms(rng, 2, 3)
+    w = tms_from_atoms(AtomicMeasure(wts, pts), 8)
+    want = tuple(
+        (t, numerical_rank(moment_matrix(w, t - dK)), numerical_rank(moment_matrix(w, t)))
+        for t in range(d0, 5)
+    )
+    seen = []
+
+    def counted(mat, rank_tol=1e-6):
+        seen.append(mat.shape)
+        return numerical_rank(mat, rank_tol)
+
+    monkeypatch.setattr(certificates, "numerical_rank", counted)
+    ft = flat_truncation(w, d0=d0, dK=dK)
+    assert ft.ranks == want
+    assert len(seen) == calls
 
 
 def test_flat_truncation_zero_measure():
@@ -133,9 +158,9 @@ def test_extract_atoms_lists_atoms_lexicographically():
 
 @pytest.mark.parametrize("n, t, r", [(6, 3, 9), (3, 3, 2), (2, 2, 4), (1, 2, 1)])
 def test_vandermonde_equals_the_monomial_loop(n, t, r):
-    # extract_atoms fits the weights on this matrix and tms_from_atoms sums
-    # its columns; the broadcast must give the per-monomial products bit for
-    # bit, so that no weight or reconstructed moment moves
+    # extract_atoms fits the weights on this matrix and tms_from_atoms
+    # computes V @ w; the broadcast must give the per-monomial products bit
+    # for bit, so that no weight or reconstructed moment moves
     rng = np.random.default_rng(n + 10 * t + 100 * r)
     points = rng.standard_normal((r, n))
     points[rng.random((r, n)) < 0.2] = 0.0
@@ -186,6 +211,27 @@ def test_dehomogenize_atoms_split_and_scaling():
     # the tau < 0 atom is flipped to tau > 0 before slicing
     assert np.allclose(finite.points[1], [0.0, -0.8 / 0.6])
     assert finite.weights[1] == pytest.approx(3.0 * 0.6**2)
+
+
+def test_dehomogenize_atoms_keeps_order_and_splits_at_tau_tol():
+    pts = np.array(
+        [
+            [-0.5, 1.0, 2.0],  # flipped
+            [1e-3, 0.0, 1.0],  # exactly at tau_tol: at infinity
+            [0.25, -1.0, 0.5],
+            [-1e-3, 1.0, 0.0],  # at infinity, kept as it is
+            [2.0, 4.0, -2.0],
+        ]
+    )
+    wts = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    finite, at_inf = dehomogenize_atoms(AtomicMeasure(wts, pts), degree=3, tau_tol=1e-3)
+    assert np.array_equal(finite.points, [[-2.0, -4.0], [-4.0, 2.0], [2.0, -1.0]])
+    assert np.array_equal(finite.weights, [1.0 * 0.5**3, 3.0 * 0.25**3, 5.0 * 2.0**3])
+    assert np.array_equal(at_inf.points, pts[[1, 3]])
+    assert np.array_equal(at_inf.weights, [2.0, 4.0])
+    finite, at_inf = dehomogenize_atoms(AtomicMeasure.empty(3), degree=2)
+    assert finite.num_atoms == 0 and finite.nvars == 2
+    assert at_inf.num_atoms == 0 and at_inf.nvars == 3
 
 
 def test_dehomogenize_preserves_pairings():
@@ -284,6 +330,33 @@ def test_certify_relaxation_zero_measure():
         if comp.nvars != comp.source.nvars:
             assert cert.atoms_at_infinity.num_atoms == 0
         json.dumps(cert.as_json())
+
+
+@pytest.mark.parametrize("variant, calls", [("plain", 1), ("homogenized", 2),
+                                           ("denominator", 2)])
+def test_certify_verifies_plain_atoms_once(monkeypatch, variant, calls):
+    # a plain relaxation's atoms are the source's atoms: one check serves both
+    pop = PopProblem(
+        SemialgebraicSet(1, inequalities=(1.0 - x(1, 0) ** 2,), archimedean=True,
+                         closed_at_infinity=True),
+        -x(1, 0),
+    )
+    comp = compile_relaxation(pop, variant, 2)
+    sol = solve_sdp(comp.sdp)
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args[0])
+        return verify_atoms(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "verify_atoms", counted)
+    cert = certify_relaxation(comp, sol)
+    assert cert.certified
+    assert len(seen) == calls
+    assert (cert.report is cert.raw_report) == (variant == "plain")
+    data = cert.as_json()
+    assert data["verification"] == cert.report.as_json()
+    assert data["raw_verification"] == cert.raw_report.as_json()
 
 
 def test_check_optimality_sphere_subproblem():

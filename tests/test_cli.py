@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -294,3 +295,36 @@ def test_bundled_problem_files():
     with open(PROBLEMS / "expected.json") as fh:
         manifest = json.load(fh)
     assert set(kinds) <= set(manifest)
+
+
+def test_verbose_logs_iterations_to_stderr_only(capsys):
+    argv = ["solve", EX35, "--kmin", "3", "--kmax", "3"]
+    assert run(*argv) == 0
+    quiet = capsys.readouterr()
+    assert run(*argv, "--verbose") == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    assert "iter" not in quiet.err
+    lines = loud.err.splitlines()
+    assert lines and all(line.startswith("iter ") for line in lines)
+    # the handler goes with the run: a later quiet run logs nothing
+    assert logging.getLogger("momentsos").handlers == []
+    assert run(*argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_run_hierarchy", lambda args, command: seen.append(args) or 0)
+    monkeypatch.setattr(cli, "_run_dump", lambda args: seen.append(args) or 0)
+    assert cli._build_parser() is cli._build_parser()
+    assert run("solve", EX35, "--kmin", "3", "--tol", "1e-6", "--verbose") == 0
+    assert run("dump", EX43, "--variant", "homogenized") == 0
+    assert run("certify-flat", EX35) == 0
+    solve, dump, flat = seen
+    assert (solve.command, solve.kmin, solve.tol, solve.verbose) == ("solve", 3, 1e-6, True)
+    assert (dump.command, dump.problem, dump.variant, dump.kmin) == (
+        "dump", EX43, "homogenized", None)
+    assert not hasattr(dump, "tol") and not hasattr(dump, "verbose")
+    assert (flat.command, flat.kmin, flat.tol, flat.verbose) == ("certify-flat", None, 1e-8, False)
+    assert not hasattr(flat, "dump_sdp")

@@ -116,6 +116,33 @@ def test_evaluate_against_oracle():
                             rel_tol=1e-12, abs_tol=1e-12)
 
 
+def test_evaluate_at_rows_matches_each_point_bit_for_bit():
+    # atom checks evaluate each polynomial once over all atoms; every row
+    # must get the bits that evaluating that row alone gives
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        n = int(rng.integers(1, 5))
+        f = Polynomial.zero(n) if trial % 10 == 0 else rand_poly(rng, n, 5, nterms=12)
+        r = int(rng.integers(0, 7)) if trial % 7 else 0
+        pts = rng.uniform(-2, 2, (r, n))
+        vals = f.evaluate(pts)
+        assert vals.shape == (r,)
+        for ell in range(r):
+            one = f.evaluate(pts[ell])
+            assert isinstance(one, float)
+            assert vals[ell] == one
+    assert Polynomial.zero(2).evaluate([1.0, 2.0]) == 0.0
+
+
+@pytest.mark.parametrize("arg", [[1.0, 2.0, 3.0], [1.0], np.zeros((2, 3)),
+                                 np.zeros((2, 2, 2)), 1.0])
+def test_evaluate_rejects_points_of_the_wrong_length(arg):
+    with pytest.raises(ValueError, match="^point must have length 2$"):
+        Polynomial.variable(2, 0).evaluate(arg)
+    with pytest.raises(ValueError, match="^point must have length 2$"):
+        monomial_basis(2, 2).evaluate(arg)
+
+
 def test_partial_product_rule():
     rng = np.random.default_rng(17)
     for _ in range(20):

@@ -67,6 +67,25 @@ def test_set_validation():
     assert not k.contains([1.0, 1.0], 1e-9)
 
 
+def test_violations_is_the_largest_miss_over_points_and_constraints():
+    n = 2
+    disk_top = SemialgebraicSet(
+        n, equalities=(x(n, 0) - x(n, 1),), inequalities=(1.0 - x(n, 0) ** 2, x(n, 1))
+    )
+    pts = np.array([[0.5, 0.5], [2.0, 1.5], [-0.1, -0.25]])
+    assert disk_top.violations(pts) == (0.5, 3.0)
+    assert disk_top.violations(pts[0]) == (0.0, 0.0)
+    assert disk_top.contains(pts[0], 0.0)
+    assert not disk_top.contains(pts[2], 0.2)
+    assert disk_top.contains(pts[2], 0.25)
+    # nothing to violate: no constraint, or no point
+    assert SemialgebraicSet(n).violations(pts) == (0.0, 0.0)
+    assert SemialgebraicSet(n).violations(pts[0]) == (0.0, 0.0)
+    assert disk_top.violations(np.zeros((0, n))) == (0.0, 0.0)
+    eq, ineq = disk_top.values(pts)
+    assert eq.shape == (1, 3) and ineq.shape == (2, 3)
+
+
 def test_half_degrees_and_minimum_order():
     assert constraint_half_degree(sphere_set(3)) == 1
     assert constraint_half_degree(SemialgebraicSet(2)) == 1
