@@ -29,13 +29,17 @@ print("pairings:", len(gmp.a), " equalities among them:", gmp.m1)
 print("degree bound d =", gmp.d)
 
 # Compile the order-3 relaxation.  Free variables are the moments up to
-# degree 6; the PSD blocks are the moment matrix and one localizing block
-# per inequality (here: none).  Equality rows carry the pairings and the
-# ideal constraints coming from the sphere equation.  The sphere also puts
+# degree 6, one per orbit of the problem's symmetry group (the cyclic shift
+# of the coordinates and x -> -x, six elements), with the odd moments zero;
+# the PSD blocks are the moment matrix and one localizing block per
+# inequality (here: none).  Equality rows carry the pairings and the ideal
+# constraints coming from the sphere equation.  The sphere also puts
 # (|x|^2 - 1) x^beta in the kernel of the moment matrix, so the block is
 # emitted on the 16 of its 20 monomials that the sphere leaves free.
 comp = moment_relaxation(gmp, 3)
-print("\nSDP: ", comp.sdp.nfree, "moments,", comp.sdp.num_eq, "equality rows,")
+print("\nsymmetry group of order", comp.group.order)
+print("SDP: ", comp.sdp.nfree, "orbits of", len(comp.orbit), "moments,",
+      comp.sdp.num_eq, "equality rows,")
 full = [basis_size(comp.nvars, s) for s in comp.block_degrees()]
 print("     blocks of side", full, "->", [b.side for b in comp.sdp.psd_blocks])
 

@@ -5,6 +5,7 @@ The package is organized bottom-up:
 * polynomials: sparse multivariate polynomials and the shared monomial order
 * moments: truncated moment sequences, moment/localizing matrices
 * sdp: a self-contained primal-dual interior-point SDP solver
+* symmetry: the signed variable permutations a problem is invariant under
 * relaxations: problem models and compilers from problems to SDPs
 * certificates: flat truncation, atom extraction, local optimality checks
 * hierarchy: the order sweep driving relaxation + certification

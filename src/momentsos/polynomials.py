@@ -161,10 +161,12 @@ class Polynomial:
 
     Exact zero coefficients are dropped at construction; near-zero trimming
     is a separate, explicit `clean(eps)` call so that numerical thresholds
-    never hide inside arithmetic.
+    never hide inside arithmetic.  `arrays` (the terms as an exponent and a
+    coefficient array) is built at its first use and kept, which the
+    immutability makes safe.
     """
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars", "_terms", "_arrays")
 
     def __init__(self, nvars: int, terms: Mapping | None = None):
         if nvars < 1:
@@ -179,6 +181,7 @@ class Polynomial:
         object.__setattr__(
             self, "_terms", {e: c for e, c in merged.items() if c != 0.0}
         )
+        object.__setattr__(self, "_arrays", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -237,6 +240,18 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self._terms}
         return len(degs) <= 1
+
+    @property
+    def arrays(self) -> tuple:
+        """(exponents, coefficients): an (m, n) int64 and an (m,) float array
+        of the m terms, in the order of `terms`; read-only and shared."""
+        if self._arrays is None:
+            exps = np.array(list(self._terms), dtype=np.int64).reshape(-1, self.nvars)
+            coefs = np.fromiter(self._terms.values(), dtype=float, count=len(self._terms))
+            exps.setflags(write=False)
+            coefs.setflags(write=False)
+            object.__setattr__(self, "_arrays", (exps, coefs))
+        return self._arrays
 
     def coefficient(self, exponent) -> float:
         return self._terms.get(tuple(exponent), 0.0)
@@ -329,8 +344,7 @@ class Polynomial:
     def evaluate(self, points):
         """p at a point (a float), or at each row of an (r, n) array (r values,
         each with the bits that evaluating that row alone gives)."""
-        exps = np.array(list(self._terms), dtype=np.int64).reshape(-1, self.nvars)
-        coefs = np.fromiter(self._terms.values(), dtype=float, count=len(self._terms))
+        exps, coefs = self.arrays
         values = (_monomials(exps, points) * coefs).sum(axis=-1)
         return float(values) if values.ndim == 0 else values
 

@@ -37,6 +37,27 @@ reads it off the SDP dual, so weak duality between the two sides is
 structural rather than numerical luck.  Its Gram matrices are the block duals
 zero-padded from J to the full basis, which keeps the SOS identity exact.
 
+Each relaxation is solved on the moments that the problem's symmetry group
+G leaves free (`symmetry` module: signed permutations of the variables that
+fix f and permute the equalities up to sign, the inequalities and the
+pairings of each kind and right-hand side).  G maps the ideal rows' span,
+the pairing rows, the objective and the moment and localizing matrices
+(by a signed permutation congruence) to themselves, so the relaxation over
+the full blocks is G-invariant and convex: averaging an optimal w over G
+gives an optimal G-invariant one.  Such a w has w_a = w_b on every orbit
+of monomials and w_a = 0 where a sign flip in G makes x^a odd, so the SDP's
+variables are the orbits: the objective, equality and inequality columns
+are summed over each orbit, block entries are moved to their orbit's
+variable and the zero moments drop out.  The equality rows and the kept
+sets J stay as they are.  J need not be G-invariant, and that loses
+nothing: on the ideal rows S_JJ(w) is PSD exactly when S(w) is, so the
+feasible set with the face is the G-invariant one without it.  The reduced
+dual meets the SOS identity only summed over each orbit; the average of
+its certificate over G (Gram matrices congruent by the signed permutation
+of each element, ideal multipliers and theta moved with their
+constraints) meets it coefficient by coefficient, and averages of PSD
+matrices stay PSD.  With the trivial group the SDP is the unreduced one.
+
 Three variants are compiled, and only this module tells them apart: each
 `CompiledRelaxation` maps its atoms back to the source problem
 (`source_measure`) and carries the variant's caveats (`warnings`).
@@ -69,6 +90,7 @@ import scipy.linalg as sla
 from .moments import AtomicMeasure, Tms, dehomogenize_atoms, localizing_index
 from .polynomials import Polynomial, as_integer, basis_size, monomial_basis, sum_positions
 from .sdp import PsdBlock, SdpProblem, SdpSolution, _svec_index
+from .symmetry import SymmetryGroup, find_group
 
 __all__ = [
     "SemialgebraicSet",
@@ -355,6 +377,11 @@ class CompiledRelaxation:
     that the set's equalities leave free: kept[j] holds, in increasing
     order, the graded positions in the block's full basis that block j
     keeps.  Without set equalities every position is kept.
+
+    The SDP's variables are the moment orbits of `group`, the symmetry group
+    of `relaxed`: orbit[a] is the variable of the a-th moment of the full
+    degree-2*block_order basis, or -1 where the group makes it zero.  With
+    the trivial group orbit[a] = a.
     """
 
     sdp: SdpProblem
@@ -367,6 +394,8 @@ class CompiledRelaxation:
     dK: int
     source: Union[GmpProblem, PopProblem]
     relaxed: GmpProblem
+    group: SymmetryGroup
+    orbit: np.ndarray
 
     @property
     def nvars(self) -> int:
@@ -376,8 +405,13 @@ class CompiledRelaxation:
     def tms_degree(self) -> int:
         return 2 * self.block_order
 
+    def moments(self, x) -> np.ndarray:
+        """The full moment vector of the SDP variables x: each moment takes
+        its orbit's value, and the zero moments 0."""
+        return np.append(x, 0.0)[self.orbit]
+
     def tms(self, sol: SdpSolution) -> Tms:
-        return Tms(self.nvars, self.tms_degree, sol.x)
+        return Tms(self.nvars, self.tms_degree, self.moments(sol.x))
 
     @property
     def warnings(self) -> list:
@@ -417,28 +451,59 @@ class CompiledRelaxation:
         """Dual readoff: pairing multipliers, Gram blocks, ideal multipliers.
 
         Each Gram matrix is zero-padded from the kept positions to the
-        block's full basis, which leaves the SOS identity exact.
+        block's full basis.  The dual of an orbit-reduced SDP meets the SOS
+        identity only summed over each orbit; the certificate is its average
+        over the group, which meets it exactly (module docstring), and is
+        the dual itself for the trivial group.
         """
-        ideal = []
-        for row_start, basis_degree in self.ideal_rows:
-            basis = monomial_basis(self.nvars, basis_degree)
-            coeffs = {
-                e: sol.y_eq[row_start + pos] for pos, e in enumerate(basis.exponents)
-            }
-            ideal.append(Polynomial(self.nvars, coeffs))
+        n = self.nvars
+        theta = np.concatenate([sol.y_eq[: self.relaxed.m1], sol.z_ineq])
+        phis = [sol.y_eq[row: row + basis_size(n, s)] for row, s in self.ideal_rows]
         grams = []
         for z, kept, s in zip(sol.psd_duals, self.kept, self.block_degrees()):
-            side = basis_size(self.nvars, s)
+            side = basis_size(n, s)
             gram = np.zeros((side, side))
             gram[np.ix_(kept, kept)] = z
             grams.append(gram)
+        theta, grams, phis = self._averaged(theta, grams, phis)
         return SosCertificate(
-            theta=np.concatenate([sol.y_eq[: self.relaxed.m1], sol.z_ineq]),
+            theta=theta,
             value=float(sol.obj_dual),
             gram_moment=grams[0],
             gram_localizing=grams[1:],
-            ideal_multipliers=ideal,
+            ideal_multipliers=[
+                Polynomial(n, dict(zip(monomial_basis(n, s).exponents, phi)))
+                for phi, (_, s) in zip(phis, self.ideal_rows)
+            ],
         )
+
+    def _averaged(self, theta, grams, phis) -> tuple:
+        """(theta, Gram matrices, ideal multiplier coefficients) of the mean
+        of the SOS identity composed with each group element g.
+
+        With v(g x) = sign * v(x)[pos], sigma(g x) has the Gram matrix Q'
+        with Q'[pos_a, pos_b] = sign_a sign_b Q[a, b], and a polynomial the
+        coefficients c'[pos_a] = sign_a c_a; g moves sigma_j g_j to
+        inequality j', phi_j h_j to equality j' (times eps) and theta_i a_i
+        to pairing i'.  Each mean of PSD matrices is PSD.  g keeps degrees,
+        so every basis is a prefix of the largest one and one action serves
+        them all."""
+        group = self.group
+        degree = max(self.block_degrees() + [s for _, s in self.ideal_rows])
+        positions, signs = group.action(degree)
+        new_theta = np.zeros_like(theta)
+        new_grams = [np.zeros_like(q) for q in grams]
+        new_phis = [np.zeros_like(c) for c in phis]
+        for g, pos, sign in zip(group.elements, positions, signs):
+            np.add.at(new_theta, list(g.pairings), theta)
+            blocks = [0] + [1 + j for j in g.inequalities]  # block 1 + j is inequality j
+            for b, q in zip(blocks, grams):
+                p, e = pos[: len(q)], sign[: len(q)]
+                new_grams[b][np.ix_(p, p)] += np.outer(e, e) * q
+            for (j, eps), c in zip(g.equalities, phis):
+                new_phis[j][pos[: len(c)]] += eps * sign[: len(c)] * c
+        order = group.order
+        return (new_theta / order, [q / order for q in new_grams], [c / order for c in new_phis])
 
     def certificate_residual(self, cert: SosCertificate) -> float:
         """max |coefficient| of f - sum theta a - sum phi c - sigma_0 - sum sigma c."""
@@ -501,9 +566,11 @@ def _face(equalities, nvars: int, s: int) -> np.ndarray:
     return np.setdiff1d(np.arange(side), side - 1 - piv[:rank])
 
 
-def _localizing_block(q: Polynomial, k: int, kept: np.ndarray) -> PsdBlock:
+def _localizing_block(q: Polynomial, k: int, kept: np.ndarray, orbit: np.ndarray) -> PsdBlock:
     """PSD block of the order-k localizing matrix of q (moment matrix for q = 1),
-    restricted to its principal submatrix on the kept basis positions.
+    restricted to its principal submatrix on the kept basis positions.  Its
+    variables are the orbits of the moments (the zero moments, orbit -1,
+    drop out).
 
     Entries are emitted term by term of q, then row-major over the upper
     triangle, which fixes the order in which PsdBlock merges duplicates.
@@ -512,12 +579,14 @@ def _localizing_block(q: Polynomial, k: int, kept: np.ndarray) -> PsdBlock:
     rows, cols, _ = _svec_index(len(kept))  # cached row-major upper triangle
     pairs = sum_positions(q.nvars, s, s)[kept[rows], kept[cols]]
     coef, pos = localizing_index(q, 2 * s)
+    var = orbit[pos[:, pairs].ravel()]
+    live = var >= 0
     return PsdBlock(
         len(kept),
-        pos[:, pairs].ravel(),
-        np.tile(rows, len(coef)),
-        np.tile(cols, len(coef)),
-        np.repeat(coef, len(pairs)),
+        var[live],
+        np.tile(rows, len(coef))[live],
+        np.tile(cols, len(coef))[live],
+        np.repeat(coef, len(pairs))[live],
     )
 
 
@@ -528,13 +597,24 @@ def _compile(
     order: int,
     block_order: int,
     d0: int,
+    group: SymmetryGroup,
 ) -> CompiledRelaxation:
-    """Shared assembly: decision variables are the degree-2*block_order moments."""
+    """Shared assembly: decision variables are the orbits of the
+    degree-2*block_order moments under group (every moment for the trivial
+    group, whose SDP is the unreduced one)."""
     nvars = relaxed.nvars
     two_k = 2 * block_order
     basis = monomial_basis(nvars, two_k)
+    orbit = group.orbits(two_k)
+    nfree = int(orbit.max()) + 1
+    # the moments by orbit, the zero ones (orbit -1) left out
+    by_orbit = np.argsort(orbit, kind="stable")[np.count_nonzero(orbit < 0):]
+    starts = np.searchsorted(orbit[by_orbit], np.arange(nfree))
 
-    objective = relaxed.objective.coefficient_vector(basis)
+    def orbit_sums(rows):  # the sums of the columns of each orbit
+        return np.add.reduceat(np.asarray(rows)[..., by_orbit], starts, axis=-1)
+
+    objective = orbit_sums(relaxed.objective.coefficient_vector(basis))
 
     # equality pairings first, so that equality row i < m1 is pairing i
     m1 = relaxed.m1
@@ -554,14 +634,14 @@ def _compile(
     degrees = [(two_k - q.degree) // 2 for q in weights]
     faces = {s: _face(equalities, nvars, s) for s in set(degrees)}
     kept = [faces[s] for s in degrees]
-    blocks = [_localizing_block(q, block_order, j) for q, j in zip(weights, kept)]
+    blocks = [_localizing_block(q, block_order, j, orbit) for q, j in zip(weights, kept)]
 
     sdp = SdpProblem(
-        nfree=len(basis),
+        nfree=nfree,
         objective=objective,
-        eq_a=np.array(eq_rows) if eq_rows else None,
+        eq_a=orbit_sums(eq_rows) if eq_rows else None,
         eq_b=np.array(eq_rhs) if eq_rhs else None,
-        ineq_b=np.array(ineq_rows) if ineq_rows else None,
+        ineq_b=orbit_sums(ineq_rows) if ineq_rows else None,
         ineq_d=np.array(ineq_rhs) if ineq_rhs else None,
         psd_blocks=blocks,
     )
@@ -576,6 +656,8 @@ def _compile(
         dK=constraint_half_degree(relaxed.set),
         source=source,
         relaxed=relaxed,
+        group=group,
+        orbit=orbit,
     )
 
 
@@ -603,7 +685,15 @@ def compile_relaxation(
 
     This is the one place that maps a variant to its relaxation data; the
     per-variant functions below and the order sweep all come through here.
+    The SDP is reduced by the symmetry group of the relaxed problem.
     """
+    return _compile_relaxation(problem, variant, k, find_group)
+
+
+def _compile_relaxation(problem, variant, k: int, group_of) -> CompiledRelaxation:
+    """compile_relaxation with the group group_of(relaxed problem) in place
+    of find_group's; group_of = symmetry.trivial_group gives the unreduced
+    SDP."""
     variant = Variant(variant)
     d0 = variant_minimum_order(problem, variant)
     if k < d0:
@@ -625,7 +715,7 @@ def compile_relaxation(
         relaxed = problem.as_gmp()
         if variant is Variant.HOMOGENIZED:
             relaxed = homogenize_gmp(relaxed)
-    return _compile(variant, problem, relaxed, k, block_order, d0)
+    return _compile(variant, problem, relaxed, k, block_order, d0, group_of(relaxed))
 
 
 def moment_relaxation(problem: Union[GmpProblem, PopProblem], k: int) -> CompiledRelaxation:

@@ -943,10 +943,10 @@ def solve_sdp(
     relative duality gap all reach tol, or, if iteration stops early (loss of
     cone definiteness, stalled steps, iteration cap), when the best iterate
     seen meets max(100*tol, 1e-6).  Problems whose optimal cone variables are
-    singular can stall a little above tol (the Motzkin denominator
-    relaxations at orders 3 and 5 stop near 4e-8 at tol 1e-8) or far above a
-    tol too tight for double precision; the fallback keeps those solves
-    usable while the message records the achieved accuracy.
+    singular can stall a little above tol or far above a tol too tight for
+    double precision (ex48's denominator relaxation at tol 1e-12); the
+    fallback keeps those solves usable while the message records the
+    achieved accuracy.
 
     The inequality rows are solved as one more PSD block, diag(B w - d), and
     small blocks are packed into block-diagonal ones (module docstring); the

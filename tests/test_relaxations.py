@@ -38,7 +38,7 @@ from momentsos import (
 
 import oracles
 from momentsos.relaxations import _face_rows, homogenization_warnings
-from conftest import load_problem, motzkin_pop
+from conftest import compile_unreduced, load_problem, motzkin_pop
 
 
 def x(n, i):
@@ -565,14 +565,19 @@ def test_json_rejects_non_numbers_and_non_lists_naming_the_field(data, message):
 
 
 def face_relaxations():
-    """The manifest relaxations at their manifest variants and orders,
-    x^2 + 1 = 0, and a random box quartic with one random equality in every
-    variant."""
+    """The manifest relaxations at their manifest variants and orders (the
+    symmetric ones also unreduced, so that the face is checked at generic
+    points of the full {A w = b}), x^2 + 1 = 0, and a random box quartic with
+    one random equality in every variant."""
     for name, variant, k in [("ex35.json", "plain", 3), ("ex36.json", "plain", 3),
                              ("ex43.json", "homogenized", 2),
                              ("ex46.json", "homogenized", 3),
                              ("ex48.json", "denominator", 3)]:
         yield compile_relaxation(load_problem(name), variant, k)
+    for name, variant, k in [("ex35.json", "plain", 3), ("ex36.json", "plain", 3),
+                             ("ex46.json", "homogenized", 3)]:
+        comp = compile_unreduced(load_problem(name), variant, k)
+        yield pytest.param(comp, id=f"unreduced-{name[:-5]}-{variant}-k{k}")
     no_real_point = SemialgebraicSet(1, equalities=(x(1, 0) ** 2 + 1.0,))
     for k in (1, 3):
         yield moment_relaxation(PopProblem(no_real_point, x(1, 0)), k)
@@ -594,10 +599,11 @@ def face_relaxations():
 def test_face_matches_numerical_kernel(comp):
     """Each block keeps the monomials that a numerical kernel leaves free.
 
-    At random points w of {A w = b}, S(w) has a kernel of dimension
-    side - len(kept), S(w) K^T = 0 for the symbolic rows K, K is nonsingular
-    on the dropped positions, and the emitted block is S(w)'s principal
-    submatrix on the kept positions.
+    At random points z of the SDP's {A z = b}, with w = comp.moments(z) the
+    full moment vector, S(w) has a kernel of dimension side - len(kept),
+    S(w) K^T = 0 for the symbolic rows K, K is nonsingular on the dropped
+    positions, and the emitted block at z is S(w)'s principal submatrix on
+    the kept positions.
     """
     rng = np.random.default_rng(8)
     n = comp.nvars
@@ -613,12 +619,12 @@ def test_face_matches_numerical_kernel(comp):
         if rank:
             assert np.linalg.matrix_rank(rows[:, dropped]) == rank
         assert blk.side == len(kept)
-        for w in points:
-            full = oracles.localizing_matrix(q.terms, n, w, comp.block_order)
+        for z in points:
+            full = oracles.localizing_matrix(q.terms, n, comp.moments(z), comp.block_order)
             assert full.shape == (side, side)
             assert oracles.numerical_kernel(full).shape[1] == side - len(kept)
             assert np.abs(full @ rows.T).max(initial=0.0) <= 1e-9 * np.abs(full).max()
-            assert np.allclose(blk.materialize(w), full[np.ix_(kept, kept)], rtol=0, atol=1e-12)
+            assert np.allclose(blk.materialize(z), full[np.ix_(kept, kept)], rtol=0, atol=1e-12)
 
 
 def test_empty_real_variety_is_primal_infeasible_at_every_order():

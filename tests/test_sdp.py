@@ -23,7 +23,7 @@ from momentsos import (
 from momentsos import sdp as sdp_module
 
 import oracles
-from conftest import load_problem, motzkin_pop
+from conftest import compile_unreduced, load_problem, motzkin_pop
 
 
 def random_psd_problem(rng, nfree=4, side=3, num_eq=2):
@@ -481,14 +481,14 @@ def quartic_relaxation(n, k, box=False, seed=5):
 def schur_cases():
     """Problems for the solver's Schur assembly, by name.
 
-    ex36 (plain, k = 3) has blocks 63 + 6x25 and one inequality row on 924
-    moments, some of which only its equality rows reach; 'packed' packs two
-    small blocks with the inequality rows' block, and its variable 5 appears
-    only in an equality row; 'ball' is the moment block (side 56) of the
+    ex36 (plain, k = 3, unreduced) has blocks 63 + 6x25 and one inequality
+    row on 924 moments, some of which only its equality rows reach; 'packed'
+    packs two small blocks with the inequality rows' block, and its variable
+    5 appears only in an equality row; 'ball' is the moment block (side 56) of the
     unit ball at n = 5, k = 3, whose variables fall into several groups, on
     its 462 moments and one variable that no block touches.
     """
-    ex36 = compile_relaxation(load_problem("ex36.json"), "plain", 3).sdp
+    ex36 = compile_unreduced(load_problem("ex36.json"), "plain", 3).sdp
     rng = np.random.default_rng(21)
     small = [random_block(rng, 3, 5, 8), random_block(rng, 2, 5, 4)]
     packed = SdpProblem(
@@ -1028,8 +1028,9 @@ def test_singular_optimum_reaches_tol_without_fallback(name, variant):
 
 
 def test_stops_at_max_iter_with_the_best_residual():
-    # one iteration cannot reach tol or the fallback's accept level
-    prob = compile_relaxation(load_problem("ex35.json"), "plain", 3).sdp
+    # one iteration cannot reach tol or the fallback's accept level; the
+    # pinned residual is the unreduced SDP's (the orbit-reduced one reads 3.00e+00)
+    prob = compile_unreduced(load_problem("ex35.json"), "plain", 3).sdp
     sol = solve_sdp(prob, max_iter=1)
     assert sol.status is SdpStatus.MAX_ITERATIONS
     assert sol.message == "stopped after 1 iterations with residual 1.00e+00"

@@ -1,0 +1,257 @@
+"""Symmetry detection, the orbit-reduced SDP and the group-averaged certificate."""
+
+import dataclasses
+import io
+import itertools
+import math
+import sys
+import time
+
+import numpy as np
+import pytest
+
+from momentsos import (
+    Polynomial,
+    PopProblem,
+    SemialgebraicSet,
+    compile_relaxation,
+    monomial_basis,
+    problem_from_json,
+    solve_hierarchy,
+    solve_sdp,
+    write_sparse_sdp,
+)
+from momentsos.sdp import SdpStatus
+from momentsos.symmetry import _BUDGET, find_group, trivial_group
+
+from conftest import ROOT, compile_unreduced, load_problem, motzkin_pop
+
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402  (the benchmark's problem generators)
+
+
+def substitute(p, perm, signs):
+    """p(g x) with (g x)_i = signs[i] * x[perm[i]], term by term."""
+    terms = {}
+    for e, c in p.terms.items():
+        moved = [0] * p.nvars
+        for i, a in enumerate(e):
+            moved[perm[i]] = a
+        terms[tuple(moved)] = c * math.prod(s**a for s, a in zip(signs, e))
+    return Polynomial(p.nvars, terms)
+
+
+SYMMETRIC = [  # (name, problem, variant, k, group order)
+    ("ex36", lambda: load_problem("ex36.json"), "plain", 3, 12),
+    ("ex35", lambda: load_problem("ex35.json"), "plain", 3, 6),
+    ("motzkin-plain", motzkin_pop, "plain", 3, 8),
+    ("motzkin-denominator", motzkin_pop, "denominator", 3, 8),
+    ("ex46", lambda: load_problem("ex46.json"), "homogenized", 3, 2),
+]
+
+
+@pytest.fixture(scope="module", params=SYMMETRIC, ids=[case[0] for case in SYMMETRIC])
+def symmetric(request):
+    _, problem, variant, k, order = request.param
+    return compile_relaxation(problem(), variant, k), order
+
+
+def test_detected_group_orders(symmetric):
+    comp, order = symmetric
+    assert comp.group.order == order
+    assert comp.group.elements[0].perm == tuple(range(comp.nvars))
+    assert comp.group.elements[0].signs == (1,) * comp.nvars
+
+
+def test_every_element_maps_the_problem_exactly(symmetric):
+    """f is fixed, each equality goes to +-an equality, each inequality to
+    an inequality and each pairing to a pairing of its kind and b, all with
+    == on coefficients; the elements are distinct and closed under
+    composition."""
+    comp, _ = symmetric
+    gmp = comp.relaxed
+    eqs, ineqs, pairings = gmp.set.equalities, gmp.set.inequalities, gmp.pairings
+    seen = set()
+    for g in comp.group.elements:
+        act = lambda p: substitute(p, g.perm, g.signs)  # noqa: E731
+        assert act(gmp.objective) == gmp.objective
+        for h, (j, eps) in zip(eqs, g.equalities):
+            assert act(h) == eps * eqs[j]
+        for q, j in zip(ineqs, g.inequalities):
+            assert act(q) == ineqs[j]
+        for (a, b, is_eq), j in zip(pairings, g.pairings):
+            assert act(a) == pairings[j][0]
+            assert (b, is_eq) == pairings[j][1:]
+        seen.add((g.perm, g.signs))
+    assert len(seen) == comp.group.order
+    for (p1, s1), (p2, s2) in itertools.product(seen, repeat=2):
+        # x -> g1(g2 x): (g1 (g2 x))_i = s1_i (g2 x)_{p1_i} = s1_i s2_{p1_i} x_{p2_{p1_i}}
+        composed = (tuple(p2[p1[i]] for i in range(len(p1))),
+                    tuple(s1[i] * s2[p1[i]] for i in range(len(p1))))
+        assert composed in seen
+
+
+def test_reduced_sdp_is_the_full_sdp_on_expanded_moments(symmetric):
+    """At random SDP variables z, every datum of the reduced SDP equals the
+    unreduced one's at the full moment vector comp.moments(z)."""
+    comp, _ = symmetric
+    full = compile_unreduced(comp.source, comp.variant, comp.order)
+    assert comp.sdp.nfree < full.sdp.nfree
+    assert all(np.array_equal(a, b) for a, b in zip(comp.kept, full.kept))
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        z = rng.standard_normal(comp.sdp.nfree)
+        w = comp.moments(z)
+        assert w.shape == (full.sdp.nfree,)
+        assert comp.sdp.objective @ z == pytest.approx(full.sdp.objective @ w, abs=1e-9)
+        assert np.allclose(comp.sdp.eq_a @ z, full.sdp.eq_a @ w, rtol=0, atol=1e-9)
+        assert np.array_equal(comp.sdp.eq_b, full.sdp.eq_b)
+        assert np.allclose(comp.sdp.ineq_b @ z, full.sdp.ineq_b @ w, rtol=0, atol=1e-9)
+        for red, blk in zip(comp.sdp.psd_blocks, full.sdp.psd_blocks):
+            assert np.allclose(red.materialize(z), blk.materialize(w), rtol=0, atol=1e-9)
+
+
+def test_ex36_solves_on_217_moments():
+    comp = compile_relaxation(load_problem("ex36.json"), "plain", 3)
+    assert (comp.sdp.nfree, comp.sdp.num_eq) == (217, 631)
+    assert [blk.side for blk in comp.sdp.psd_blocks] == [63] + [25] * 6
+    assert len(comp.orbit) == 924 and comp.orbit.min() == 0  # no sign symmetry
+
+
+def test_sign_symmetry_zeroes_the_odd_moments():
+    comp = compile_relaxation(load_problem("ex35.json"), "plain", 3)
+    assert comp.sdp.nfree == 18
+    exps = np.array(monomial_basis(3, 6).exponents)
+    odd = exps.sum(axis=1) % 2 == 1  # x -> -x flips every odd-degree moment
+    assert np.array_equal(comp.orbit < 0, odd)
+
+
+def _solution(comp):
+    sol = solve_sdp(comp.sdp)
+    assert sol.status is SdpStatus.OPTIMAL, sol.message
+    return sol
+
+
+def random_quartic_problems():
+    """The ladder's quartic rungs and the small workload's first problems,
+    as bench/workloads.py builds them."""
+    ops = [op for op in workloads.build("ladder", 1, ROOT) if op.name.startswith("quartic")]
+    ops += workloads.build("small", 1, ROOT)[:8]
+    return [(op.name, problem_from_json(op.data), op.k_min or 2) for op in ops]
+
+
+def test_random_quartics_have_the_trivial_group():
+    for name, problem, _ in random_quartic_problems():
+        assert find_group(problem.as_gmp()).is_trivial, name
+    infeasible = workloads.build("small", 1, ROOT)[-1]
+    assert find_group(problem_from_json(infeasible.data).as_gmp()).is_trivial
+
+
+@pytest.mark.parametrize("case", [c for c in random_quartic_problems() if "n6" not in c[0]],
+                         ids=lambda c: c[0])
+def test_trivial_group_compiles_the_unreduced_sdp(case):
+    """Byte-identical dumps: with the trivial group the compile is today's."""
+    _, problem, k = case
+    dumps = []
+    for comp in (compile_relaxation(problem, "plain", k), compile_unreduced(problem, "plain", k)):
+        buf = io.StringIO()
+        write_sparse_sdp(comp.sdp, buf)
+        dumps.append(buf.getvalue())
+    assert dumps[0] == dumps[1]
+
+
+def test_tiny_coefficient_change_breaks_the_symmetry():
+    ex36 = load_problem("ex36.json")
+    # the coefficient of x1 x2^2 x5 in f from 0 to 1e-12: a map that keeps
+    # the term fixes x1, x2 and x5, and then x3 and x6 too
+    f = ex36.objective + Polynomial.monomial(6, (1, 2, 0, 0, 1, 0), 1e-12)
+    assert find_group(dataclasses.replace(ex36, objective=f)).is_trivial
+    # the coefficient of x1 in f off by 1e-12: only S2 on (x2, x3) x S2 on (x5, x6) stay
+    f = ex36.objective + Polynomial.monomial(6, (1, 0, 0, 0, 0, 0), 1e-12)
+    group = find_group(dataclasses.replace(ex36, objective=f))
+    assert group.order == 4 and all(g.perm[0] == 0 for g in group.elements)
+
+
+def test_search_past_the_budget_gives_the_trivial_group():
+    def sum_of_squares(n):
+        f = sum((Polynomial.variable(n, i) ** 2 for i in range(n)), Polynomial.zero(n))
+        return PopProblem(SemialgebraicSet(n), f).as_gmp()
+
+    assert find_group(sum_of_squares(4)).order == math.factorial(4) * 2**4
+    assert math.factorial(7) > _BUDGET
+    assert find_group(sum_of_squares(7)).is_trivial
+
+
+def test_detection_is_a_small_part_of_a_compile():
+    """On a small-workload quartic (n = 3, box, order 2) detection takes a
+    small fraction of the compile that runs it."""
+    op = next(op for op in workloads.build("small", 1, ROOT) if op.name.startswith("quartic_box_n3"))
+    problem = problem_from_json(op.data)
+    gmp = problem.as_gmp()
+
+    def best(fn, number):
+        times = []
+        for _ in range(7):
+            t0 = time.perf_counter()
+            for _ in range(number):
+                fn()
+            times.append((time.perf_counter() - t0) / number)
+        return min(times)
+
+    detect = best(lambda: find_group(gmp), 200)
+    compile_ = best(lambda: compile_relaxation(problem, "plain", 2), 20)
+    assert detect <= 0.25 * compile_, (detect, compile_)
+
+
+# -- the averaged certificate ----------------------------------------------------
+
+
+CERTIFIED = [("ex35.json", "plain", 3), ("ex36.json", "plain", 3), ("motzkin", "denominator", 3)]
+
+
+@pytest.fixture(scope="module", params=CERTIFIED, ids=[c[0] for c in CERTIFIED])
+def solved(request):
+    name, variant, k = request.param
+    problem = motzkin_pop() if name == "motzkin" else load_problem(name)
+    comp = compile_relaxation(problem, variant, k)
+    return comp, _solution(comp)
+
+
+def test_averaged_certificate_meets_the_full_identity(solved):
+    comp, sol = solved
+    assert not comp.group.is_trivial
+    cert = comp.sos_certificate(sol)
+    assert comp.certificate_residual(cert) <= 1e-6
+    for gram in [cert.gram_moment] + cert.gram_localizing:
+        assert np.linalg.eigvalsh(gram)[0] >= -1e-8
+    assert cert.value == pytest.approx(float(np.dot(comp.relaxed.b, cert.theta)), abs=1e-6)
+
+
+def test_unaveraged_reduced_certificate_fails_the_identity():
+    """The reduced dual, zero-padded but not averaged, meets the SOS identity
+    only summed over each orbit: the averaging is what makes it exact."""
+    comp = compile_relaxation(load_problem("ex36.json"), "plain", 3)
+    sol = _solution(comp)
+    raw = dataclasses.replace(comp, group=trivial_group(comp.relaxed)).sos_certificate(sol)
+    assert comp.certificate_residual(raw) > 1e-3
+    assert comp.certificate_residual(comp.sos_certificate(sol)) <= 1e-6
+
+
+# -- defects the reduction mends -----------------------------------------------------
+
+
+def test_ex35_atoms_sit_on_the_diagonal():
+    result = solve_hierarchy(load_problem("ex35.json"), "plain", 3, 3)
+    assert result.status == "converged"
+    points = result.measure.points
+    assert points.shape == (2, 3)
+    corner = np.ones(3) / math.sqrt(3.0)
+    for want in (-corner, corner):
+        assert np.abs(points - want).max(axis=1).min() <= 1e-7
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_motzkin_denominator_meets_tol_without_fallback(k):
+    sol = solve_sdp(compile_relaxation(motzkin_pop(), "denominator", k).sdp)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert sol.message == ""
