@@ -166,9 +166,17 @@ def _report_header(command: str, args) -> dict:
     }
 
 
+def _open_output(path: str):
+    """path opened for writing; an unwritable path is an input error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_report(report: dict, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
+        with _open_output(out) as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
 
@@ -218,7 +226,7 @@ def _run_hierarchy(args, command: str) -> int:
     if getattr(args, "dump_sdp", None):
         for rec in result.records:
             path = _dump_path(args.dump_sdp, rec.order, len(result.records) == 1)
-            with open(path, "w") as fh:
+            with _open_output(path) as fh:
                 write_sparse_sdp(rec.sdp, fh)
 
     kind = "gmp" if isinstance(problem, GmpProblem) else "pop"
@@ -362,7 +370,7 @@ def _run_dump(args) -> int:
     except ValueError as exc:
         raise _InputError(str(exc))
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_output(args.out) as fh:
             write_sparse_sdp(comp.sdp, fh)
         print(f"wrote order-{k} {args.variant} SDP to {args.out}")
     else:

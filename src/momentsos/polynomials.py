@@ -162,11 +162,11 @@ class Polynomial:
     Exact zero coefficients are dropped at construction; near-zero trimming
     is a separate, explicit `clean(eps)` call so that numerical thresholds
     never hide inside arithmetic.  `arrays` (the terms as an exponent and a
-    coefficient array) is built at its first use and kept, which the
-    immutability makes safe.
+    coefficient array) and `degree` are computed at their first use and
+    kept, which the immutability makes safe.
     """
 
-    __slots__ = ("nvars", "_terms", "_arrays")
+    __slots__ = ("nvars", "_terms", "_arrays", "_degree")
 
     def __init__(self, nvars: int, terms: Mapping | None = None):
         if nvars < 1:
@@ -182,6 +182,7 @@ class Polynomial:
             self, "_terms", {e: c for e, c in merged.items() if c != 0.0}
         )
         object.__setattr__(self, "_arrays", None)
+        object.__setattr__(self, "_degree", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -232,9 +233,9 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
+        if self._degree is None:
+            object.__setattr__(self, "_degree", max(map(sum, self._terms), default=0))
+        return self._degree
 
     @property
     def is_homogeneous(self) -> bool:

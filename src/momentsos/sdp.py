@@ -68,31 +68,32 @@ iteration's factor is released before M is rebuilt.  Besides these it
 holds the batch work arrays of `PsdBlock.schur`, within _SCHUR_BUDGET
 doubles, the read-off tables of its groups (a few hundred KB on the largest
 blocks), one _SYM_TILE tile while M is mirrored and, when the null space
-has a nonzero T, the (nfree - r)-by-nfree rows of N^T M.
+has a nonzero T, the r-by-nfree rows M[B] that T^T multiplies and the
+(nfree - r)-by-nfree rows of N^T M.
 
-The equality rows have one owner, `_EqualityRows`, built once per solve:
-it keeps an independent subset of the rows, scales them, checks the dropped
+The equality rows have one owner, `_EqualityRows`, built once per solve: it
+keeps an independent subset of the rows, scales them, checks the dropped
 ones for consistency, factors the kept ones and maps multipliers back to
 the caller's rows.  LU with partial pivoting of A^T picks r basic variables
-B with A_B nonsingular; the others, F, are free, and N = [T; I] on (B, F) with
-T = -A_B^-1 A_F (sparse when it is) spans the null space of A.  Each Newton
-system [[M, -A^T], [A, 0]] (dw, dy) = (h, e) is then solved as
-dw = dw_p + N du, with dw_p[B] = A_B^-1 e, N^T M N du = N^T (h - M dw_p)
-and A_B^T dy = (M dw - h)[B], which is the step of the range-space form
-(M^-1 and A M^-1 A^T) in exact arithmetic.  The reduced Schur complement
-N^T M N, nfree - r wide, is the only matrix Cholesky-factored per
-iteration; with one row y_0 = 1 it is M without its first row and column.
-Without equality rows N = I, so one Newton solve serves every equality
-count.  Laurent ("Semidefinite representations for finite varieties", Math.
-Prog. 109, 2007) works in R[x]/I for the same reason; eliminating inside the
-Newton solve keeps the start point and the iterates of the unreduced
-problem.  The dense kernels of the loop call the LAPACK drivers (dsyevr,
-dpotrf, dpotrs, dgesdd, dtrtrs, dgetrf, dgetrs) directly rather than
-through the scipy.linalg front ends, whose per-call overhead dominates on
-small blocks.  Infeasibility and unboundedness are only ever declared from
-explicit certificates whose violation exceeds the certificate residual by a
-confidence ratio of 1e6; anything less decisive ends as MAX_ITERATIONS with
-the best iterate found.
+B with A_B nonsingular; the others, F, are free, and N = [T; I] on (B, F)
+with T = -A_B^-1 A_F spans the null space of A; T is a dense array, or None
+when it is zero.  Each Newton system [[M, -A^T], [A, 0]] (dw, dy) = (h, e)
+is then solved as dw = dw_p + N du, with dw_p[B] = A_B^-1 e, N^T M N du =
+N^T (h - M dw_p) and A_B^T dy = (M dw - h)[B], which is the step of the
+range-space form (M^-1 and A M^-1 A^T) in exact arithmetic.  The reduced
+Schur complement N^T M N, nfree - r wide, is the only matrix
+Cholesky-factored per iteration; with one row y_0 = 1 it is M without its
+first row and column.  Without equality rows N = I, so one Newton solve
+serves every equality count.  Laurent ("Semidefinite representations for
+finite varieties", Math. Prog. 109, 2007) works in R[x]/I for the same
+reason; eliminating inside the Newton solve keeps the start point and the
+iterates of the unreduced problem.  The dense kernels of the loop call the
+LAPACK drivers (dsyevr, dpotrf, dpotrs, dgesdd, dtrtrs, dgetrf, dgetrs)
+directly rather than through the scipy.linalg front ends, whose per-call
+overhead dominates on small blocks.  Infeasibility and unboundedness are
+only ever declared from explicit certificates whose violation exceeds the
+certificate residual by a confidence ratio of 1e6; anything less decisive
+ends as MAX_ITERATIONS with the best iterate found.
 """
 
 from __future__ import annotations
@@ -142,11 +143,6 @@ _CERT_RATIO = 1.0e6
 _NEWTON_PASSES = 4
 
 _EPS = float(np.finfo(float).eps)
-
-# The null-space block T is stored dense when more than this share of its
-# entries is nonzero: sparse products pay a fixed cost per call that dense
-# ones on a small or filled T do not.
-_DENSE_T = 0.1
 
 # Largest side of a block that solve_sdp packs from consecutive cone blocks
 # (`_pack`).  Timed on relaxation SDPs (1 BLAS thread, shared 2-vCPU VM),
@@ -610,11 +606,9 @@ class _EqualityRows:
     (`free`, ascending; a slice when they are contiguous) are free.  The
     columns of N, with N[F] = I and N[B] = T = -a_B^-1 a_F = -(L2 L1^-1)^T,
     span the null space of a, so every solution of a w = e is w_p + N u with
-    w_p[B] = a_B^-1 e and w_p[F] = 0.  T is kept as T and T^T: sparse (CSR)
-    when at most _DENSE_T of its entries are nonzero, dense otherwise, and
-    None when it is zero, as for rows that touch only basic variables.  A
-    sparse T^T is also kept as `tt_global`, whose columns are the basic
-    variables' global indices, so that it multiplies M's rows in place.
+    w_p[B] = a_B^-1 e and w_p[F] = 0.  T is kept once, as the dense
+    (n - r)-by-r array T^T (`tt`), or as None when T is zero, as for rows
+    that touch only basic variables.
 
     Of the LU factor only the r-by-r factor of a_B^T (`lu`, contiguous, for
     dgetrs) and T are kept; the n-by-r factor is dropped once T is formed.
@@ -659,17 +653,7 @@ class _EqualityRows:
             self.free = free
         # T^T = -L2 L1^-1, one row per free variable
         tt = -_tri_solve(self.lu, lu[rank:][by_index].T, trans=1, unitdiag=1).T
-        nnz = np.count_nonzero(tt)
-        self.tt = self.t = self.tt_global = None
-        if nnz > _DENSE_T * tt.size:
-            self.tt, self.t = tt, np.ascontiguousarray(tt.T)
-        elif nnz:
-            self.tt, self.t = sparse.csr_array(tt), sparse.csr_array(tt.T)
-            # T^T with column k renumbered basic[k] and each row's entries in
-            # their order, so that tt_global @ x sums as self.tt @ x[basic]
-            self.tt_global = sparse.csr_array(
-                (self.tt.data, self.basic[self.tt.indices], self.tt.indptr), shape=(n - rank, n)
-            )
+        self.tt = tt if tt.any() else None
 
         self.consistent = rank == me or bool(
             np.abs(eq_a @ self.particular(self.b) - eq_b).max()
@@ -696,23 +680,14 @@ class _EqualityRows:
         """N u."""
         w = np.empty(self.nfree)
         w[self.free] = u
-        w[self.basic] = 0.0 if self.t is None else self.t @ u
+        w[self.basic] = 0.0 if self.tt is None else self.tt.T @ u
         return w
-
-    def _tt_basic(self, x: np.ndarray) -> np.ndarray:
-        """T^T x[B] for a vector or matrix x with one row per variable.
-
-        A sparse T reads the rows of x in place, through `tt_global`.
-        """
-        if self.tt_global is not None:
-            return self.tt_global @ x
-        return self.tt @ x[self.basic]
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """N^T v."""
         if self.tt is None:
             return v[self.free]
-        return v[self.free] + self._tt_basic(v)
+        return v[self.free] + self.tt @ v[self.basic]
 
     def schur(self, m: np.ndarray):
         """(N^T M N, (N^T M)[:, B]) for exactly symmetric M.
@@ -720,17 +695,14 @@ class _EqualityRows:
         `_factor_with_bump` copies the first into Fortran order, so it is
         handed out in that order.  Without T it is M[F, F] (a view of m when
         F is a slice) as its transpose, which holds the same numbers because
-        M is exactly symmetric.  With T, P = N^T M = T^T M_B + M_F, whose
-        T^T M_B reads M's rows in place (`_tt_basic`), and
+        M is exactly symmetric.  With T, P = N^T M = T^T M_B + M_F, and
         N^T M N = (T^T P_B^T)^T + P_F with P_B = P[:, B], the second
         matrix; the transpose of the C-ordered product is in Fortran order.
-        Each entry is a sum of the same two terms as in M_F + T^T M_B and
-        P_F + (T^T P_B^T)^T, and floating-point addition commutes.
         """
         if self.tt is None:
             p = m[self.free]
             return p[:, self.free].T, p[:, self.basic]
-        p = self._tt_basic(m)
+        p = self.tt @ m[self.basic]
         p += m[self.free]
         pb = p[:, self.basic]
         k = (self.tt @ pb.T).T
@@ -1275,16 +1247,12 @@ def write_sparse_sdp(prob: SdpProblem, fh: TextIO) -> None:
     )
     for v in np.nonzero(prob.objective)[0]:
         fh.write(f"0 0 0 {v + 1} {float(prob.objective[v])!r}\n")
-    for i in range(prob.num_eq):
-        for v in np.nonzero(prob.eq_a[i])[0]:
-            fh.write(f"1 {i} 0 {v + 1} {float(prob.eq_a[i, v])!r}\n")
-        if prob.eq_b[i] != 0.0:
-            fh.write(f"1 {i} 0 0 {float(prob.eq_b[i])!r}\n")
-    for i in range(prob.num_ineq):
-        for v in np.nonzero(prob.ineq_b[i])[0]:
-            fh.write(f"2 {i} 0 {v + 1} {float(prob.ineq_b[i, v])!r}\n")
-        if prob.ineq_d[i] != 0.0:
-            fh.write(f"2 {i} 0 0 {float(prob.ineq_d[i])!r}\n")
+    for section, mat, rhs in ((1, prob.eq_a, prob.eq_b), (2, prob.ineq_b, prob.ineq_d)):
+        for i in range(len(rhs)):
+            for v in np.nonzero(mat[i])[0]:
+                fh.write(f"{section} {i} 0 {v + 1} {float(mat[i, v])!r}\n")
+            if rhs[i] != 0.0:
+                fh.write(f"{section} {i} 0 0 {float(rhs[i])!r}\n")
     for j, blk in enumerate(prob.psd_blocks):
         rows, cols = np.nonzero(np.triu(blk.const))
         for r, c in zip(rows, cols):
@@ -1309,9 +1277,13 @@ def read_sparse_sdp(fh: TextIO) -> SdpProblem:
         parts = line.split()
         if len(parts) != 5:
             raise ValueError(f"malformed dump line: {line!r}")
-        entries.append(
-            (int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), line)
-        )
+        try:
+            entry = (*(int(p) for p in parts[:4]), float(parts[4]), line)
+        except ValueError:
+            raise ValueError(f"non-integer index or non-numeric value in dump line '{line}'") from None
+        if not math.isfinite(entry[4]):
+            raise ValueError(f"non-finite value in dump line '{line}'")
+        entries.append(entry)
     if header is None:
         raise ValueError("dump is missing its header line")
     tokens = header.replace("#", "").split()
@@ -1346,22 +1318,18 @@ def read_sparse_sdp(fh: TextIO) -> SdpProblem:
             raise ValueError(f"dump line '{line}' repeats the entry of line '{seen[key]}'")
         seen[key] = line
     objective = np.zeros(nfree)
-    eq_a, eq_b = np.zeros((me, nfree)), np.zeros(me)
-    ineq_b, ineq_d = np.zeros((ml, nfree)), np.zeros(ml)
+    # the equality and inequality sections: their rows and right-hand sides
+    row_sections = {1: (np.zeros((me, nfree)), np.zeros(me)), 2: (np.zeros((ml, nfree)), np.zeros(ml))}
     block_data = [([], np.zeros((s, s))) for s in sides]
     for blockid, r, c, v, val, _ in entries:
         if blockid == 0:
             objective[v - 1] = val
-        elif blockid == 1:
+        elif blockid in row_sections:
+            mat, rhs = row_sections[blockid]
             if v == 0:
-                eq_b[r] = val
+                rhs[r] = val
             else:
-                eq_a[r, v - 1] = val
-        elif blockid == 2:
-            if v == 0:
-                ineq_d[r] = val
-            else:
-                ineq_b[r, v - 1] = val
+                mat[r, v - 1] = val
         else:
             ent, const = block_data[blockid - 3]
             if v == 0:
@@ -1376,4 +1344,4 @@ def read_sparse_sdp(fh: TextIO) -> SdpProblem:
         else:
             var = row = col = coef = ()
         blocks.append(PsdBlock(side, var, row, col, coef, const))
-    return SdpProblem(nfree, objective, eq_a, eq_b, ineq_b, ineq_d, blocks)
+    return SdpProblem(nfree, objective, *row_sections[1], *row_sections[2], blocks)

@@ -115,6 +115,19 @@ def test_dump_to_stdout(capsys):
     assert prob.nfree > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", EX35, "--kmin", "3", "--kmax", "3", "--out"),
+    ("solve", EX35, "--kmin", "3", "--kmax", "3", "--dump-sdp"),
+    ("dump", EX35, "--kmin", "3", "--out"),
+])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.json"
+    assert run(*argv, str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err and not path.parent.exists()
+
+
 def write_problem(path, data):
     path.write_text(json.dumps(data))
     return str(path)

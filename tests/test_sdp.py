@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -7,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy import sparse
 
 from momentsos import (
     PsdBlock,
@@ -23,7 +23,7 @@ from momentsos import (
 from momentsos import sdp as sdp_module
 
 import oracles
-from conftest import compile_unreduced, load_problem, motzkin_pop
+from conftest import PROBLEMS, compile_unreduced, load_problem, motzkin_pop
 
 
 def random_psd_problem(rng, nfree=4, side=3, num_eq=2):
@@ -308,6 +308,14 @@ def test_dump_rejects_garbage():
     ):
         with pytest.raises(ValueError, match=re.escape(repr(header))):
             read_sparse_sdp(io.StringIO(header + "\n0 0 0 1 1.0\n"))
+    for line in (
+        "0 0 0 1.5 1.0",  # a non-integer variable
+        "1.0 0 0 1 1.0",  # a non-integer section
+        "0 0 0 1 abc",  # a non-numeric value
+        "3 0 0 1 nan",  # a non-finite value, caught before PsdBlock sees it
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"dump line '{line}'")):
+            read_sparse_sdp(io.StringIO("# nvars 2 eq 0 ineq 0 psd 1 sides 1\n" + line + "\n"))
 
 
 def test_dump_round_trip_without_psd_block():
@@ -917,7 +925,7 @@ def test_problem_without_free_variables(sign, status):
 def newton_reference_cases(rng):
     """(nfree, equality rows) pairs for the Newton solve against a dense reference."""
     # 40 rows with two entries each, as in the ideal rows h x^beta; basic
-    # and free variables interleave, and T has one entry a row (sparse)
+    # and free variables interleave, and T has one nonzero entry a row
     sparse_rows = np.zeros((40, 70))
     perm = rng.permutation(70)
     for i in range(40):
@@ -996,25 +1004,32 @@ def test_newton_solve_matches_dense_saddle_reference():
         assert relative_error(dy, want[nfree:]) <= 1e-10, (nfree, r)
 
 
-def test_equality_schur_reads_m_in_place_on_ex36():
-    """With ex36's sparse T, the global-column product T^T M that reads M's
-    rows in place equals the product with the gathered rows M[B], and so do
-    the reduced matrices built from it, bit for bit."""
-    prob = compile_relaxation(load_problem("ex36.json"), "plain", 3).sdp
-    eq = sdp_module._EqualityRows(prob.eq_a, prob.eq_b)
-    assert sparse.issparse(eq.tt) and eq.tt_global.shape == (prob.nfree - len(eq.kept), prob.nfree)
+def test_equality_null_space_block_is_dense_or_none():
+    """T^T has one stored form, a dense array or None.  On the nonzero T
+    of ex36 and ex43 the reduced matrices are the products with the
+    gathered rows M[B], bit for bit, and every bundled relaxation at its
+    manifest order keeps T in that form."""
+    with open(PROBLEMS / "expected.json") as fh:
+        manifest = {name: spec for name, spec in json.load(fh).items() if "variant" in spec}
     rng = np.random.default_rng(36)
-    m = random_symmetric(rng, prob.nfree)
-    tm = eq.tt @ m[eq.basic]
-    assert np.array_equal(eq.tt_global @ m, tm)
-    p = m[eq.free] + tm
-    pb = p[:, eq.basic]
-    k, mnb = eq.schur(m)
-    assert np.array_equal(mnb, pb)
-    assert np.array_equal(k, p[:, eq.free] + (eq.tt @ pb.T).T)
-    assert k.flags.f_contiguous  # _factor_with_bump copies it straight
-    v = rng.standard_normal(prob.nfree)
-    assert np.array_equal(eq.reduce(v), v[eq.free] + eq.tt @ v[eq.basic])
+    for name, spec in manifest.items():
+        prob = compile_relaxation(load_problem(name), spec["variant"], spec["k"]).sdp
+        eq = sdp_module._EqualityRows(prob.eq_a, prob.eq_b)
+        assert eq.tt is None or type(eq.tt) is np.ndarray, name
+        if name not in ("ex36.json", "ex43.json"):
+            continue
+        assert type(eq.tt) is np.ndarray, name
+        m = random_symmetric(rng, prob.nfree)
+        p = eq.tt @ m[eq.basic] + m[eq.free]
+        k, mnb = eq.schur(m)
+        assert np.array_equal(mnb, p[:, eq.basic]), name
+        assert np.array_equal(k, p[:, eq.free] + (eq.tt @ p[:, eq.basic].T).T), name
+        assert k.flags.f_contiguous  # _factor_with_bump copies it straight
+        v = rng.standard_normal(prob.nfree)
+        assert np.array_equal(eq.reduce(v), v[eq.free] + eq.tt @ v[eq.basic]), name
+        u = rng.standard_normal(k.shape[0])
+        w = eq.null(u)
+        assert np.array_equal(w[eq.free], u) and np.array_equal(w[eq.basic], eq.tt.T @ u), name
 
 
 @pytest.mark.parametrize("name, variant", [("ex46.json", "homogenized"), ("ex48.json", "denominator")])
