@@ -35,7 +35,9 @@ print("degree bound d =", gmp.d)
 # inequality (here: none).  Equality rows carry the pairings and the ideal
 # constraints coming from the sphere equation.  The sphere also puts
 # (|x|^2 - 1) x^beta in the kernel of the moment matrix, so the block is
-# emitted on the 16 of its 20 monomials that the sphere leaves free.
+# emitted on the 16 of its 20 directions that the sphere leaves free, and
+# x -> -x, the group's one involution, splits them into the 6 even and the
+# 10 odd ones: two blocks.
 comp = moment_relaxation(gmp, 3)
 print("\nsymmetry group of order", comp.group.order)
 print("SDP: ", comp.sdp.nfree, "orbits of", len(comp.orbit), "moments,",

@@ -13,8 +13,13 @@ Subcommands:
 
 Exit codes: 0 when the run converged (or the analysis completed), 2 when the
 hierarchy finished without certification, 3 when no relaxation could be
-solved, 1 on any input error.  Reports are deterministic for fixed inputs
-and flags except for the timestamp field.
+solved, 1 on any input error.  An output path that cannot be written
+(--out, --dump-sdp) is an input error found before any relaxation is
+solved.  A standard output that its reader closes early, as in
+`momentsos dump problem.json | head -2`, drops the rest of the output
+without an error message, and the exit code stays the one above.  Reports
+are deterministic for fixed inputs and flags except for the timestamp
+field.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import functools
 import json
 import logging
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -34,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .certificates import check_optimality
-from .hierarchy import solve_hierarchy
+from .hierarchy import order_range, solve_hierarchy
 from .relaxations import (
     GmpProblem,
     PopProblem,
@@ -166,12 +172,38 @@ def _report_header(command: str, args) -> dict:
     }
 
 
-def _open_output(path: str):
+def _open_output(path: str, mode: str = "w"):
     """path opened for writing; an unwritable path is an input error."""
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
         raise _InputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def _stdout_may_close():
+    """Output to a standard output that its reader has closed is dropped:
+    the BrokenPipeError is caught here, and the descriptor is pointed at
+    os.devnull so that the interpreter's last flush at exit stays quiet."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+
+
+def _check_writable(path: str) -> None:
+    """An input error unless path can be opened for writing; the check
+    leaves no new file behind."""
+    existed = os.path.lexists(path)
+    with _open_output(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _write_report(report: dict, out: Optional[str]) -> None:
@@ -203,11 +235,29 @@ def _dump_path(template: str, k: int, single: bool) -> str:
     return str(p.with_name(f"{p.stem}-k{k}{p.suffix}"))
 
 
+def _dump_paths(args, orders: range) -> list:
+    """Every path that --dump-sdp may write for a sweep over orders: one
+    per order, and the template itself when the sweep may end at its
+    first order."""
+    template = getattr(args, "dump_sdp", None)
+    if not template:
+        return []
+    paths = [_dump_path(template, orders[0], True)]
+    return list(dict.fromkeys(paths + [_dump_path(template, k, False) for k in orders]))
+
+
 def _run_hierarchy(args, command: str) -> int:
     _check_tols(args)
     if args.seed < 0:
         raise _InputError("--seed must be non-negative")
     problem = _load_problem(args.problem)
+    try:
+        orders = order_range(problem, args.variant, args.kmin, args.kmax)
+    except ValueError as exc:
+        raise _InputError(str(exc))
+    for path in [args.out] + _dump_paths(args, orders):
+        if path:
+            _check_writable(path)
     try:
         result = solve_hierarchy(
             problem,
@@ -272,7 +322,12 @@ def _run_hierarchy(args, command: str) -> int:
         }
     )
     _write_report(report, args.out)
+    with _stdout_may_close():
+        _print_sweep(args, command, problem, kind, result)
+    return _EXIT_BY_STATUS[result.status]
 
+
+def _print_sweep(args, command: str, problem, kind: str, result) -> None:
     print(f"problem: {args.problem} ({kind}, {problem.nvars} variables)")
     print(f"variant: {args.variant}")
     for warning in result.warnings:
@@ -314,7 +369,6 @@ def _run_hierarchy(args, command: str) -> int:
         )
     else:
         print("no relaxation order could be solved")
-    return _EXIT_BY_STATUS[result.status]
 
 
 def _run_check_kkt(args) -> int:
@@ -345,18 +399,18 @@ def _run_check_kkt(args) -> int:
         }
     )
     _write_report(report, args.out)
-
-    print(f"problem: {args.problem} (pop, {problem.nvars} variables)")
-    print("point: [" + ", ".join(f"{v:.9g}" for v in rep.point) + "]")
-    print(f"objective: {rep.objective:.9f}")
-    print(f"feasible: {rep.feasible}")
-    print(f"active inequalities: {list(rep.active_inequalities)}")
-    print(f"licq: {rep.licq}")
-    print(f"kkt residual: {rep.kkt_residual:.3e} (stationary: {rep.stationary})")
-    print(f"strict complementarity: {rep.strict_complementarity}")
     eig = rep.reduced_hessian_min_eig
     extra = "vacuous" if eig is None else f"min eigenvalue {eig:.6f}"
-    print(f"sosc: {rep.sosc} ({extra})")
+    with _stdout_may_close():
+        print(f"problem: {args.problem} (pop, {problem.nvars} variables)")
+        print("point: [" + ", ".join(f"{v:.9g}" for v in rep.point) + "]")
+        print(f"objective: {rep.objective:.9f}")
+        print(f"feasible: {rep.feasible}")
+        print(f"active inequalities: {list(rep.active_inequalities)}")
+        print(f"licq: {rep.licq}")
+        print(f"kkt residual: {rep.kkt_residual:.3e} (stationary: {rep.stationary})")
+        print(f"strict complementarity: {rep.strict_complementarity}")
+        print(f"sosc: {rep.sosc} ({extra})")
     return 0
 
 
@@ -372,9 +426,11 @@ def _run_dump(args) -> int:
     if args.out:
         with _open_output(args.out) as fh:
             write_sparse_sdp(comp.sdp, fh)
-        print(f"wrote order-{k} {args.variant} SDP to {args.out}")
-    else:
-        write_sparse_sdp(comp.sdp, sys.stdout)
+    with _stdout_may_close():
+        if args.out:
+            print(f"wrote order-{k} {args.variant} SDP to {args.out}")
+        else:
+            write_sparse_sdp(comp.sdp, sys.stdout)
     return 0
 
 

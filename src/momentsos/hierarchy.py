@@ -1,10 +1,12 @@
 """Order sweep: solve relaxations of increasing order until one certifies.
 
 For each order k in [k_min, k_max] the chosen variant is compiled and solved.
-A solved order is certified via flat truncation + atom extraction; the first
-certified order stops the sweep.  Solver failures at one order are recorded
-and the sweep continues, so a single badly conditioned relaxation does not
-abort the run.
+The relaxed problem's symmetry group does not depend on k (theta^k in the
+denominator variant is invariant under every signed permutation), so the
+sweep finds it once, at its first order.  A solved order is certified via
+flat truncation + atom extraction; the first certified order stops the
+sweep.  Solver failures at one order are recorded and the sweep continues,
+so a single badly conditioned relaxation does not abort the run.
 
 Result statuses:
 
@@ -29,17 +31,18 @@ from .relaxations import (
     PopProblem,
     SosCertificate,
     Variant,
-    compile_relaxation,
+    _compile_relaxation,
     variant_minimum_order,
     # bench/tracing.py looks the per-variant compilers up in this module, so
-    # they stay importable here; solve_hierarchy uses compile_relaxation.
+    # they stay importable here; solve_hierarchy uses _compile_relaxation.
     denominator_relaxation,
     homogenized_relaxation,
     moment_relaxation,
 )
 from .sdp import SdpProblem, SdpStatus, solve_sdp
+from .symmetry import find_group
 
-__all__ = ["OrderRecord", "HierarchyResult", "solve_hierarchy"]
+__all__ = ["OrderRecord", "HierarchyResult", "order_range", "solve_hierarchy"]
 
 
 @dataclass
@@ -83,6 +86,24 @@ class HierarchyResult:
         return self.records[-1].certificate if self.converged else None
 
 
+def order_range(
+    problem: Union[GmpProblem, PopProblem],
+    variant: Union[Variant, str],
+    k_min: Optional[int] = None,
+    k_max: Optional[int] = None,
+) -> range:
+    """The orders k_min..k_max that `solve_hierarchy` sweeps: k_min defaults
+    to the smallest order the variant admits and k_max to k_min + 2;
+    k_max < k_min raises ValueError."""
+    if k_min is None:
+        k_min = variant_minimum_order(problem, variant)
+    if k_max is None:
+        k_max = k_min + 2
+    if k_max < k_min:
+        raise ValueError("k_max must be at least k_min")
+    return range(k_min, k_max + 1)
+
+
 def solve_hierarchy(
     problem: Union[GmpProblem, PopProblem],
     variant: Union[Variant, str] = "plain",
@@ -98,10 +119,10 @@ def solve_hierarchy(
 ) -> HierarchyResult:
     """Sweep relaxation orders k_min..k_max and certify the first flat one.
 
-    k_min defaults to the smallest order the variant admits; k_max defaults
-    to k_min + 2.  All tolerances are forwarded to the SDP solver and the
-    certification pipeline.  A tolerance that is not a positive finite
-    number, max_iter < 1 or a negative seed raises ValueError before any
+    The orders are `order_range(problem, variant, k_min, k_max)`.  All
+    tolerances are forwarded to the SDP solver and the certification
+    pipeline.  A tolerance that is not a positive finite number,
+    max_iter < 1 or a negative seed raises ValueError before any
     relaxation is compiled.
     """
     for name, value in (
@@ -113,16 +134,17 @@ def solve_hierarchy(
         raise ValueError("max_iter must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    if k_min is None:
-        k_min = variant_minimum_order(problem, variant)
-    if k_max is None:
-        k_max = k_min + 2
-    if k_max < k_min:
-        raise ValueError("k_max must be at least k_min")
+
+    groups: list = []  # the sweep's group, found at its first order
+
+    def group_of(relaxed):
+        if not groups:
+            groups.append(find_group(relaxed))
+        return groups[0]
 
     records: list = []
-    for k in range(k_min, k_max + 1):
-        comp = compile_relaxation(problem, variant, k)
+    for k in order_range(problem, variant, k_min, k_max):
+        comp = _compile_relaxation(problem, variant, k, group_of)
         sol = solve_sdp(comp.sdp, tol=tol, max_iter=max_iter)
         rec = OrderRecord(
             order=k,

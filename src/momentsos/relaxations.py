@@ -22,11 +22,12 @@ monomial x^beta with deg h + |beta| <= s, the coefficient vector of h x^beta
 lies in the kernel of every moment or localizing matrix of half-degree s at
 every w that meets the ideal rows.  This uses the given generators only, so
 it holds whether or not their ideal is real radical.  Stacking these vectors
-as the rows of K, a column-pivoted QR of K (columns in reverse graded
-order, so that ties go to the highest-degree monomial) picks rank(K)
-monomials P on which K is nonsingular, and the block is the principal
-submatrix on the other monomials J: on the ideal rows, S(w) is PSD exactly
-when S_JJ(w) is.  The entries stay sparse, and a set without equalities
+as the rows of K, a column-pivoted QR of K U (columns in reverse order, so
+that ties go to the highest-degree monomial) picks rank(K U) columns P of
+the block's basis U on which K U is nonsingular, and the block is written
+on the other columns J: on the ideal rows, U^T S(w) U is PSD exactly when
+U_J^T S(w) U_J is.  Without symmetry U = I and the block is the principal
+submatrix S_JJ(w); its entries stay sparse, and a set without equalities
 keeps every monomial.
 
 Its SDP dual is the order-k sums-of-squares bound: maximize b^T theta such
@@ -34,8 +35,9 @@ that f - sum theta_i a_i lies in the degree-2k truncated ideal + quadratic
 module of K, with theta_i free for equality pairings and >= 0 otherwise.
 The SOS side is never compiled separately; `CompiledRelaxation.sos_certificate`
 reads it off the SDP dual, so weak duality between the two sides is
-structural rather than numerical luck.  Its Gram matrices are the block duals
-zero-padded from J to the full basis, which keeps the SOS identity exact.
+structural rather than numerical luck.  A block V^T S(w) V with dual Z
+pairs with S(w) as the Gram matrix V Z V^T on the full basis
+(<Z, V^T S V> = <V Z V^T, S>), which keeps the SOS identity exact.
 
 Each relaxation is solved on the moments that the problem's symmetry group
 G leaves free (`symmetry` module: signed permutations of the variables that
@@ -48,15 +50,32 @@ gives an optimal G-invariant one.  Such a w has w_a = w_b on every orbit
 of monomials and w_a = 0 where a sign flip in G makes x^a odd, so the SDP's
 variables are the orbits: the objective, equality and inequality columns
 are summed over each orbit, block entries are moved to their orbit's
-variable and the zero moments drop out.  The equality rows and the kept
-sets J stay as they are.  J need not be G-invariant, and that loses
-nothing: on the ideal rows S_JJ(w) is PSD exactly when S(w) is, so the
-feasible set with the face is the G-invariant one without it.  The reduced
-dual meets the SOS identity only summed over each orbit; the average of
-its certificate over G (Gram matrices congruent by the signed permutation
-of each element, ideal multipliers and theta moved with their
-constraints) meets it coefficient by coefficient, and averages of PSD
-matrices stay PSD.  With the trivial group the SDP is the unreduced one.
+variable and the zero moments drop out.  The equality rows stay as they
+are, one per h x^beta, built straight into the orbit columns.
+
+On a G-invariant w two more reductions are exact.  An element g that maps
+inequality j to j' makes the localizing matrix of j' the signed
+permutation congruence D_g^T L_j D_g of that of j, so one block per orbit
+of inequalities, at its first member, carries the whole orbit.  And every
+element e of the stabilizer E_j, in E (the group's commuting involutions,
+`SymmetryGroup.involutions`), of the block's constraint fixes its matrix:
+D_e S D_e = S.  So S commutes with each projector onto a character's
+eigenspace, and in the basis U = [U_chi] of `symmetry.isotypic_basis` it
+is block diagonal: S PSD <=> every U_chi^T S U_chi PSD, one PSD block per
+character chi (E_j = E for the moment matrix).  The face is chosen in each
+chi-component on its own, by the QR of K U_chi; since S commutes with the
+projector, the columns of D^-1 U_chi^T K^T (D = U_chi^T U_chi) lie in the
+kernel of U_chi^T S U_chi, and the argument above keeps the columns
+V_chi = U_chi[:, J].  The trivial group has E = {id} and U = I, which is
+the unreduced SDP.
+
+The reduced dual meets the SOS identity only summed over each orbit, with
+Gram matrices sum_chi V_chi Z_chi V_chi^T at the representatives and none
+elsewhere; the average of its certificate over G (Gram matrices congruent
+by the signed permutation of each element and moved to the image of their
+constraint, ideal multipliers and theta moved with their constraints)
+meets it coefficient by coefficient, and averages of PSD matrices stay
+PSD.
 
 Three variants are compiled, and only this module tells them apart: each
 `CompiledRelaxation` maps its atoms back to the source problem
@@ -90,7 +109,7 @@ import scipy.linalg as sla
 from .moments import AtomicMeasure, Tms, dehomogenize_atoms, localizing_index
 from .polynomials import Polynomial, as_integer, basis_size, monomial_basis, sum_positions
 from .sdp import PsdBlock, SdpProblem, SdpSolution, _svec_index
-from .symmetry import SymmetryGroup, find_group
+from .symmetry import SymmetryGroup, find_group, isotypic_basis
 
 __all__ = [
     "SemialgebraicSet",
@@ -102,6 +121,7 @@ __all__ = [
     "homogenize_set",
     "homogenize_gmp",
     "build_subproblem",
+    "BlockBasis",
     "CompiledRelaxation",
     "SosCertificate",
     "variant_minimum_order",
@@ -361,6 +381,20 @@ class SosCertificate:
         return Polynomial(nvars, dict(zip(exponents, coeffs)))
 
 
+@dataclass(frozen=True)
+class BlockBasis:
+    """The bases of the PSD blocks of one localizing matrix S (the moment
+    matrix for weight 0, that of set inequality j for weight 1 + j).
+
+    Each part V_chi, over the full basis of S in graded order, gives one
+    PSD block V_chi^T S V_chi; the parts' columns have disjoint supports
+    and entries +-1.  With the trivial group there is one part, I[:, J]
+    for the positions J that the set's equalities leave free."""
+
+    weight: int
+    parts: tuple
+
+
 @dataclass
 class CompiledRelaxation:
     """An SDP together with the moment problem it relaxes.
@@ -370,13 +404,15 @@ class CompiledRelaxation:
     its theta^k-weighted form (denominator).  The SDP follows its data in
     order: the first m1 equality rows are its equality pairings and the
     inequality rows its other pairings; the ideal rows of set equality j
-    start at ideal_rows[j][0].  PSD block 0 is the moment matrix and block
-    1 + j the localizing matrix of set inequality j.
+    start at ideal_rows[j][0].
 
-    Each block is the principal submatrix of its matrix on the monomials
-    that the set's equalities leave free: kept[j] holds, in increasing
-    order, the graded positions in the block's full basis that block j
-    keeps.  Without set equalities every position is kept.
+    The PSD blocks are, in order, those of `bases`: the moment matrix
+    first, then one localizing matrix per orbit of the set inequalities
+    under `group`, at its first member, each split into the parts of its
+    BlockBasis.  With the trivial group they are the moment matrix and
+    every localizing matrix, each the principal submatrix on the monomials
+    that the set's equalities leave free (every monomial without set
+    equalities).
 
     The SDP's variables are the moment orbits of `group`, the symmetry group
     of `relaxed`: orbit[a] is the variable of the a-th moment of the full
@@ -389,7 +425,7 @@ class CompiledRelaxation:
     order: int
     block_order: int
     ideal_rows: list
-    kept: list
+    bases: list
     d0: int
     dK: int
     source: Union[GmpProblem, PopProblem]
@@ -450,21 +486,25 @@ class CompiledRelaxation:
     def sos_certificate(self, sol: SdpSolution) -> SosCertificate:
         """Dual readoff: pairing multipliers, Gram blocks, ideal multipliers.
 
-        Each Gram matrix is zero-padded from the kept positions to the
-        block's full basis.  The dual of an orbit-reduced SDP meets the SOS
-        identity only summed over each orbit; the certificate is its average
-        over the group, which meets it exactly (module docstring), and is
-        the dual itself for the trivial group.
+        The Gram matrix of each basis on its matrix's full basis is
+        sum_chi V_chi Z_chi V_chi^T over its parts' block duals Z_chi, and
+        zero on the inequalities that are not representatives.  The dual of
+        an orbit-reduced SDP meets the SOS identity only summed over each
+        orbit; the certificate is its average over the group, which meets
+        it exactly (module docstring), and is the dual itself for the
+        trivial group.
         """
         n = self.nvars
         theta = np.concatenate([sol.y_eq[: self.relaxed.m1], sol.z_ineq])
         phis = [sol.y_eq[row: row + basis_size(n, s)] for row, s in self.ideal_rows]
-        grams = []
-        for z, kept, s in zip(sol.psd_duals, self.kept, self.block_degrees()):
-            side = basis_size(n, s)
-            gram = np.zeros((side, side))
-            gram[np.ix_(kept, kept)] = z
-            grams.append(gram)
+        grams = {}
+        duals = iter(sol.psd_duals)
+        degrees = self.block_degrees()
+        for basis in self.bases:
+            side = basis_size(n, degrees[basis.weight])
+            grams[basis.weight] = gram = np.zeros((side, side))
+            for v in basis.parts:
+                gram += v @ next(duals) @ v.T
         theta, grams, phis = self._averaged(theta, grams, phis)
         return SosCertificate(
             theta=theta,
@@ -478,28 +518,31 @@ class CompiledRelaxation:
         )
 
     def _averaged(self, theta, grams, phis) -> tuple:
-        """(theta, Gram matrices, ideal multiplier coefficients) of the mean
-        of the SOS identity composed with each group element g.
+        """(theta, Gram matrices of every weight, ideal multiplier
+        coefficients) of the mean of the SOS identity composed with each
+        group element g; grams maps each representative's weight to its
+        Gram matrix.
 
         With v(g x) = sign * v(x)[pos], sigma(g x) has the Gram matrix Q'
         with Q'[pos_a, pos_b] = sign_a sign_b Q[a, b], and a polynomial the
         coefficients c'[pos_a] = sign_a c_a; g moves sigma_j g_j to
         inequality j', phi_j h_j to equality j' (times eps) and theta_i a_i
-        to pairing i'.  Each mean of PSD matrices is PSD.  g keeps degrees,
-        so every basis is a prefix of the largest one and one action serves
-        them all."""
+        to pairing i', so each representative's Gram matrix reaches every
+        member of its orbit.  Each mean of PSD matrices is PSD.  g keeps
+        degrees, so every basis is a prefix of the largest one and one
+        action serves them all."""
         group = self.group
-        degree = max(self.block_degrees() + [s for _, s in self.ideal_rows])
-        positions, signs = group.action(degree)
+        degrees = self.block_degrees()
+        positions, signs = group.action(max(degrees + [s for _, s in self.ideal_rows]))
         new_theta = np.zeros_like(theta)
-        new_grams = [np.zeros_like(q) for q in grams]
+        new_grams = [np.zeros((basis_size(self.nvars, s),) * 2) for s in degrees]
         new_phis = [np.zeros_like(c) for c in phis]
         for g, pos, sign in zip(group.elements, positions, signs):
             np.add.at(new_theta, list(g.pairings), theta)
-            blocks = [0] + [1 + j for j in g.inequalities]  # block 1 + j is inequality j
-            for b, q in zip(blocks, grams):
+            for w, q in grams.items():
+                target = 0 if w == 0 else 1 + g.inequalities[w - 1]
                 p, e = pos[: len(q)], sign[: len(q)]
-                new_grams[b][np.ix_(p, p)] += np.outer(e, e) * q
+                new_grams[target][np.ix_(p, p)] += np.outer(e, e) * q
             for (j, eps), c in zip(g.equalities, phis):
                 new_phis[j][pos[: len(c)]] += eps * sign[: len(c)] * c
         order = group.order
@@ -522,16 +565,18 @@ class CompiledRelaxation:
         return max(abs(c) for c in resid.terms.values())
 
 
-def _ideal_span(h: Polynomial, degree: int) -> np.ndarray:
-    """Coefficient vectors of h * x^beta, |beta| <= degree - deg h, one per row.
-
-    The columns are the degree-`degree` monomials in graded order, and the
-    rows follow beta in graded order.
-    """
+def _ideal_rows(h: Polynomial, degree: int, orbit: np.ndarray, nfree: int) -> np.ndarray:
+    """The coefficient vectors of h * x^beta, |beta| <= degree - deg h, one
+    row per beta in graded order, summed over the columns of each moment
+    orbit (the zero moments, orbit -1, drop out): (rows, nfree), built
+    without the full-width rows.  orbit = arange(N) gives the rows over the
+    N monomials of degree <= degree."""
     coef, pos = localizing_index(h, degree - h.degree)
-    rows = np.zeros((pos.shape[1], basis_size(h.nvars, degree)))
-    np.put_along_axis(rows, pos.T, coef, axis=1)
-    return rows
+    var = orbit[pos]
+    live = var >= 0
+    flat = (np.arange(pos.shape[1]) * nfree + var)[live]
+    weights = np.broadcast_to(coef[:, np.newaxis], pos.shape)[live]
+    return np.bincount(flat, weights, minlength=pos.shape[1] * nfree).reshape(-1, nfree)
 
 
 def _face_rows(equalities, nvars: int, s: int) -> np.ndarray:
@@ -540,53 +585,77 @@ def _face_rows(equalities, nvars: int, s: int) -> np.ndarray:
     At every w that meets the ideal rows, each row of K lies in the kernel of
     every moment or localizing matrix of half-degree s.
     """
-    spans = [_ideal_span(h, s) for h in equalities if h.degree <= s]
-    return np.concatenate([np.zeros((0, basis_size(nvars, s)))] + spans)
+    side = basis_size(nvars, s)
+    spans = [_ideal_rows(h, s, np.arange(side), side) for h in equalities if h.degree <= s]
+    return np.concatenate([np.zeros((0, side))] + spans)
 
 
-def _face(equalities, nvars: int, s: int) -> np.ndarray:
-    """Positions of the degree-<=s monomials that the set's equalities leave free.
+def _face(k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The columns of the basis u that the face rows k leave free.
 
-    A column-pivoted QR of K picks rank(K) columns P on which K is
-    nonsingular.  The columns enter in reverse graded order, so that ties
-    go to the highest-degree monomial; P is mostly, not always, a set of
+    A column-pivoted QR of K U picks rank(K U) columns P on which it is
+    nonsingular.  The columns enter in reverse order, so that ties go to the
+    highest-degree monomial; with U = I, P is mostly, not always, a set of
     leading monomials (a larger column norm wins first).  Lowest degree
     first took ex46 from 11 to 16 iterations, and exact leading monomials
-    ex36 from 12 to 13.  Every vector splits as K^T u plus a vector
-    supported on the kept positions J, so S(w) K^T = 0 gives
-    S(w) PSD <=> S_JJ(w) PSD.
+    ex36 from 12 to 13.  When U spans an eigenspace of the congruences that
+    fix S(w), so does D^-1 U^T K^T, D = U^T U: every coordinate vector c
+    splits as D^-1 (K U)^T u plus a vector supported on the kept columns J,
+    and S(w) K^T = 0 gives U^T S(w) U PSD <=> (U^T S(w) U)_JJ PSD.
     """
-    side = basis_size(nvars, s)
-    k = _face_rows(equalities, nvars, s)
+    side = u.shape[1]
     if not len(k):
         return np.arange(side)
-    r, piv = sla.qr(k[:, ::-1], mode="r", pivoting=True)
+    r, piv = sla.qr((k @ u)[:, ::-1], mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.count_nonzero(diag > _FACE_RANK_TOL * diag[0]))
     return np.setdiff1d(np.arange(side), side - 1 - piv[:rank])
 
 
-def _localizing_block(q: Polynomial, k: int, kept: np.ndarray, orbit: np.ndarray) -> PsdBlock:
-    """PSD block of the order-k localizing matrix of q (moment matrix for q = 1),
-    restricted to its principal submatrix on the kept basis positions.  Its
-    variables are the orbits of the moments (the zero moments, orbit -1,
+def _congruence(v: np.ndarray, nvars: int, s: int) -> tuple:
+    """(rows, cols, pairs, sign): the terms of V^T S V for a matrix S on
+    the nvars-variate monomials of degree <= s whose entry (a, b) is read
+    at the graded position of a + b, and a basis v whose columns have
+    disjoint supports.  Entry (rows[t], cols[t]) of the upper triangle gets
+    sign[t] times S's entry at position pairs[t]; the terms run row-major
+    over the upper triangle and, within an entry, over the pairs of its
+    columns' supports.  For v = I[:, J] each entry is one term, of S_JJ.
+    """
+    side = v.shape[1]
+    rows, cols, _ = _svec_index(side)  # cached row-major upper triangle
+    col_of, mono = np.nonzero(v.T)  # each column's support, in graded order
+    size = np.bincount(col_of, minlength=side)
+    start = np.cumsum(size) - size
+    count = size[rows] * size[cols]
+    entry = np.repeat(np.arange(len(rows)), count)
+    rows, cols = rows[entry], cols[entry]
+    within = np.arange(len(entry)) - np.repeat(np.cumsum(count) - count, count)
+    a = mono[start[rows] + within // size[cols]]
+    b = mono[start[cols] + within % size[cols]]
+    return rows, cols, sum_positions(nvars, s, s)[a, b], v[a, rows] * v[b, cols]
+
+
+def _localizing_block(q: Polynomial, k: int, side: int, congruence: tuple,
+                      orbit: np.ndarray) -> PsdBlock:
+    """PSD block V^T S V of the order-k localizing matrix S of q (moment
+    matrix for q = 1), from the `_congruence` of the basis V (side columns).
+    Its variables are the orbits of the moments (the zero moments, orbit -1,
     drop out).
 
-    Entries are emitted term by term of q, then row-major over the upper
-    triangle, which fixes the order in which PsdBlock merges duplicates.
+    Entries are emitted term by term of q, then in the order of the
+    congruence's terms, which fixes the order in which PsdBlock merges
+    duplicates.
     """
-    s = (2 * k - q.degree) // 2
-    rows, cols, _ = _svec_index(len(kept))  # cached row-major upper triangle
-    pairs = sum_positions(q.nvars, s, s)[kept[rows], kept[cols]]
-    coef, pos = localizing_index(q, 2 * s)
+    rows, cols, pairs, sign = congruence
+    coef, pos = localizing_index(q, 2 * ((2 * k - q.degree) // 2))
     var = orbit[pos[:, pairs].ravel()]
     live = var >= 0
     return PsdBlock(
-        len(kept),
+        side,
         var[live],
         np.tile(rows, len(coef))[live],
         np.tile(cols, len(coef))[live],
-        np.repeat(coef, len(pairs))[live],
+        np.outer(coef, sign).ravel()[live],
     )
 
 
@@ -600,8 +669,10 @@ def _compile(
     group: SymmetryGroup,
 ) -> CompiledRelaxation:
     """Shared assembly: decision variables are the orbits of the
-    degree-2*block_order moments under group (every moment for the trivial
-    group, whose SDP is the unreduced one)."""
+    degree-2*block_order moments under group, and the blocks those of the
+    representatives in the group's adapted bases (module docstring; every
+    moment and whole blocks for the trivial group, whose SDP is the
+    unreduced one)."""
     nvars = relaxed.nvars
     two_k = 2 * block_order
     basis = monomial_basis(nvars, two_k)
@@ -618,31 +689,50 @@ def _compile(
 
     # equality pairings first, so that equality row i < m1 is pairing i
     m1 = relaxed.m1
-    pairing_rows = [ai.coefficient_vector(basis) for ai in relaxed.a]
-    eq_rows, eq_rhs = pairing_rows[:m1], list(relaxed.b[:m1])
-    ineq_rows, ineq_rhs = pairing_rows[m1:], list(relaxed.b[m1:])
+    pairings = orbit_sums(np.reshape([ai.coefficient_vector(basis) for ai in relaxed.a],
+                                     (len(relaxed.a), len(orbit))))
+    eq_rows, eq_rhs = [pairings[:m1]], list(relaxed.b[:m1])
 
     equalities = relaxed.set.equalities
     ideal_rows = []
     for c in equalities:
-        rows = _ideal_span(c, two_k)
-        ideal_rows.append((len(eq_rows), two_k - c.degree))
-        eq_rows.extend(rows)
+        rows = _ideal_rows(c, two_k, orbit, nfree)
+        ideal_rows.append((len(eq_rhs), two_k - c.degree))
+        eq_rows.append(rows)
         eq_rhs.extend([0.0] * len(rows))
 
-    weights = (Polynomial.constant(nvars, 1.0),) + relaxed.set.inequalities
-    degrees = [(two_k - q.degree) // 2 for q in weights]
-    faces = {s: _face(equalities, nvars, s) for s in set(degrees)}
-    kept = [faces[s] for s in degrees]
-    blocks = [_localizing_block(q, block_order, j, orbit) for q, j in zip(weights, kept)]
+    # one block basis per orbit of the inequalities, at its first member
+    members, masks = group.involutions
+    elements = [group.elements[t] for t in members]
+    inequalities = relaxed.set.inequalities
+    weights = [0] + [1 + j for j in range(len(inequalities))
+                     if min(g.inequalities[j] for g in group.elements) == j]
+    positions, signs = (a[list(members)] for a in group.action(block_order))
+    faces, parts, bases, blocks = {}, {}, [], []
+    for w in weights:
+        q = Polynomial.constant(nvars, 1.0) if w == 0 else inequalities[w - 1]
+        s = (two_k - q.degree) // 2
+        # E_w: the members of E that fix the block's constraint
+        fix = tuple(t for t, g in enumerate(elements) if w == 0 or g.inequalities[w - 1] == w - 1)
+        if (s, fix) not in parts:
+            if s not in faces:
+                faces[s] = _face_rows(equalities, nvars, s)
+            side = basis_size(nvars, s)
+            adapted = isotypic_basis(positions[fix, :side], signs[fix, :side],
+                                     [masks[t] for t in fix])
+            kept = [u[:, _face(faces[s], u)] for u in adapted]
+            parts[s, fix] = [(v, _congruence(v, nvars, s)) for v in kept if v.shape[1]]
+        bases.append(BlockBasis(w, tuple(v for v, _ in parts[s, fix])))
+        blocks += [_localizing_block(q, block_order, v.shape[1], congruence, orbit)
+                   for v, congruence in parts[s, fix]]
 
     sdp = SdpProblem(
         nfree=nfree,
         objective=objective,
-        eq_a=orbit_sums(eq_rows) if eq_rows else None,
+        eq_a=np.concatenate(eq_rows) if eq_rhs else None,
         eq_b=np.array(eq_rhs) if eq_rhs else None,
-        ineq_b=orbit_sums(ineq_rows) if ineq_rows else None,
-        ineq_d=np.array(ineq_rhs) if ineq_rhs else None,
+        ineq_b=pairings[m1:] if len(pairings) > m1 else None,
+        ineq_d=np.array(relaxed.b[m1:]) if len(pairings) > m1 else None,
         psd_blocks=blocks,
     )
     return CompiledRelaxation(
@@ -651,7 +741,7 @@ def _compile(
         order=order,
         block_order=block_order,
         ideal_rows=ideal_rows,
-        kept=kept,
+        bases=bases,
         d0=d0,
         dK=constraint_half_degree(relaxed.set),
         source=source,
@@ -692,7 +782,8 @@ def compile_relaxation(
 
 def _compile_relaxation(problem, variant, k: int, group_of) -> CompiledRelaxation:
     """compile_relaxation with the group group_of(relaxed problem) in place
-    of find_group's; group_of = symmetry.trivial_group gives the unreduced
+    of find_group's: solve_hierarchy passes one that finds the group once
+    per sweep, and group_of = symmetry.trivial_group gives the unreduced
     SDP."""
     variant = Variant(variant)
     d0 = variant_minimum_order(problem, variant)

@@ -39,10 +39,24 @@ In a G-invariant moment vector, y_a = 0 whenever some flip in S makes x^a
 odd, and y_a = y_b whenever a permutation in P maps x^a to x^b.  These are
 the zero moments and the orbits of `SymmetryGroup.orbits`: such a moment
 has sign +1 under every element of G, so each orbit is one free variable.
+
+The involutions that commute give the blocks their split.  An element g
+acts on the vector v(x) of the monomials of degree <= s by a signed
+permutation matrix D_g, v(g x) = D_g v(x), and D_{gh} = D_g D_h.
+`SymmetryGroup.involutions` is E, a maximal elementary abelian 2-subgroup
+of G, built greedily from the commuting involutions in element order; on
+a subgroup of E the D_g commute, are symmetric and square to I, so they
+split the monomial space into the eigenspaces of their characters chi
+(homomorphisms to +-1).  `isotypic_basis` spans each eigenspace with the
+vectors sum_e chi(e) D_e x^a, one per orbit of monomials on which it is
+not zero, scaled to entries +-1 (Gatermann & Parrilo, J. Pure Appl.
+Algebra 192, 2004: the symmetry-adapted basis, here for the characters of
+an elementary abelian 2-group, all of them +-1).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,7 +65,7 @@ import numpy as np
 
 from .polynomials import monomial_basis
 
-__all__ = ["Symmetry", "SymmetryGroup", "find_group", "trivial_group"]
+__all__ = ["Symmetry", "SymmetryGroup", "find_group", "isotypic_basis", "trivial_group"]
 
 
 # the most candidate permutations the search checks, and the largest group it keeps
@@ -104,6 +118,30 @@ class SymmetryGroup:
         sign = 1 - 2 * ((flips.astype(np.int64) @ exps.T) % 2)
         return pos, sign
 
+    @functools.cached_property
+    def involutions(self) -> tuple:
+        """E as (members, masks): members[t] indexes `elements`, identity
+        first, and bit i of masks[t] says whether E's i-th generator is a
+        factor of it.  Each element in order that is an involution, commutes
+        with every generator so far and is not yet in E becomes a generator
+        and doubles E."""
+        elements = self.elements
+        index = {(g.perm, g.signs): t for t, g in enumerate(elements)}
+
+        def compose(g, h):  # the index of x -> g(h x)
+            return index[tuple(h.perm[i] for i in g.perm),
+                         tuple(s * h.signs[i] for s, i in zip(g.signs, g.perm))]
+
+        members, masks, gens = [0], [0], []
+        for t, g in enumerate(elements):
+            if (t in members or compose(g, g) != 0
+                    or any(compose(g, elements[u]) != compose(elements[u], g) for u in gens)):
+                continue
+            members += [compose(g, elements[u]) for u in members]
+            masks += [m | 1 << len(gens) for m in masks]
+            gens.append(t)
+        return tuple(members), tuple(masks)
+
     def orbits(self, degree: int) -> np.ndarray:
         """Orbit index of each monomial of degree <= degree, numbered by the
         graded position of each orbit's first monomial, and -1 for the
@@ -114,6 +152,41 @@ class SymmetryGroup:
         # number the orbits in the order of their first monomials, each its own first
         number = np.cumsum((first == np.arange(len(first))) & ~zero) - 1
         return np.where(zero, -1, number[first])
+
+
+def isotypic_basis(pos: np.ndarray, sign: np.ndarray, masks) -> list:
+    """The symmetry-adapted basis of a subgroup F of E, one matrix U_chi per
+    character chi of F that has a vector, the trivial character first.
+
+    pos and sign are `SymmetryGroup.action` on the rows of F's members and
+    masks their masks in E.  Column c of U_chi is sum_e chi(e) D_e x^a / |F_a|
+    for the c-th monomial a, in graded order, that is the first of its
+    F-orbit and whose stabilizer F_a acts on x^a by chi; D_e x^a is
+    sign[e, a] x^pos[e, a] since D_e is symmetric.  Its entries are +-1 on
+    the orbit of a and 0 elsewhere, so the U_chi together are a square
+    matrix with orthogonal columns.  For F = {id}, U = [I]."""
+    masks = np.asarray(masks, dtype=np.int64)
+    bits = int(masks.max(initial=0)).bit_length()
+    # chi_c(e) = (-1)^|c & mask(e)| over E's characters c, restricted to F
+    common = np.arange(1 << bits)[:, np.newaxis] & masks
+    parity = np.zeros(common.shape, dtype=np.int64)
+    for i in range(bits):
+        parity ^= common >> i & 1
+    characters: dict = {}  # each restriction to F, at its first c
+    for chi in 1 - 2 * parity:
+        characters.setdefault(chi.tobytes(), chi)
+    side = pos.shape[1]
+    reps = np.flatnonzero(pos.min(axis=0) == np.arange(side))
+    image, fixed = pos[:, reps], pos[:, reps] == reps
+    bases = []
+    for chi in characters.values():
+        value = chi[:, np.newaxis] * sign[:, reps]
+        live = np.flatnonzero(np.where(fixed, value == 1, True).all(axis=0))
+        u = np.zeros((side, len(live)))
+        u[image[:, live], np.arange(len(live))] = value[:, live]
+        if len(live):
+            bases.append(u)
+    return bases
 
 
 def trivial_group(gmp) -> SymmetryGroup:

@@ -128,6 +128,47 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, argv):
     assert "Traceback" not in err and not path.parent.exists()
 
 
+@pytest.mark.parametrize("flag, name", [
+    ("--out", "r.json"), ("--dump-sdp", "relax.sdp"), ("--dump-sdp", "k{k}/relax.sdp"),
+])
+def test_unwritable_output_fails_before_solving(tmp_path, monkeypatch, capsys, flag, name):
+    """The output targets are checked before the sweep: no relaxation is
+    solved, and the check leaves no file behind."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the outputs")
+
+    monkeypatch.setattr(hierarchy, "solve_sdp", no_solve)
+    (tmp_path / "k3").mkdir()  # the {k} template can write order 3 but not 4
+    path = tmp_path / ("missing/" + name if "{k}" not in name else name)
+    report = tmp_path / "report.json"
+    argv = ("solve", EX35, "--kmin", "3", "--kmax", "4", flag, str(path))
+    if flag != "--out":
+        argv += ("--out", str(report))
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["k3"]
+
+
+class ClosedStdout(io.StringIO):
+    """A standard output whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("dump", EX35, "--kmin", "3"), 0),
+    (("solve", EX35, "--kmin", "3", "--kmax", "3"), 0),
+    (("solve", EX35, "--kmin", "3", "--kmax", "3", "--rank-tol", "1e-30"), 2),
+    (("check-kkt", EX35_SUB, "--point", "0.5774,0.5774,0.5774"), 0),
+])
+def test_closed_stdout_is_quiet_and_keeps_the_exit_code(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert run(*argv) == code
+    assert capsys.readouterr().err == ""
+
+
 def write_problem(path, data):
     path.write_text(json.dumps(data))
     return str(path)
@@ -181,12 +222,14 @@ def test_solve_dump_sdp_writes_the_solved_sdps(tmp_path, monkeypatch):
     """Each order is compiled once; the dumps are the SDPs that were solved."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return compile_relaxation(*args, **kwargs)
+    def counted(compile_):
+        def compiled(*args, **kwargs):
+            calls.append(args[2])
+            return compile_(*args, **kwargs)
+        return compiled
 
-    monkeypatch.setattr(hierarchy, "compile_relaxation", counted)
-    monkeypatch.setattr(cli, "compile_relaxation", counted)
+    monkeypatch.setattr(hierarchy, "_compile_relaxation", counted(hierarchy._compile_relaxation))
+    monkeypatch.setattr(cli, "compile_relaxation", counted(compile_relaxation))
     data = {"n": 1, "f": [{"c": -1.0, "e": [1]}],
             "set": {"ineq": [[{"c": 1.0, "e": [0]}, {"c": -1.0, "e": [2]}]]}}
     path = write_problem(tmp_path / "interval.json", data)

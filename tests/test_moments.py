@@ -17,7 +17,7 @@ from momentsos import (
     tms_from_atoms,
 )
 from momentsos.moments import localizing_index
-from momentsos.relaxations import _ideal_span
+from momentsos.relaxations import _ideal_rows
 
 import oracles
 
@@ -219,7 +219,8 @@ def test_structured_matrices_match_loop_oracles():
 
 def test_localizing_vector_is_the_ideal_span_applied_to_the_moments():
     """V_h[w] and the compiler's ideal rows read one index: row beta of
-    _ideal_span(h, 2k) is the coefficient vector of h * x^beta."""
+    _ideal_rows(h, 2k) over every monomial is the coefficient vector of
+    h * x^beta."""
     rng = np.random.default_rng(15)
     checked = 0
     for _ in range(40):
@@ -230,7 +231,8 @@ def test_localizing_vector_is_the_ideal_span_applied_to_the_moments():
         if len(h.terms) < 2:
             continue
         checked += 1
-        span = _ideal_span(h, two_k)
+        side = basis_size(n, two_k)
+        span = _ideal_rows(h, two_k, np.arange(side), side)
         assert span.shape == (basis_size(n, two_k - h.degree), basis_size(n, two_k))
         assert np.allclose(localizing_vector(h, w, two_k), span @ w.values,
                            rtol=1e-13, atol=1e-13)

@@ -198,7 +198,7 @@ def test_sos_certificate_reads_inequality_pairings():
         ("ex46.json", "homogenized", 3),
         ("ex48.json", "denominator", 3),
         ("ex35.json", "plain", 3),  # moment block 20 -> 16
-        ("ex36.json", "plain", 3),  # blocks 84 + 6 x 28 -> 63 + 6 x 25
+        ("ex36.json", "plain", 3),  # blocks 84 + 6 x 28 -> 30 + 14 + 14 + 5, ...
     ],
 )
 def test_sos_certificate_replay_on_variants(name, variant, k):
@@ -217,7 +217,7 @@ def test_sos_certificate_replay_on_variants(name, variant, k):
 def test_reduced_ex36_dump_round_trip():
     comp = moment_relaxation(load_problem("ex36.json"), 3)
     sides = [blk.side for blk in comp.sdp.psd_blocks]
-    assert sides == [63] + [25] * 6
+    assert sides == [30, 14, 14, 5] + [14, 5, 5, 1] * 2 + [19, 6]
     buf = io.StringIO()
     write_sparse_sdp(comp.sdp, buf)
     buf.seek(0)
@@ -427,7 +427,7 @@ def test_solve_hierarchy_rejects_bad_options_before_compiling(monkeypatch, optio
     def no_compile(*args, **kwargs):
         raise AssertionError("compiled before checking the options")
 
-    monkeypatch.setattr(hierarchy, "compile_relaxation", no_compile)
+    monkeypatch.setattr(hierarchy, "_compile_relaxation", no_compile)
     with pytest.raises(ValueError, match=message):
         solve_hierarchy(load_problem("ex35.json"), "plain", 3, 3, **{option: value})
 
@@ -597,34 +597,46 @@ def face_relaxations():
 @pytest.mark.parametrize("comp", face_relaxations(),
                          ids=lambda c: f"{c.variant.value}-n{c.nvars}-k{c.order}")
 def test_face_matches_numerical_kernel(comp):
-    """Each block keeps the monomials that a numerical kernel leaves free.
+    """Each block keeps the directions that a numerical kernel leaves free.
 
     At random points z of the SDP's {A z = b}, with w = comp.moments(z) the
-    full moment vector, S(w) has a kernel of dimension side - len(kept),
-    S(w) K^T = 0 for the symbolic rows K, K is nonsingular on the dropped
-    positions, and the emitted block at z is S(w)'s principal submatrix on
-    the kept positions.
+    full moment vector, the full matrix S(w) of each basis meets
+    S(w) K^T = 0 for the symbolic rows K, rank(K) directions are dropped,
+    and each part V_chi has full column
+    rank and emits the block V_chi^T S(w) V_chi, which is nonsingular; and
+    the parts' columns together are the complement of S(w)'s numerical
+    kernel: independent, side - dim ker S(w) of them, and meeting the
+    kernel only in 0.
     """
     rng = np.random.default_rng(8)
     n = comp.nvars
     weights = (Polynomial.constant(n, 1.0),) + comp.relaxed.set.inequalities
     points = oracles.affine_points(comp.sdp.eq_a, comp.sdp.eq_b, rng, 2)
-    assert len(comp.kept) == len(comp.sdp.psd_blocks) == len(weights)
-    for q, kept, s, blk in zip(weights, comp.kept, comp.block_degrees(), comp.sdp.psd_blocks):
+    blocks = iter(comp.sdp.psd_blocks)
+    for basis in comp.bases:
+        q, s = weights[basis.weight], comp.block_degrees()[basis.weight]
         side = basis_size(n, s)
         rows = _face_rows(comp.relaxed.set.equalities, n, s)
-        dropped = np.setdiff1d(np.arange(side), kept)
-        rank = np.linalg.matrix_rank(rows) if len(rows) else 0
-        assert len(dropped) == rank
-        if rank:
-            assert np.linalg.matrix_rank(rows[:, dropped]) == rank
-        assert blk.side == len(kept)
+        v = np.hstack(basis.parts)
+        assert v.shape[0] == side and np.isin(v, (-1.0, 0.0, 1.0)).all()
+        assert np.linalg.matrix_rank(v) == v.shape[1]
+        # the face drops rank(K) directions, however the characters split them
+        assert side - v.shape[1] == (np.linalg.matrix_rank(rows) if len(rows) else 0)
+        parts = [(part, next(blocks)) for part in basis.parts]
+        for part, blk in parts:
+            assert blk.side == part.shape[1]
         for z in points:
             full = oracles.localizing_matrix(q.terms, n, comp.moments(z), comp.block_order)
             assert full.shape == (side, side)
-            assert oracles.numerical_kernel(full).shape[1] == side - len(kept)
+            kernel = oracles.numerical_kernel(full)
+            assert kernel.shape[1] == side - v.shape[1]
+            assert np.linalg.matrix_rank(np.hstack([v, kernel])) == side
             assert np.abs(full @ rows.T).max(initial=0.0) <= 1e-9 * np.abs(full).max()
-            assert np.allclose(blk.materialize(z), full[np.ix_(kept, kept)], rtol=0, atol=1e-12)
+            for part, blk in parts:
+                got = blk.materialize(z)
+                assert np.allclose(got, part.T @ full @ part, rtol=0, atol=1e-12 * len(part))
+                assert oracles.numerical_kernel(got).shape[1] == 0
+    assert next(blocks, None) is None
 
 
 def test_empty_real_variety_is_primal_infeasible_at_every_order():
@@ -633,6 +645,7 @@ def test_empty_real_variety_is_primal_infeasible_at_every_order():
     pop = PopProblem(SemialgebraicSet(1, equalities=(x(1, 0) ** 2 + 1.0,)), x(1, 0))
     result = solve_hierarchy(pop, "plain", 1, 4)
     assert [rec.status for rec in result.records] == ["primal_infeasible"] * 4
-    assert moment_relaxation(pop, 2).kept[0].tolist() == [0, 1]
+    (basis,) = moment_relaxation(pop, 2).bases
+    assert np.array_equal(np.hstack(basis.parts), np.eye(3)[:, [0, 1]])
     for k in (2, 3, 4):
         assert [blk.side for blk in moment_relaxation(pop, k).sdp.psd_blocks] == [2]

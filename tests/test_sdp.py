@@ -439,7 +439,8 @@ def relaxation_blocks():
     on_ball = problem_from_json(
         {"n": 3, "f": [{"c": 1.0, "e": [1, 0, 0]}], "set": {"ineq": [ball]}}
     )
-    localizing = compile_relaxation(on_ball, "plain", 3).sdp.psd_blocks[1]
+    # unreduced, so that the block is the whole localizing matrix
+    localizing = compile_unreduced(on_ball, "plain", 3).sdp.psd_blocks[1]
     return ex48.sdp.psd_blocks[0], localizing
 
 

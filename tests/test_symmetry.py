@@ -22,8 +22,9 @@ from momentsos import (
     write_sparse_sdp,
 )
 from momentsos.sdp import SdpStatus
-from momentsos.symmetry import _BUDGET, find_group, trivial_group
+from momentsos.symmetry import _BUDGET, find_group, isotypic_basis, trivial_group
 
+import oracles
 from conftest import ROOT, compile_unreduced, load_problem, motzkin_pop
 
 sys.path.insert(0, str(ROOT / "bench"))
@@ -93,11 +94,13 @@ def test_every_element_maps_the_problem_exactly(symmetric):
 
 def test_reduced_sdp_is_the_full_sdp_on_expanded_moments(symmetric):
     """At random SDP variables z, every datum of the reduced SDP equals the
-    unreduced one's at the full moment vector comp.moments(z)."""
+    unreduced one's at the full moment vector comp.moments(z), and every
+    block is V_chi^T S(w) V_chi of its representative's full matrix S."""
     comp, _ = symmetric
     full = compile_unreduced(comp.source, comp.variant, comp.order)
     assert comp.sdp.nfree < full.sdp.nfree
-    assert all(np.array_equal(a, b) for a, b in zip(comp.kept, full.kept))
+    n = comp.nvars
+    weights = (Polynomial.constant(n, 1.0),) + comp.relaxed.set.inequalities
     rng = np.random.default_rng(18)
     for _ in range(3):
         z = rng.standard_normal(comp.sdp.nfree)
@@ -107,15 +110,97 @@ def test_reduced_sdp_is_the_full_sdp_on_expanded_moments(symmetric):
         assert np.allclose(comp.sdp.eq_a @ z, full.sdp.eq_a @ w, rtol=0, atol=1e-9)
         assert np.array_equal(comp.sdp.eq_b, full.sdp.eq_b)
         assert np.allclose(comp.sdp.ineq_b @ z, full.sdp.ineq_b @ w, rtol=0, atol=1e-9)
-        for red, blk in zip(comp.sdp.psd_blocks, full.sdp.psd_blocks):
-            assert np.allclose(red.materialize(z), blk.materialize(w), rtol=0, atol=1e-9)
+        blocks = iter(comp.sdp.psd_blocks)
+        for basis in comp.bases:
+            matrix = oracles.localizing_matrix(weights[basis.weight].terms, n, w, comp.block_order)
+            for v in basis.parts:
+                want = v.T @ matrix @ v
+                assert np.allclose(next(blocks).materialize(z), want, rtol=0, atol=1e-9)
+        assert next(blocks, None) is None
 
 
 def test_ex36_solves_on_217_moments():
+    """One moment basis and three localizing bases, at the representatives
+    x1, x4 and x5 of the inequality orbits {x1, x2, x3}, {x4} and {x5, x6},
+    each split by the characters of E = S2 x S2 (the swaps of x2, x3 and
+    of x5, x6) that fix its constraint."""
     comp = compile_relaxation(load_problem("ex36.json"), "plain", 3)
     assert (comp.sdp.nfree, comp.sdp.num_eq) == (217, 631)
-    assert [blk.side for blk in comp.sdp.psd_blocks] == [63] + [25] * 6
+    assert [b.weight for b in comp.bases] == [0, 1, 4, 5]
+    assert [[v.shape for v in b.parts] for b in comp.bases] == [
+        [(84, 30), (84, 14), (84, 14), (84, 5)],
+        [(28, 14), (28, 5), (28, 5), (28, 1)],
+        [(28, 14), (28, 5), (28, 5), (28, 1)],
+        [(28, 19), (28, 6)],
+    ]
+    sides = [blk.side for blk in comp.sdp.psd_blocks]
+    assert sides == [30, 14, 14, 5] + [14, 5, 5, 1] * 2 + [19, 6]
     assert len(comp.orbit) == 924 and comp.orbit.min() == 0  # no sign symmetry
+
+
+def test_involutions_are_a_greedy_elementary_abelian_subgroup(symmetric):
+    """E holds the identity first, only commuting involutions, one element
+    per mask, is closed under composition, and no element of G outside E
+    is an involution that commutes with all of E."""
+    comp, _ = symmetric
+    elements = comp.group.elements
+    members, masks = comp.group.involutions
+    assert members[0] == 0 and masks[0] == 0
+    assert sorted(masks) == list(range(len(masks))) and len(set(members)) == len(members)
+    act = {t: (g.perm, g.signs) for t, g in enumerate(elements)}
+
+    def compose(a, b):
+        (p1, s1), (p2, s2) = a, b
+        return (tuple(p2[i] for i in p1), tuple(s * s2[i] for s, i in zip(s1, p1)))
+
+    inside = {act[t] for t in members}
+    identity = act[0]
+    for t in members:
+        assert compose(act[t], act[t]) == identity
+        for u in members:
+            assert compose(act[t], act[u]) == compose(act[u], act[t]) in inside
+    for t, g in act.items():
+        if g not in inside and compose(g, g) == identity:
+            assert any(compose(g, act[u]) != compose(act[u], g) for u in members)
+
+
+def test_ex36_involutions_are_the_two_swaps():
+    members, _ = compile_relaxation(load_problem("ex36.json"), "plain", 3).group.involutions
+    group = find_group(load_problem("ex36.json").as_gmp())
+    assert [group.elements[t].perm for t in members] == [
+        (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4), (0, 2, 1, 3, 4, 5), (0, 2, 1, 3, 5, 4)]
+
+
+@pytest.mark.parametrize("degree", [0, 2, 3])
+def test_isotypic_basis_splits_the_monomials_by_character(symmetric, degree):
+    """The parts U_chi form a square matrix with orthogonal columns and
+    entries +-1 on one orbit each, and D_e U_chi = chi(e) U_chi for every
+    member e of E, with a different chi for each part."""
+    comp, _ = symmetric
+    members, masks = comp.group.involutions
+    pos, sign = (a[list(members)] for a in comp.group.action(degree))
+    parts = isotypic_basis(pos, sign, masks)
+    u = np.hstack(parts)
+    side = pos.shape[1]
+    assert u.shape == (side, side) and np.isin(u, (-1.0, 0.0, 1.0)).all()
+    gram = u.T @ u
+    assert np.array_equal(gram, np.diag(np.diag(gram)))
+    characters = []
+    for part in parts:
+        chi = []
+        for p, e in zip(pos, sign):
+            moved = e[:, np.newaxis] * part[p]  # D_e U_chi
+            assert np.array_equal(moved, part) or np.array_equal(moved, -part)
+            chi.append(1 if np.array_equal(moved, part) else -1)
+        characters.append(tuple(chi))
+    assert characters[0] == (1,) * len(members)
+    assert len(set(characters)) == len(parts)
+
+
+def test_trivial_group_adapted_basis_is_the_identity():
+    pos, sign = trivial_group(motzkin_pop().as_gmp()).action(3)
+    (u,) = isotypic_basis(pos, sign, [0])
+    assert np.array_equal(u, np.eye(10))
 
 
 def test_sign_symmetry_zeroes_the_odd_moments():
@@ -153,11 +238,18 @@ def test_trivial_group_compiles_the_unreduced_sdp(case):
     """Byte-identical dumps: with the trivial group the compile is today's."""
     _, problem, k = case
     dumps = []
-    for comp in (compile_relaxation(problem, "plain", k), compile_unreduced(problem, "plain", k)):
+    comp = compile_relaxation(problem, "plain", k)
+    for compiled in (comp, compile_unreduced(problem, "plain", k)):
         buf = io.StringIO()
-        write_sparse_sdp(comp.sdp, buf)
+        write_sparse_sdp(compiled.sdp, buf)
         dumps.append(buf.getvalue())
     assert dumps[0] == dumps[1]
+    # one basis per constraint, each I[:, kept] for the face's kept positions
+    assert [b.weight for b in comp.bases] == list(range(1 + len(problem.set.inequalities)))
+    for basis, blk in zip(comp.bases, comp.sdp.psd_blocks):
+        (v,) = basis.parts
+        kept = np.flatnonzero(v.any(axis=1))
+        assert np.array_equal(v, np.eye(len(v))[:, kept]) and blk.side == len(kept)
 
 
 def test_tiny_coefficient_change_breaks_the_symmetry():
@@ -206,7 +298,8 @@ def test_detection_is_a_small_part_of_a_compile():
 # -- the averaged certificate ----------------------------------------------------
 
 
-CERTIFIED = [("ex35.json", "plain", 3), ("ex36.json", "plain", 3), ("motzkin", "denominator", 3)]
+CERTIFIED = [("ex35.json", "plain", 3), ("ex36.json", "plain", 3),
+             ("ex46.json", "homogenized", 3), ("motzkin", "denominator", 3)]
 
 
 @pytest.fixture(scope="module", params=CERTIFIED, ids=[c[0] for c in CERTIFIED])
@@ -221,7 +314,7 @@ def test_averaged_certificate_meets_the_full_identity(solved):
     comp, sol = solved
     assert not comp.group.is_trivial
     cert = comp.sos_certificate(sol)
-    assert comp.certificate_residual(cert) <= 1e-6
+    assert comp.certificate_residual(cert) <= 1e-10
     for gram in [cert.gram_moment] + cert.gram_localizing:
         assert np.linalg.eigvalsh(gram)[0] >= -1e-8
     assert cert.value == pytest.approx(float(np.dot(comp.relaxed.b, cert.theta)), abs=1e-6)
@@ -235,6 +328,41 @@ def test_unaveraged_reduced_certificate_fails_the_identity():
     raw = dataclasses.replace(comp, group=trivial_group(comp.relaxed)).sos_certificate(sol)
     assert comp.certificate_residual(raw) > 1e-3
     assert comp.certificate_residual(comp.sos_certificate(sol)) <= 1e-6
+
+
+def test_certificate_without_one_block_fails_the_identity(solved):
+    """Every chi-block whose dual is not negligible is needed: the
+    certificate without it misses the SOS identity by far more than the
+    exact one does."""
+    comp, sol = solved
+    exact = comp.certificate_residual(comp.sos_certificate(sol))
+    dropped = 0
+    for b, z in enumerate(sol.psd_duals):
+        if np.abs(z).max() < 1e-4:
+            continue
+        duals = [np.zeros_like(d) if i == b else d for i, d in enumerate(sol.psd_duals)]
+        cert = comp.sos_certificate(dataclasses.replace(sol, psd_duals=duals))
+        assert comp.certificate_residual(cert) >= 1e-6 > 1e3 * exact
+        dropped += 1
+    assert dropped
+
+
+def test_the_sweep_finds_the_group_once(monkeypatch):
+    """Motzkin's three denominator orders share one group, found at k = 3."""
+    from momentsos import hierarchy
+
+    calls = []
+
+    def counted(gmp):
+        calls.append(gmp)
+        return find_group(gmp)
+
+    monkeypatch.setattr(hierarchy, "find_group", counted)
+    # an impossible rank tolerance keeps the sweep going through every order
+    result = solve_hierarchy(motzkin_pop(), "denominator", 3, 5, rank_tol=1e-30)
+    assert [rec.order for rec in result.records] == [3, 4, 5]
+    assert all(rec.status == "optimal" for rec in result.records)
+    assert len(calls) == 1 and calls[0].a[0].degree == 6
 
 
 # -- defects the reduction mends -----------------------------------------------------
