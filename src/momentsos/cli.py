@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import logging
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .certificates import check_optimality
-from .hierarchy import order_range, solve_hierarchy
+from .hierarchy import _order_range, solve_hierarchy
 from .relaxations import (
     GmpProblem,
     PopProblem,
@@ -197,13 +198,21 @@ def _stdout_may_close():
 
 
 def _check_writable(path: str) -> None:
-    """An input error unless path can be opened for writing; the check
-    leaves no new file behind."""
-    existed = os.path.lexists(path)
-    with _open_output(path, "a"):
-        pass
-    if not existed:
-        os.remove(path)
+    """An input error unless path, with its symbolic links followed, names
+    a writable file that is not a directory, or a new file in a writable
+    directory.  The check opens and creates nothing."""
+    target = os.path.realpath(path)
+    folder = os.path.dirname(target)
+    if os.path.isdir(target):
+        code = errno.EISDIR
+    elif os.path.exists(target):
+        code = 0 if os.access(target, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    else:
+        code = 0 if os.access(folder, os.W_OK) else errno.EACCES
+    if code:
+        raise _InputError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write_report(report: dict, out: Optional[str]) -> None:
@@ -252,7 +261,7 @@ def _run_hierarchy(args, command: str) -> int:
         raise _InputError("--seed must be non-negative")
     problem = _load_problem(args.problem)
     try:
-        orders = order_range(problem, args.variant, args.kmin, args.kmax)
+        orders = _order_range(problem, args.variant, args.kmin, args.kmax)
     except ValueError as exc:
         raise _InputError(str(exc))
     for path in [args.out] + _dump_paths(args, orders):

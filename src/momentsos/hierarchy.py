@@ -42,7 +42,7 @@ from .relaxations import (
 from .sdp import SdpProblem, SdpStatus, solve_sdp
 from .symmetry import find_group
 
-__all__ = ["OrderRecord", "HierarchyResult", "order_range", "solve_hierarchy"]
+__all__ = ["OrderRecord", "HierarchyResult", "solve_hierarchy"]
 
 
 @dataclass
@@ -86,7 +86,7 @@ class HierarchyResult:
         return self.records[-1].certificate if self.converged else None
 
 
-def order_range(
+def _order_range(
     problem: Union[GmpProblem, PopProblem],
     variant: Union[Variant, str],
     k_min: Optional[int] = None,
@@ -119,11 +119,11 @@ def solve_hierarchy(
 ) -> HierarchyResult:
     """Sweep relaxation orders k_min..k_max and certify the first flat one.
 
-    The orders are `order_range(problem, variant, k_min, k_max)`.  All
-    tolerances are forwarded to the SDP solver and the certification
-    pipeline.  A tolerance that is not a positive finite number,
-    max_iter < 1 or a negative seed raises ValueError before any
-    relaxation is compiled.
+    k_min defaults to the smallest order the variant admits and k_max to
+    k_min + 2.  All tolerances are forwarded to the SDP solver and the
+    certification pipeline.  A tolerance that is not a positive finite
+    number, k_max < k_min, max_iter < 1 or a negative seed raises
+    ValueError before any relaxation is compiled.
     """
     for name, value in (
         ("tol", tol), ("rank_tol", rank_tol), ("feas_tol", feas_tol), ("tau_tol", tau_tol)
@@ -143,7 +143,7 @@ def solve_hierarchy(
         return groups[0]
 
     records: list = []
-    for k in order_range(problem, variant, k_min, k_max):
+    for k in _order_range(problem, variant, k_min, k_max):
         comp = _compile_relaxation(problem, variant, k, group_of)
         sol = solve_sdp(comp.sdp, tol=tol, max_iter=max_iter)
         rec = OrderRecord(

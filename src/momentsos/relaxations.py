@@ -529,11 +529,11 @@ class CompiledRelaxation:
         inequality j', phi_j h_j to equality j' (times eps) and theta_i a_i
         to pairing i', so each representative's Gram matrix reaches every
         member of its orbit.  Each mean of PSD matrices is PSD.  g keeps
-        degrees, so every basis is a prefix of the largest one and one
-        action serves them all."""
+        degrees, so every basis is a prefix of the degree-2k one and the
+        action that gave the orbits serves them all."""
         group = self.group
         degrees = self.block_degrees()
-        positions, signs = group.action(max(degrees + [s for _, s in self.ideal_rows]))
+        positions, signs = group.action(self.tms_degree)
         new_theta = np.zeros_like(theta)
         new_grams = [np.zeros((basis_size(self.nvars, s),) * 2) for s in degrees]
         new_phis = [np.zeros_like(c) for c in phis]
@@ -624,6 +624,9 @@ def _congruence(v: np.ndarray, nvars: int, s: int) -> tuple:
     side = v.shape[1]
     rows, cols, _ = _svec_index(side)  # cached row-major upper triangle
     col_of, mono = np.nonzero(v.T)  # each column's support, in graded order
+    if len(mono) == side:  # one monomial per column: one term per entry
+        a, b = mono[rows], mono[cols]
+        return rows, cols, sum_positions(nvars, s, s)[a, b], v[a, rows] * v[b, cols]
     size = np.bincount(col_of, minlength=side)
     start = np.cumsum(size) - size
     count = size[rows] * size[cols]
@@ -655,7 +658,7 @@ def _localizing_block(q: Polynomial, k: int, side: int, congruence: tuple,
         var[live],
         np.tile(rows, len(coef))[live],
         np.tile(cols, len(coef))[live],
-        np.outer(coef, sign).ravel()[live],
+        (coef[:, np.newaxis] * sign).ravel()[live],
     )
 
 
@@ -707,7 +710,8 @@ def _compile(
     inequalities = relaxed.set.inequalities
     weights = [0] + [1 + j for j in range(len(inequalities))
                      if min(g.inequalities[j] for g in group.elements) == j]
-    positions, signs = (a[list(members)] for a in group.action(block_order))
+    # the action that gave the orbits; each basis takes its prefix
+    positions, signs = group.action(two_k)
     faces, parts, bases, blocks = {}, {}, [], []
     for w in weights:
         q = Polynomial.constant(nvars, 1.0) if w == 0 else inequalities[w - 1]
@@ -718,7 +722,8 @@ def _compile(
             if s not in faces:
                 faces[s] = _face_rows(equalities, nvars, s)
             side = basis_size(nvars, s)
-            adapted = isotypic_basis(positions[fix, :side], signs[fix, :side],
+            fix_rows = [members[t] for t in fix]  # their rows of the action
+            adapted = isotypic_basis(positions[fix_rows, :side], signs[fix_rows, :side],
                                      [masks[t] for t in fix])
             kept = [u[:, _face(faces[s], u)] for u in adapted]
             parts[s, fix] = [(v, _congruence(v, nvars, s)) for v in kept if v.shape[1]]
@@ -771,11 +776,13 @@ def variant_minimum_order(
 def compile_relaxation(
     problem: Union[GmpProblem, PopProblem], variant: Union[Variant, str], k: int
 ) -> CompiledRelaxation:
-    """Order-k relaxation of problem in the given variant.
+    """Order-k relaxation of problem in the given variant, its SDP reduced
+    by the symmetry group of the relaxed problem.
 
-    This is the one place that maps a variant to its relaxation data; the
-    per-variant functions below and the order sweep all come through here.
-    The SDP is reduced by the symmetry group of the relaxed problem.
+    The per-variant functions below come through here.  The order sweep
+    calls `_compile_relaxation` directly, with a group that it finds once
+    per sweep; that function is the one place that maps a variant to its
+    relaxation data.
     """
     return _compile_relaxation(problem, variant, k, find_group)
 

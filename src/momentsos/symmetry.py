@@ -59,7 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,6 +92,7 @@ class SymmetryGroup:
 
     nvars: int
     elements: tuple
+    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -104,7 +105,14 @@ class SymmetryGroup:
     def action(self, degree: int) -> tuple:
         """(pos, sign), each (order, N) over the N monomials of degree <=
         degree: for element t, the basis vector v of monomials satisfies
-        v(g_t x)[a] = sign[t, a] * v(x)[pos[t, a]]."""
+        v(g_t x)[a] = sign[t, a] * v(x)[pos[t, a]].  Each element keeps
+        degrees, so the columns of a lower degree are a prefix.  The arrays
+        are computed once per degree and read-only."""
+        if degree not in self._actions:
+            self._actions[degree] = self._action(degree)
+        return self._actions[degree]
+
+    def _action(self, degree: int) -> tuple:
         basis = monomial_basis(self.nvars, degree)
         exps = np.array(basis.exponents, dtype=np.int64).reshape(-1, self.nvars)
         perms = np.array([g.perm for g in self.elements], dtype=np.int64)
@@ -116,6 +124,7 @@ class SymmetryGroup:
         images = map(tuple, moved.reshape(-1, self.nvars).tolist())
         pos = np.array([basis.index[e] for e in images], dtype=np.int64).reshape(moved.shape[:2])
         sign = 1 - 2 * ((flips.astype(np.int64) @ exps.T) % 2)
+        pos.flags.writeable = sign.flags.writeable = False
         return pos, sign
 
     @functools.cached_property
@@ -165,6 +174,8 @@ def isotypic_basis(pos: np.ndarray, sign: np.ndarray, masks) -> list:
     sign[e, a] x^pos[e, a] since D_e is symmetric.  Its entries are +-1 on
     the orbit of a and 0 elsewhere, so the U_chi together are a square
     matrix with orthogonal columns.  For F = {id}, U = [I]."""
+    if len(masks) == 1:  # F = {id}: one character, every monomial its own orbit
+        return [np.eye(pos.shape[1])]
     masks = np.asarray(masks, dtype=np.int64)
     bits = int(masks.max(initial=0)).bit_length()
     # chi_c(e) = (-1)^|c & mask(e)| over E's characters c, restricted to F

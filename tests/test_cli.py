@@ -150,6 +150,27 @@ def test_unwritable_output_fails_before_solving(tmp_path, monkeypatch, capsys, f
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["k3"]
 
 
+def test_output_check_creates_no_file_through_a_dangling_link(tmp_path, monkeypatch, capsys):
+    """--out through a link to a missing file passes the check, a missing
+    --dump-sdp directory fails it, and the link's target is not created."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the outputs")
+
+    monkeypatch.setattr(hierarchy, "solve_sdp", no_solve)
+    link = tmp_path / "r.json"
+    link.symlink_to(tmp_path / "target.json")
+    argv = ("solve", EX35, "--kmin", "3", "--kmax", "3", "--out", str(link),
+            "--dump-sdp", str(tmp_path / "missing" / "relax.sdp"))
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'missing'}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"] and not link.exists()
+
+
+def test_output_check_rejects_a_directory(tmp_path, capsys):
+    assert run("solve", EX35, "--kmin", "3", "--kmax", "3", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 class ClosedStdout(io.StringIO):
     """A standard output whose reader has gone: every write fails."""
 

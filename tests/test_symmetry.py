@@ -14,6 +14,7 @@ from momentsos import (
     Polynomial,
     PopProblem,
     SemialgebraicSet,
+    basis_size,
     compile_relaxation,
     monomial_basis,
     problem_from_json,
@@ -195,6 +196,20 @@ def test_isotypic_basis_splits_the_monomials_by_character(symmetric, degree):
         characters.append(tuple(chi))
     assert characters[0] == (1,) * len(members)
     assert len(set(characters)) == len(parts)
+
+
+def test_action_of_a_lower_degree_is_a_prefix():
+    """The compiler reads each block's action off the degree-2k one that
+    gave the orbits; each degree's arrays are computed once, read-only."""
+    group = find_group(load_problem("ex36.json").as_gmp())
+    pos, sign = group.action(6)
+    assert group.action(6)[0] is pos and not (pos.flags.writeable or sign.flags.writeable)
+    fresh = find_group(load_problem("ex36.json").as_gmp())
+    for degree in (0, 2, 3, 4):
+        low_pos, low_sign = fresh.action(degree)
+        side = low_pos.shape[1]
+        assert side == basis_size(6, degree)
+        assert np.array_equal(low_pos, pos[:, :side]) and np.array_equal(low_sign, sign[:, :side])
 
 
 def test_trivial_group_adapted_basis_is_the_identity():
