@@ -42,6 +42,17 @@ and mu, the objectives and the Schur complement are the same sums.  Every
 solution unpacks the duals into one diagonal sub-block per caller block, so
 the caller sees the blocks it passed.
 
+S_j and Z_j of all packed blocks, and the scaled-frame matrices, are one
+flat vector each (`_FlatCone`), as SeDuMi keeps all cones in one vector
+(Sturm, 1999), and block j's matrix is a view of its segment: elementwise
+work runs once over all blocks, and only the dense kernels (scaling,
+products with Ginv or G, `PsdBlock.schur`, eigenvalues) run per block.
+A block takes four eigenvalue calls per iteration: lambda_min(S_j(w)) for
+the primal residual, one eigvalsh of D = Lambda^-1/2 ds Lambda^-1/2 for
+both predictor steps (there dz = -Lambda - ds) and one per corrector step.
+The dual residual's lambda_min(Z_j) is taken only when a Cholesky factor of
+Z_j fails, so that factor is taken first; the scaling reuses it.
+
 The algorithm is an infeasible-start path-following method with
 Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  Per
 iteration one Schur complement M in the free variables is formed.  With
@@ -55,10 +66,9 @@ instead of side^3 per variable.  It reads the rows off with one sparse
 product with a CSR matrix of the entries, whose rows are the global
 variable indices, straight into the solver's nfree-by-nfree M, whose upper
 triangle `_schur_complement` then mirrors into the lower one.  The Newton
-step maps through the same entries with `PsdBlock.adjoint` and
-`PsdBlock.materialize`.  No basis of the block's symmetric-matrix space is
-formed; only the block factorizations (Cholesky, SVD, eigenvalues) are
-dense.
+step maps through the same entries (`_FlatCone`).  No basis of the block's
+symmetric-matrix space is formed; only the block factorizations (Cholesky,
+SVD, eigenvalues) are dense.
 
 M is dense in the moments, so the nfree-by-nfree arrays, not the
 arithmetic, set how large a relaxation fits in memory.  One iteration holds
@@ -74,10 +84,12 @@ has a nonzero T, the r-by-nfree rows M[B] that T^T multiplies and the
 The equality rows have one owner, `_EqualityRows`, built once per solve: it
 keeps an independent subset of the rows, scales them, checks the dropped
 ones for consistency, factors the kept ones and maps multipliers back to
-the caller's rows.  LU with partial pivoting of A^T picks r basic variables
-B with A_B nonsingular; the others, F, are free, and N = [T; I] on (B, F)
-with T = -A_B^-1 A_F spans the null space of A; T is a dense array, or None
-when it is zero.  Each Newton system [[M, -A^T], [A, 0]] (dw, dy) = (h, e)
+the caller's rows.  Zero rows and repeats of an earlier row up to a factor
+are dropped before a pivoted QR picks independent rows (ex36: 631 rows,
+187 distinct, rank 152).  LU with partial pivoting of A^T picks r basic
+variables B with A_B nonsingular; the others, F, are free, and N = [T; I]
+on (B, F) with T = -A_B^-1 A_F spans the null space of A; T is a dense
+array, or None when it is zero.  Each Newton system [[M, -A^T], [A, 0]] (dw, dy) = (h, e)
 is then solved as dw = dw_p + N du, with dw_p[B] = A_B^-1 e, N^T M N du =
 N^T (h - M dw_p) and A_B^T dy = (M dw - h)[B], which is the step of the
 range-space form (M^-1 and A M^-1 A^T) in exact arithmetic.  The reduced
@@ -87,9 +99,11 @@ first row and column.  Without equality rows N = I, so one Newton solve
 serves every equality count.  Laurent ("Semidefinite representations for
 finite varieties", Math. Prog. 109, 2007) works in R[x]/I for the same
 reason; eliminating inside the Newton solve keeps the start point and the
-iterates of the unreduced problem.  The dense kernels of the loop call the
-LAPACK drivers (dsyevr, dpotrf, dpotrs, dgesdd, dtrtrs, dgetrf, dgetrs)
-directly rather than through the scipy.linalg front ends, whose per-call
+iterates of the unreduced problem.  The corrector's solve takes one more
+pass on the residual of G^*(W dS W) as the dual step forms it, so that
+rounding in M does not build up in the dual residual.  The dense kernels
+of the loop call the LAPACK drivers (dsyevr, dpotrf, dpotrs, dgesdd,
+dtrtrs, dgetrf, dgetrs) directly rather than through the scipy.linalg front ends, whose per-call
 overhead dominates on small blocks.  Infeasibility and unboundedness are
 only ever declared from explicit certificates whose violation exceeds the
 certificate residual by a confidence ratio of 1e6; anything less decisive
@@ -534,34 +548,116 @@ def _packed_block(group: list) -> PsdBlock:
     )
 
 
-def _residual_norms(prob: SdpProblem, blocks, w, y, zpsd, s_psd, r_d) -> dict:
+def _cat(arrays: list, dtype=float) -> np.ndarray:
+    """np.concatenate, which rejects an empty list, with an empty result for one."""
+    return np.concatenate([np.zeros(0, dtype=dtype)] + arrays)
+
+
+class _FlatCone:
+    """The cone blocks' matrices as one flat vector: block j's entries, row
+    by row, from offsets[j]; `views` gives each block's matrix as a view.
+    S(w) and sum_j G_j^*(Z_j) are one `np.bincount` each over every block's
+    entries, and `tpos` holds the flat position of each entry's transpose.
+    """
+
+    def __init__(self, blocks: list):
+        self.sides = np.array([b.side for b in blocks], dtype=np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(self.sides**2)))
+        self.size = int(self.offsets[-1])
+        self.nu = int(self.sides.sum())
+        self._segments = [(o, o + s * s, (s, s))
+                          for o, s in zip(self.offsets.tolist(), self.sides.tolist())]
+        # every block's entries (row <= col) at their flat positions, with
+        # the off-diagonal coefficients doubled
+        self._flat = _cat([b._flat + off for b, off in zip(blocks, self.offsets)], np.int64)
+        self._var = _cat([b.var for b in blocks], np.int64)
+        self._wcoef = _cat([b._wcoef for b in blocks])
+        self.const = _cat([b.const.ravel() for b in blocks])
+        side = np.repeat(self.sides, self.sides**2)
+        start = np.repeat(self.offsets[:-1], self.sides**2)
+        i, j = np.divmod(np.arange(self.size) - start, side)
+        self.tpos = start + j * side + i
+        self._diag = np.flatnonzero(i == j)
+        # row i of a block has as many entries as the block's side
+        self._row_len = np.repeat(self.sides, self.sides)
+
+    def diag(self, lam: np.ndarray) -> np.ndarray:
+        """The flat vector of the block-diagonal matrix diag(lam)."""
+        out = np.zeros(self.size)
+        out[self._diag] = lam
+        return out
+
+    def spread(self, v: np.ndarray) -> tuple:
+        """(v_i, v_j) at each flat position (i, j), for v along the diagonals."""
+        rows = np.repeat(v, self._row_len)
+        return rows, rows[self.tpos]
+
+    def views(self, flat: np.ndarray) -> list:
+        return [flat[lo:hi].reshape(shape) for lo, hi, shape in self._segments]
+
+    def flatten(self, mats) -> np.ndarray:
+        return _cat([np.ravel(mat) for mat in mats])
+
+    def materialize(self, w: np.ndarray, include_const: bool = True) -> np.ndarray:
+        """S_j(w) of every block, flat; without the constants if asked.  The
+        doubled upper triangle averaged with its transpose equals each
+        block's `PsdBlock.materialize` bit for bit: doubling and halving are
+        exact."""
+        # bincount returns integers when there is nothing to count
+        upper = np.bincount(self._flat, weights=self._wcoef * w[self._var],
+                            minlength=self.size).astype(float, copy=False)
+        s = self.symmetrize(upper)
+        if include_const:
+            s += self.const
+        return s
+
+    def adjoint(self, z: np.ndarray, nfree: int) -> np.ndarray:
+        """sum_j G_j^*(Z_j): the entries <G_v, Z> over all blocks."""
+        return np.bincount(self._var, weights=self._wcoef * z[self._flat], minlength=nfree)
+
+    def symmetrize(self, x: np.ndarray) -> np.ndarray:
+        return 0.5 * (x + x[self.tpos])
+
+    def congruence(self, mats: list, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Flat A_j X_j A_j^T over the blocks, or A_j^T X_j A_j if transpose."""
+        out = np.empty(self.size)
+        for a, (lo, hi, shape) in zip(mats, self._segments):
+            xj, oj = x[lo:hi].reshape(shape), out[lo:hi].reshape(shape)
+            if transpose:
+                np.matmul(a.T @ xj, a, out=oj)
+            else:
+                np.matmul(a @ xj, a.T, out=oj)
+        return out
+
+
+def _norm_scales(prob: SdpProblem, cone: _FlatCone) -> tuple:
+    """The residuals' denominators: 1 + max(1, |b|, |C_j|) and 1 + max|c|."""
+    rhs = max(1.0, np.abs(prob.eq_b).max(initial=0.0), np.abs(cone.const).max(initial=0.0))
+    return 1.0 + rhs, 1.0 + np.abs(prob.objective).max(initial=0.0)
+
+
+def _residual_norms(prob, cone, scales, w, y, z, s_w, r_d, z_in_cone=False) -> dict:
     """Normalized primal/dual/gap residuals; the solver's own stopping test.
 
-    blocks are the cone blocks (`_cone_blocks`, packed or not: the norms are
-    the same), y the multipliers of prob's rows, zpsd the blocks' duals,
-    s_psd the block values S_j(w) and r_d the dual residual
-    c - A^T y - sum_j G_j^*(Z_j), so that the caller computes each once per
-    iterate.
+    cone is the `_FlatCone` of the cone blocks (packed or not: the norms
+    are the same) and scales its `_norm_scales`; y holds the multipliers of
+    prob's rows, z the duals and s_w the values S_j(w), both flat, and r_d is
+    c - A^T y - sum_j G_j^*(Z_j).  z_in_cone says that every Z_j has a
+    Cholesky factor, so that its max(0, -lambda_min(Z_j)) term is zero.
     """
-    rhs_scale = max(
-        [1.0, np.abs(prob.eq_b).max(initial=0.0)]
-        + [np.abs(blk.const).max(initial=0.0) for blk in blocks]
-    )
-
     pres = np.abs(prob.eq_a @ w - prob.eq_b).max(initial=0.0)
-    for s in s_psd:
+    for s in cone.views(s_w):
         pres = max(pres, max(0.0, -_min_eig(s)))
-    pres /= 1.0 + rhs_scale
+    pres /= scales[0]
 
     dres = np.abs(r_d).max(initial=0.0)
-    for zb in zpsd:
-        dres = max(dres, max(0.0, -_min_eig(zb)))
-    dres /= 1.0 + np.abs(prob.objective).max(initial=0.0)
+    if not z_in_cone:
+        for zb in cone.views(z):
+            dres = max(dres, max(0.0, -_min_eig(zb)))
+    dres /= scales[1]
 
     pobj = float(prob.objective @ w)
-    dobj = float(prob.eq_b @ y)
-    for blk, zb in zip(blocks, zpsd):
-        dobj -= float(np.sum(blk.const * zb))
+    dobj = float(prob.eq_b @ y) - float(cone.const @ z)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return {
         "primal": float(pres),
@@ -574,26 +670,47 @@ def _residual_norms(prob: SdpProblem, blocks, w, y, zpsd, s_psd, r_d) -> dict:
 
 def compute_residuals(prob: SdpProblem, sol: SdpSolution) -> dict:
     """Recompute primal/dual/gap residuals from scratch for a solution."""
-    blocks = _cone_blocks(prob)
+    cone = _FlatCone(_cone_blocks(prob))
     zpsd = list(sol.psd_duals)
     if prob.num_ineq:
         zpsd.append(np.diag(sol.z_ineq))
-    s_psd = [blk.materialize(sol.x) for blk in blocks]
-    r_d = prob.objective - prob.eq_a.T @ sol.y_eq
-    for blk, zb in zip(blocks, zpsd):
-        r_d -= blk.adjoint(zb, prob.nfree)
-    r = _residual_norms(prob, blocks, sol.x, sol.y_eq, zpsd, s_psd, r_d)
+    z = cone.flatten(zpsd)
+    r_d = prob.objective - prob.eq_a.T @ sol.y_eq - cone.adjoint(z, prob.nfree)
+    r = _residual_norms(prob, cone, _norm_scales(prob, cone), sol.x, sol.y_eq, z,
+                        cone.materialize(sol.x), r_d)
     return {"primal": r["primal"], "dual": r["dual"], "gap": r["gap"]}
+
+
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """Ascending indices of the nonzero rows of a that repeat no earlier row
+    up to a nonzero factor.  Each row is divided by its first entry of
+    largest magnitude, and a stable sort by one projection puts each repeat
+    after an equal row, with which it is compared exactly.  A repeat that
+    rounding or a colliding projection keeps is one more row for the QR.
+    """
+    pivot = a[np.arange(len(a)), np.abs(a).argmax(axis=1)] if a.size else np.zeros(len(a))
+    rows = np.flatnonzero(pivot)
+    if not len(rows):
+        return rows
+    unit = a[rows]
+    unit /= pivot[rows, np.newaxis]
+    # einsum's own loop, not a BLAS product, so that equal rows get equal keys
+    key = np.einsum("ij,j->i", unit, np.sqrt(np.arange(2.0, a.shape[1] + 2.0)))
+    order = np.argsort(key, kind="stable")
+    unit = unit[order]
+    repeat = (unit[1:] == unit[:-1]).all(axis=1)
+    return np.sort(rows[order[np.concatenate(([True], ~repeat))]])
 
 
 class _EqualityRows:
     """The equality rows A w = b as the solver uses them: the one owner of
     their row choice, scaling, consistency and null space.
 
-    A pivoted QR of A^T picks a maximal independent subset of the rows
-    (`kept`): its rank counts the diagonal entries of R above 1e-10 times the
-    first.  Each kept row is divided by its largest magnitude (`scale`),
-    which gives the rows `a` and right-hand sides `b` the solver iterates on.
+    A pivoted QR of the transpose of the `_distinct_rows` picks a maximal
+    independent subset of the rows (`kept`): its rank counts the diagonal
+    entries of R above 1e-10 times the first.  Each kept row is divided by
+    its largest magnitude (`scale`), which gives the rows `a` and right-hand
+    sides `b` the solver iterates on.
     `consistent` is False when the dropped rows are inconsistent: the basic
     solution of the kept rows misses some row by more than 1e-8 (1 + max|b|).
     `expand` maps multipliers of the scaled kept rows to the unscaled rows of
@@ -617,14 +734,13 @@ class _EqualityRows:
     def __init__(self, eq_a: np.ndarray, eq_b: np.ndarray):
         me, n = eq_a.shape
         rank = 0
-        if me:
-            rmat, piv = sla.qr(eq_a.T, mode="r", pivoting=True)
+        rows = _distinct_rows(eq_a)
+        if len(rows):
+            rmat, piv = sla.qr(eq_a[rows].T, mode="r", pivoting=True)
             diag = np.abs(np.diag(rmat))
             if len(diag) and diag[0] != 0.0:
                 rank = int(np.sum(diag > 1e-10 * diag[0]))
-            self.kept = np.sort(piv[:rank])
-        else:
-            self.kept = np.zeros(0, dtype=int)
+        self.kept = np.sort(rows[piv[:rank]]) if rank else np.zeros(0, dtype=np.int64)
         self.num_rows = me
         self.scale = np.abs(eq_a[self.kept]).max(axis=1, initial=0.0)
         self.a = eq_a[self.kept] / self.scale[:, np.newaxis]
@@ -762,7 +878,18 @@ class _NewtonSystem:
             dw, mdw, q, err = trial
             if not err < 0.5 * prev:
                 break
-        return dw, eq.solve_basic((mdw - h)[eq.basic], trans=0)
+        return dw, self.multipliers(mdw - h)
+
+    def correct(self, dw: np.ndarray, h: np.ndarray, mdw: np.ndarray):
+        """(dw + d, dy) after one more pass on h - M' dw for an operator M'
+        near M, given mdw = M' dw: d = N (N^T M N)^-1 N^T (h - mdw) and
+        A_B^T dy = (mdw + M d - h)[B], M d standing in for the small M' d."""
+        d = self.eq.null(_cho_solve(self.kfac, self.eq.reduce(h - mdw)))
+        return dw + d, self.multipliers(mdw + self.m @ d - h)
+
+    def multipliers(self, r: np.ndarray) -> np.ndarray:
+        """dy from A_B^T dy = r[B] for r = M dw - h."""
+        return self.eq.solve_basic(r[self.eq.basic], trans=0)
 
 
 # -- dense kernels of the solve loop ------------------------------------------
@@ -818,6 +945,18 @@ def _min_eig(a: np.ndarray) -> float:
     )
     _check_info(info, "dsyevr")
     return float(w[0])
+
+
+def _extreme_eigs(a: np.ndarray) -> tuple:
+    """(smallest, largest) eigenvalue of symmetric a from one eigvalsh call:
+    sla.eigvalsh(a)[[0, -1]], and (inf, -inf) for a 0x0 matrix."""
+    n = a.shape[0]
+    if n == 0:
+        return math.inf, -math.inf
+    lwork, liwork = _syevr_lwork(n)
+    w, _, _, _, info = dsyevr(_finite(a), compute_v=0, lower=1, lwork=lwork, liwork=liwork)
+    _check_info(info, "dsyevr")
+    return float(w[0]), float(w[n - 1])
 
 
 def _cholesky(a: np.ndarray, clean: int = 1, overwrite: int = 0) -> np.ndarray:
@@ -887,13 +1026,16 @@ def _svd(a: np.ndarray):
 
 
 class _ConeState:
-    """Per-iteration Nesterov-Todd scaling data for one PSD block."""
+    """Per-iteration Nesterov-Todd scaling data for one PSD block: G, its
+    inverse and the scaled point Lambda = G^-1 S G^-T = G^T Z G.  lz is Z's
+    lower Cholesky factor when the caller has it."""
 
-    __slots__ = ("g", "ginv", "lam", "rbar")
+    __slots__ = ("g", "ginv", "lam")
 
-    def __init__(self, s: np.ndarray, z: np.ndarray):
+    def __init__(self, s: np.ndarray, z: np.ndarray, lz: np.ndarray = None):
         ls = _cholesky(_finite(s))
-        lz = _cholesky(_finite(z))
+        if lz is None:
+            lz = _cholesky(_finite(z))
         u, sig, vt = _svd(lz.T @ ls)
         sig = np.maximum(sig, 1e-300)
         root = np.sqrt(sig)
@@ -901,7 +1043,6 @@ class _ConeState:
         lsinv = _tri_solve(ls, np.eye(s.shape[0]))
         self.ginv = (root[:, np.newaxis] * vt) @ lsinv
         self.lam = sig
-        self.rbar = None
 
 
 def solve_sdp(
@@ -931,7 +1072,9 @@ def solve_sdp(
     nfree = prob.nfree
     c = prob.objective
     blocks, unpack = _pack(_cone_blocks(prob))
-    nu = sum(b.side for b in blocks)
+    cone = _FlatCone(blocks)
+    nu = cone.nu
+    scales = _norm_scales(prob, cone)
 
     eq = _EqualityRows(prob.eq_a, prob.eq_b)
     if not eq.consistent:
@@ -942,19 +1085,17 @@ def solve_sdp(
                        np.zeros(len(eq.b)), z_b, res, 0, "equality rows are inconsistent")
 
     if nu == 0:
-        return _solve_equality_only(prob, eq, tol)
+        return _solve_equality_only(prob, eq, tol, cone, scales)
 
     # -- initial iterate ----------------------------------------------------
-    data_scale = 1.0 + max(
-        [np.abs(b.const).max(initial=0.0) for b in blocks]
-        + [np.abs(eq.b).max(initial=0.0)]
-    )
+    data_scale = 1.0 + max(np.abs(cone.const).max(initial=0.0), np.abs(eq.b).max(initial=0.0))
     beta_p = 10.0 * data_scale
     beta_d = 1.0 + np.abs(c).max(initial=0.0)
     w = np.zeros(nfree)
     y = np.zeros(len(eq.b))
-    s_b = [beta_p * np.eye(b.side) for b in blocks]
-    z_b = [beta_d * np.eye(b.side) for b in blocks]
+    # S_j and Z_j of every block, flat (`_FlatCone`)
+    s = cone.diag(np.full(nu, beta_p))
+    z = cone.diag(np.full(nu, beta_d))
 
     # the Schur complement, rebuilt in place by _schur_complement: every block
     # adds its rows into it, then it is symmetrized once
@@ -969,18 +1110,22 @@ def solve_sdp(
     message = ""
 
     for it in range(1, max_iter + 1):
-        s_w = [blk.materialize(w) for blk in blocks]
+        # a Cholesky factor of each Z_j, which the scalings reuse, shows that
+        # Z_j is in the cone, so the residual takes no eigenvalue of it
+        try:
+            lzs = [_cholesky(_finite(zb)) for zb in cone.views(z)]
+        except np.linalg.LinAlgError:
+            lzs = None
+        s_w = cone.materialize(w)
         # the dual image A^T y + sum_j G_j^*(Z_j): the dual residual, the
         # stopping test and the ray test all read this one vector
-        image = eq.a.T @ y
-        for blk, zb in zip(blocks, z_b):
-            image += blk.adjoint(zb, nfree)
+        image = eq.a.T @ y + cone.adjoint(z, nfree)
         r_d = c - image
-        res = _residual_norms(prob, blocks, w, eq.expand(y), z_b, s_w, r_d)
+        res = _residual_norms(prob, cone, scales, w, eq.expand(y), z, s_w, r_d, lzs is not None)
         score = max(res["primal"], res["dual"], res["gap"])
         if best is None or score < best_score:
             best_score = score
-            best = (w.copy(), y.copy(), [zz.copy() for zz in z_b], res)
+            best = (w.copy(), y.copy(), z.copy(), res)
             no_improve = 0
         else:
             no_improve += 1
@@ -992,77 +1137,53 @@ def solve_sdp(
             it, res["obj_primal"], res["obj_dual"], res["primal"], res["dual"], res["gap"],
         )
         if score <= tol:
-            return _finish(SdpStatus.OPTIMAL, prob, eq, w, y, unpack(z_b), res, it, "")
+            return _finish(SdpStatus.OPTIMAL, prob, eq, w, y, unpack(cone.views(z)), res, it, "")
 
-        cert = _check_infeasibility(prob, blocks, eq, w, y, z_b, image, res["obj_dual"])
+        cert = _check_infeasibility(prob, cone, eq, w, y, z, image, res["obj_dual"])
         if cert is not None:
             status, msg = cert
-            return _finish(status, prob, eq, w, y, unpack(z_b), res, it, msg)
-
-        # resid->target quantities
-        r_e = eq.b - eq.a @ w
-        r_b = [sw - sb for sw, sb in zip(s_w, s_b)]
-
-        mu = sum(float(np.sum(sb * zb)) for sb, zb in zip(s_b, z_b)) / nu
-
-        # -- scalings and Schur complement -----------------------------------
+            return _finish(status, prob, eq, w, y, unpack(cone.views(z)), res, it, msg)
         try:
-            cones = [_ConeState(sb, zb) for sb, zb in zip(s_b, z_b)]
+            if lzs is None:
+                raise np.linalg.LinAlgError("Z is not positive definite")
+            nts = [_ConeState(sb, zb, lz) for sb, zb, lz in zip(cone.views(s), cone.views(z), lzs)]
         except np.linalg.LinAlgError:
             message = "cone iterate lost definiteness"
             break
 
+        # -- Schur complement and the Newton direction -------------------------
+        ginvs = [nt.ginv for nt in nts]
+        rbar = cone.congruence(ginvs, s_w - s)  # S(w) - S in the scaled frame
         # the last iteration's factor goes before M is rebuilt: one iteration
         # holds M and one factor of it, no other n-by-n array
         system = None
-        _schur_complement(blocks, [cone.ginv for cone in cones], m)
-        for cone, rb in zip(cones, r_b):
-            cone.rbar = cone.ginv @ rb @ cone.ginv.T
-
+        _schur_complement(blocks, ginvs, m)
         system = _NewtonSystem(eq, m)
         if system.kfac is None:
             message = "Schur complement factorization failed"
             break
+        r_e = eq.b - eq.a @ w
 
-        def newton(d_targets):
-            """Solve one Newton system for given scaled complementarity targets."""
-            h = -r_d.copy()
-            for blk, cone, dt in zip(blocks, cones, d_targets):
-                x = dt - cone.rbar
-                h += blk.adjoint(cone.ginv.T @ x @ cone.ginv, nfree)
+        def newton(target, exact=False):
+            """Solve one Newton system for given scaled complementarity targets.
+
+            exact takes one more pass on the residual of G^*(W dS(dw) W) as
+            the dual step forms it, so that the step's dual residual is off
+            (1 - ad) r_d by that operator's rounding, not by its difference
+            from M, which grows with W's condition.
+            """
+            h = cone.adjoint(cone.congruence(ginvs, target - rbar, transpose=True), nfree) - r_d
             dw, dy = system.solve(h, r_e)
-            ds_bar, dz_bar = [], []
-            for blk, cone, dt in zip(blocks, cones, d_targets):
-                dsw = blk.materialize(dw, include_const=False)
-                dsb = cone.ginv @ dsw @ cone.ginv.T + cone.rbar
-                ds_bar.append(dsb)
-                dz_bar.append(dt - dsb)
-            return dw, dy, ds_bar, dz_bar
+            dsb = cone.congruence(ginvs, cone.materialize(dw, include_const=False))
+            if exact:
+                mdw = cone.adjoint(cone.congruence(ginvs, dsb, transpose=True), nfree)
+                dw, dy = system.correct(dw, h, mdw)
+                dsb = cone.congruence(ginvs, cone.materialize(dw, include_const=False))
+            dsb += rbar
+            return dw, dy, dsb, target - dsb
 
-        # -- predictor --------------------------------------------------------
-        d_aff = [-np.diag(cone.lam) for cone in cones]
-        _, _, dsb_a, dzb_a = newton(d_aff)
-
-        ap_aff = _max_step(cones, dsb_a)
-        ad_aff = _max_step(cones, dzb_a)
-        mu_aff = _mu_after(cones, dsb_a, dzb_a, ap_aff, ad_aff) / nu
-        sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-8)) if mu > 0 else 0.1
-
-        # -- corrector --------------------------------------------------------
-        d_corr = []
-        for cone, dsb, dzb in zip(cones, dsb_a, dzb_a):
-            lam = cone.lam
-            cross = 0.5 * (dsb @ dzb + dzb @ dsb)
-            rc_full = sigma * mu * np.eye(len(lam)) - np.diag(lam * lam) - cross
-            denom = 0.5 * (lam[:, np.newaxis] + lam[np.newaxis, :])
-            d_corr.append(rc_full / denom)
-        dw, dy, dsb, dzb = newton(d_corr)
-
-        ap = _max_step(cones, dsb)
-        ad = _max_step(cones, dzb)
-        tau = min(0.99, 0.9 + 0.09 * min(1.0, ap_aff, ad_aff))
-        ap = min(1.0, tau * ap)
-        ad = min(1.0, tau * ad)
+        lam = np.concatenate([nt.lam for nt in nts])
+        dw, dy, dsb, dzb, ap, ad = _direction(cone, newton, lam, float(s @ z) / nu)
         if ap < 1e-10 and ad < 1e-10:
             stalls += 1
             if stalls >= 3:
@@ -1073,22 +1194,20 @@ def solve_sdp(
 
         w += ap * dw
         y += ad * dy
-        for i, (cone, dsb_i, dzb_i) in enumerate(zip(cones, dsb, dzb)):
-            step_s = cone.g @ (ap * dsb_i) @ cone.g.T
-            step_z = cone.ginv.T @ (ad * dzb_i) @ cone.ginv
-            s_b[i] = 0.5 * ((s_b[i] + step_s) + (s_b[i] + step_s).T)
-            z_b[i] = 0.5 * ((z_b[i] + step_z) + (z_b[i] + step_z).T)
+        s = cone.symmetrize(s + cone.congruence([nt.g for nt in nts], ap * dsb))
+        z = cone.symmetrize(z + cone.congruence(ginvs, ad * dzb, transpose=True))
 
     # out of iterations or numerics broke down; fall back to the best iterate
-    w, y, z_b, res = best
+    w, y, z, res = best
+    z_b = unpack(cone.views(z))
     if best_score <= accept_tol:
         detail = f" ({message})" if message else ""
         message = f"reduced accuracy: residual {best_score:.2e}{detail}"
-        return _finish(SdpStatus.OPTIMAL, prob, eq, w, y, unpack(z_b), res, it, message)
+        return _finish(SdpStatus.OPTIMAL, prob, eq, w, y, z_b, res, it, message)
     status = SdpStatus.NUMERICAL_FAILURE if message else SdpStatus.MAX_ITERATIONS
     if not message:
         message = f"stopped after {it} iterations with residual {best_score:.2e}"
-    return _finish(status, prob, eq, w, y, unpack(z_b), res, it, message)
+    return _finish(status, prob, eq, w, y, z_b, res, it, message)
 
 
 def _finish(status, prob, eq, w, y, z_b, res, iterations, message):
@@ -1155,37 +1274,58 @@ def _factor_with_bump(m: np.ndarray):
     return None
 
 
-def _max_step(cones, dbars) -> float:
-    """Largest alpha keeping the cone iterate strictly feasible (scaled frame)."""
-    alpha = math.inf
-    for cone, dbar in zip(cones, dbars):
-        root = np.sqrt(cone.lam)
-        scaled = dbar / root[:, np.newaxis] / root[np.newaxis, :]
-        lo = _min_eig(scaled)
-        if lo < 0:
-            alpha = min(alpha, -1.0 / lo)
-    return alpha
+def _direction(cone: _FlatCone, newton, lam: np.ndarray, mu: float) -> tuple:
+    """Mehrotra's predictor-corrector step (dw, dy, ds, dz, ap, ad), ds and
+    dz flat and scaled, ap and ad the step lengths.
+
+    newton(target, exact) solves the Newton system for a flat target of
+    ds + dz at Lambda = diag(lam); mu = <S, Z> / nu.  The predictor's dz is
+    -Lambda - ds, so one eigvalsh of D = Lambda^-1/2 ds Lambda^-1/2 per
+    block gives both its steps, -1 / lambda_min(D) and 1 / (1 + lambda_max(D)).
+    """
+    lam_d = cone.diag(lam)
+    # a direction d is tested as Lambda^-1/2 d Lambda^-1/2, entry by entry
+    root_r, root_c = cone.spread(np.sqrt(lam))
+    _, _, ds, dz = newton(-lam_d)
+    lo, hi = zip(*[_extreme_eigs(d) for d in cone.views(ds / root_r / root_c)])
+    ap_aff = -1.0 / min(lo) if min(lo) < 0 else math.inf
+    ad_aff = 1.0 / (1.0 + max(hi)) if max(hi) > -1.0 else math.inf
+    after = (lam_d + min(1.0, ap_aff) * ds) * (lam_d + min(1.0, ad_aff) * dz)
+    mu_aff = float(after.sum()) / cone.nu
+    sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-8)) if mu > 0 else 0.1
+
+    # the corrector's target (sigma mu I - Lambda^2 - (ds dz + dz ds) / 2)
+    # divided by (lam_i + lam_j) / 2
+    cross = np.empty(cone.size)
+    for dsj, dzj, out in zip(cone.views(ds), cone.views(dz), cone.views(cross)):
+        np.matmul(dsj, dzj, out=out)
+        out += dzj @ dsj
+    lam_r, lam_c = cone.spread(lam)
+    target = (cone.diag(sigma * mu - lam * lam) - 0.5 * cross) / (0.5 * (lam_r + lam_c))
+    dw, dy, ds, dz = newton(target, exact=True)
+    tau = min(0.99, 0.9 + 0.09 * min(1.0, ap_aff, ad_aff))
+    ap = min(1.0, tau * _max_step(cone, ds / root_r / root_c))
+    ad = min(1.0, tau * _max_step(cone, dz / root_r / root_c))
+    return dw, dy, ds, dz, ap, ad
 
 
-def _mu_after(cones, dsb, dzb, ap, ad) -> float:
-    ap = min(1.0, ap)
-    ad = min(1.0, ad)
-    total = 0.0
-    for cone, dsb_i, dzb_i in zip(cones, dsb, dzb):
-        lam = np.diag(cone.lam)
-        total += float(np.sum((lam + ap * dsb_i) * (lam + ad * dzb_i)))
-    return total
+def _max_step(cone: _FlatCone, scaled: np.ndarray) -> float:
+    """Largest alpha keeping Lambda + alpha d in the cone, from the flat
+    scaled = Lambda^-1/2 d Lambda^-1/2: -1 / lambda_min(scaled)."""
+    lo = min(_min_eig(d) for d in cone.views(scaled))
+    return -1.0 / lo if lo < 0 else math.inf
 
 
-def _check_infeasibility(prob, blocks, eq, w, y, z_b, image, viol):
+def _check_infeasibility(prob, cone, eq, w, y, z, image, viol):
     """Farkas-style certificate checks; None when nothing is decisive.
 
-    y holds the multipliers of eq's scaled kept rows, z_b the duals of the
-    cone blocks, image the dual image A^T y + sum_j G_j^*(Z_j) and viol the
-    dual objective b^T y - sum_j <C_j, Z_j>.
+    y holds the multipliers of eq's scaled kept rows, z the duals of the
+    cone blocks (flat, `_FlatCone`), image the dual image
+    A^T y + sum_j G_j^*(Z_j) and viol the dual objective
+    b^T y - sum_j <C_j, Z_j>.
     """
     # primal infeasibility: dual ray with positive objective and tiny residual
-    ray_norm = max([np.abs(y).max(initial=0.0)] + [np.abs(zb).max(initial=0.0) for zb in z_b])
+    ray_norm = max(np.abs(y).max(initial=0.0), np.abs(z).max(initial=0.0))
     if viol > 1e-6 * (1.0 + ray_norm):
         if np.abs(image).max(initial=0.0) * _CERT_RATIO < viol:
             return SdpStatus.PRIMAL_INFEASIBLE, "dual improving ray found"
@@ -1197,30 +1337,28 @@ def _check_infeasibility(prob, blocks, eq, w, y, z_b, image, viol):
         drop = float(prob.objective @ ray)
         if drop < 0:
             quality = np.abs(eq.a @ ray).max(initial=0.0)
-            for blk in blocks:
-                hom = blk.materialize(ray, include_const=False)
+            for hom in cone.views(cone.materialize(ray, include_const=False)):
                 quality = max(quality, max(0.0, -_min_eig(hom)))
             if quality * _CERT_RATIO < -drop:
                 return SdpStatus.DUAL_INFEASIBLE, "primal improving ray found"
     return None
 
 
-def _solve_equality_only(prob, eq, tol):
+def _solve_equality_only(prob, eq, tol, cone, scales):
     """Degenerate case with no cone at all: a linear system.
 
     w is the basic solution of the kept rows and y solves the basic columns
     of stationarity, A_B^T y = c_B; the problem is bounded iff that y also
-    satisfies the free columns.
+    satisfies the free columns.  cone holds only blocks of side 0.
     """
     w = eq.particular(eq.b)
     y = eq.solve_basic(prob.objective[eq.basic], trans=0)
-    blocks = prob.psd_blocks  # every block has side 0 and there are no rows
-    zpsd = [np.zeros((0, 0)) for _ in blocks]
-    s_w = [blk.materialize(w) for blk in blocks]
     r_d = prob.objective - eq.a.T @ y
-    res = _residual_norms(prob, blocks, w, eq.expand(y), zpsd, s_w, r_d)
+    res = _residual_norms(prob, cone, scales, w, eq.expand(y), np.zeros(0),
+                          cone.materialize(w), r_d)
     ok = max(res["primal"], res["dual"], res["gap"]) <= tol
     status = SdpStatus.OPTIMAL if ok else SdpStatus.DUAL_INFEASIBLE
+    zpsd = [np.zeros((0, 0)) for _ in prob.psd_blocks]  # there are no rows
     return _finish(
         status, prob, eq, w, y, zpsd, res, 0,
         "" if ok else "objective unbounded over the affine feasible set",

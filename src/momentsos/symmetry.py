@@ -117,12 +117,17 @@ class SymmetryGroup:
         exps = np.array(basis.exponents, dtype=np.int64).reshape(-1, self.nvars)
         perms = np.array([g.perm for g in self.elements], dtype=np.int64)
         flips = np.array([g.signs for g in self.elements]) < 0
-        # x^a(g x) has exponent a_i at variable perm[i]
-        moved = np.empty((len(perms),) + exps.shape, dtype=np.int64)
-        for t, p in enumerate(perms):
-            moved[t][:, p] = exps
-        images = map(tuple, moved.reshape(-1, self.nvars).tolist())
-        pos = np.array([basis.index[e] for e in images], dtype=np.int64).reshape(moved.shape[:2])
+        # a monomial's key is its exponents in mixed radix degree + 1, exact
+        # in int64 where that holds them and in Python integers beyond
+        radix = degree + 1
+        dtype = np.int64 if radix**self.nvars <= np.iinfo(np.int64).max else object
+        place = np.array([radix**i for i in range(self.nvars)], dtype=dtype)
+        keys = exps.astype(dtype) @ place
+        by_key = np.argsort(keys, kind="stable")
+        # x^a(g x) has exponent a_i at variable perm[i], so its key is
+        # sum_i a_i radix^perm[i]
+        moved = place[perms] @ exps.T.astype(dtype)
+        pos = by_key[np.searchsorted(keys, moved, sorter=by_key)].astype(np.int64)
         sign = 1 - 2 * ((flips.astype(np.int64) @ exps.T) % 2)
         pos.flags.writeable = sign.flags.writeable = False
         return pos, sign

@@ -1093,3 +1093,132 @@ def test_best_iterate_fallback():
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.message.startswith("reduced accuracy")
     assert max(compute_residuals(prob, sol).values()) <= max(100 * tol, 1e-6)
+
+
+# -- the whole-cone layout, the dense-kernel budget and the row filter ---------
+
+
+def test_flat_cone_maps_equal_the_block_maps():
+    """S(w) and sum_j G_j^*(Z_j) over the flat layout equal the blocks' own
+    maps on a packed block, a side-0 block, a block wider than _PACK_SIDE
+    and the inequality rows' diagonal block; each segment of S(w) bit for
+    bit, with and without the constants."""
+    prob = packing_problem()
+    caller = sdp_module._cone_blocks(prob)
+    packed, _ = sdp_module._pack(caller)
+    blocks = [packed[0], PsdBlock(0, [], [], [], []), packed[1], caller[-1]]
+    assert [b.side for b in blocks] == [5, 0, sdp_module._PACK_SIDE + 1, 2]
+    cone = sdp_module._FlatCone(blocks)
+    assert cone.size == sum(b.side**2 for b in blocks) and cone.nu == sum(b.side for b in blocks)
+    rng = np.random.default_rng(22)
+    w = rng.uniform(-1, 1, prob.nfree)
+    for const in (True, False):
+        got = cone.views(cone.materialize(w, include_const=const))
+        for blk, s in zip(blocks, got):
+            assert s.flags.c_contiguous
+            assert np.array_equal(s, blk.materialize(w, include_const=const))
+    zs = [random_symmetric(rng, b.side) for b in blocks]
+    z = cone.flatten(zs)
+    assert all(np.array_equal(a, b) for a, b in zip(cone.views(z), zs))
+    want = sum(blk.adjoint(zb, prob.nfree) for blk, zb in zip(blocks, zs))
+    assert relative_error(cone.adjoint(z, prob.nfree), want) <= 1e-14
+    # the transposed positions and the spread of per-row values
+    x = rng.standard_normal(cone.size)
+    for got, xb in zip(cone.views(cone.symmetrize(x)), cone.views(x)):
+        assert np.array_equal(got, 0.5 * (xb + xb.T))
+    lam = rng.uniform(1, 2, cone.nu)
+    rows, cols = cone.spread(lam)
+    starts = np.cumsum([0] + [b.side for b in blocks])
+    for r, c, lo, hi in zip(cone.views(rows), cone.views(cols), starts, starts[1:]):
+        assert np.array_equal(r, np.repeat(lam[lo:hi, np.newaxis], hi - lo, axis=1))
+        assert np.array_equal(c, r.T)
+        assert np.array_equal(np.diag(r), lam[lo:hi])
+
+
+def count_calls(monkeypatch, names):
+    """Counts of the calls to each of the solver's functions in names that exist."""
+    counts = {}
+    for name in names:
+        real = getattr(sdp_module, name, None)
+        if real is None:
+            continue
+        counts[name] = 0
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sdp_module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("case", ["ex36", "box quartic"])
+def test_eigen_and_svd_calls_per_packed_block_and_iteration(monkeypatch, case):
+    """Per packed block and iteration the solver takes at most four
+    eigenvalue calls (S(w), one for both predictor steps, one for each
+    corrector step; Z_j's is needed only when its Cholesky factor fails) and
+    one SVD (the scaling)."""
+    if case == "ex36":
+        prob = compile_relaxation(load_problem("ex36.json"), "plain", 3).sdp
+    else:
+        prob = quartic_relaxation(3, 2, box=True)
+    packed, _ = sdp_module._pack(sdp_module._cone_blocks(prob))
+    if case != "ex36":
+        assert [b.side for b in packed] == [22]
+    counts = count_calls(monkeypatch, ["_min_eig", "_extreme_eigs", "_svd"])
+    sol = solve_sdp(prob)
+    assert sol.status is SdpStatus.OPTIMAL and sol.message == ""
+    per_block = len(packed) * sol.iterations
+    eigen = counts["_min_eig"] + counts.get("_extreme_eigs", 0)
+    assert eigen <= 4 * per_block, eigen / per_block
+    assert counts["_svd"] <= per_block, counts["_svd"] / per_block
+
+
+def test_row_filter_keeps_the_rank_of_ex36():
+    prob = compile_relaxation(load_problem("ex36.json"), "plain", 3).sdp
+    distinct = sdp_module._distinct_rows(prob.eq_a)
+    assert len(distinct) < prob.num_eq == 631
+    eq = sdp_module._EqualityRows(prob.eq_a, prob.eq_b)
+    assert len(eq.kept) == np.linalg.matrix_rank(prob.eq_a) == 152
+    assert set(eq.kept.tolist()) <= set(distinct.tolist()) and eq.consistent
+
+
+def repeated_rows_problem(rhs_of_repeat):
+    """min c^T w over diag(w) + I PSD and rows repeated up to a factor: row
+    1 is -2 row 0, row 3 is 0.5 row 2 and row 4 is zero.  The repeat of row
+    0 has right-hand side rhs_of_repeat, consistent at -2."""
+    rng = np.random.default_rng(12)
+    nfree = 4
+    a = rng.uniform(-1, 1, (2, nfree))
+    eq_a = np.vstack([a[0], -2.0 * a[0], a[1], 0.5 * a[1], np.zeros(nfree)])
+    eq_b = np.array([1.0, rhs_of_repeat, 0.5, 0.25, 0.0])
+    v = np.arange(nfree)
+    blk = PsdBlock(nfree, v, v, v, np.ones(nfree), np.eye(nfree))
+    return SdpProblem(nfree, rng.uniform(0.5, 1.0, nfree), eq_a, eq_b, psd_blocks=[blk])
+
+
+def test_row_filter_drops_repeats_and_zero_rows():
+    prob = repeated_rows_problem(-2.0)
+    assert sdp_module._distinct_rows(prob.eq_a).tolist() == [0, 2]
+    sol = solve_sdp(prob)
+    assert sol.status is SdpStatus.OPTIMAL, sol.message
+    # every dropped row has a zero multiplier, and stationarity holds on all rows
+    assert np.all(sol.y_eq[[1, 3, 4]] == 0.0)
+    assert max(compute_residuals(prob, sol).values()) <= 1e-8
+
+
+def test_repeated_row_with_another_rhs_is_inconsistent():
+    sol = solve_sdp(repeated_rows_problem(-1.0))
+    assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
+    assert sol.message == "equality rows are inconsistent"
+
+
+def test_extreme_eigs_equal_the_scipy_front_end():
+    rng = np.random.default_rng(4)
+    for side in KERNEL_SIDES:
+        sym = random_symmetric(rng, side)
+        want = sla.eigvalsh(sym)
+        assert sdp_module._extreme_eigs(sym) == (want[0], want[-1])
+    assert sdp_module._extreme_eigs(np.zeros((0, 0))) == (math.inf, -math.inf)
+    with pytest.raises(ValueError):
+        sdp_module._extreme_eigs(np.array([[1.0, np.nan], [np.nan, 1.0]]))

@@ -23,7 +23,14 @@ from momentsos import (
     write_sparse_sdp,
 )
 from momentsos.sdp import SdpStatus
-from momentsos.symmetry import _BUDGET, find_group, isotypic_basis, trivial_group
+from momentsos.symmetry import (
+    _BUDGET,
+    Symmetry,
+    SymmetryGroup,
+    find_group,
+    isotypic_basis,
+    trivial_group,
+)
 
 import oracles
 from conftest import ROOT, compile_unreduced, load_problem, motzkin_pop
@@ -210,6 +217,48 @@ def test_action_of_a_lower_degree_is_a_prefix():
         side = low_pos.shape[1]
         assert side == basis_size(6, degree)
         assert np.array_equal(low_pos, pos[:, :side]) and np.array_equal(low_sign, sign[:, :side])
+
+
+def action_by_lookup(group, degree):
+    """(pos, sign) of `SymmetryGroup.action`, each moved exponent tuple
+    looked up in the basis index one at a time."""
+    basis = monomial_basis(group.nvars, degree)
+    pos = np.empty((group.order, len(basis)), dtype=np.int64)
+    sign = np.empty(pos.shape, dtype=np.int64)
+    for t, g in enumerate(group.elements):
+        for a, e in enumerate(basis.exponents):
+            moved = [0] * group.nvars
+            for i, ai in enumerate(e):
+                moved[g.perm[i]] = ai
+            pos[t, a] = basis.index[tuple(moved)]
+            sign[t, a] = math.prod(s**ai for s, ai in zip(g.signs, e))
+    return pos, sign
+
+
+@pytest.mark.parametrize("name, problem, degree", [
+    ("ex36", lambda: load_problem("ex36.json"), 6),
+    ("ex35", lambda: load_problem("ex35.json"), 6),
+    ("motzkin", motzkin_pop, 8),
+], ids=["ex36", "ex35", "motzkin"])
+def test_action_equals_the_basis_lookup(name, problem, degree):
+    group = find_group(problem().as_gmp())
+    assert not group.is_trivial, name
+    for d in (degree, 1, 0):
+        want = action_by_lookup(group, d)
+        got = group.action(d)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (name, d)
+
+
+def test_action_keys_past_int64_are_exact():
+    # 3^40 > 2^63: the degree-2 keys of 40 variables need Python integers
+    n = 40
+    flip = Symmetry(tuple(reversed(range(n))), (1, -1) * (n // 2), (), (), ())
+    identity = Symmetry(tuple(range(n)), (1,) * n, (), (), ())
+    group = SymmetryGroup(n, (identity, flip))
+    want = action_by_lookup(group, 2)
+    for g, w in zip(group.action(2), want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_trivial_group_adapted_basis_is_the_identity():
