@@ -54,19 +54,20 @@ The dual residual's lambda_min(Z_j) is taken only when a Cholesky factor of
 Z_j fails, so that factor is taken first; the scaling reuses it.
 
 The algorithm is an infeasible-start path-following method with
-Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  Per
-iteration one Schur complement M in the free variables is formed.  With
-W_j = Ginv_j^T Ginv_j from block j's scaling, the block adds
-M_uv = <G_u, W_j G_v W_j> at u >= v on its active variables (the formula
-of Fujisawa, Kojima and Nakata, as in SDPA, on one triangle).
-`PsdBlock.schur` forms each W G_v W from the stored entries alone, and only
-on a trailing square [lo:, lo:] that holds every G_u with u >= v, as
-W[lo:, tgt] diag(coef) W[src, lo:] over v's r_v entries: (side - lo)^2 r_v
-instead of side^3 per variable.  It reads the rows off with one sparse
-product with a CSR matrix of the entries, whose rows are the global
-variable indices, straight into the solver's nfree-by-nfree M, whose upper
-triangle `_schur_complement` then mirrors into the lower one.  The Newton
-step maps through the same entries (`_FlatCone`).  No basis of the block's
+Nesterov-Todd scaling and a Mehrotra predictor-corrector step, laid out as
+SeDuMi (Sturm, 1999) and SDPT3 (Toh, Todd and Tutuncu, 1999) lay out
+theirs: one `_Iterate` (w, y and the flat S and Z) and one phase per step,
+run in this order.  `_residuals`: the Z_j's Cholesky factors, S(w), the
+dual image, the residual norms and the log line.  `_Progress`: the best
+iterate, the no-improve and stall counters, and the fallback to the best
+iterate when the loop ends early.  The stopping test, then the ray tests of
+`_check_infeasibility`, which declare infeasibility or unboundedness only
+from a certificate whose violation exceeds its residual by a ratio of 1e6.
+`_Scaling`: the Nesterov-Todd scaling of every block.  `_Newton.factor`:
+the Schur complement M, to which block j adds <G_u, W_j G_v W_j> at u >= v
+(W_j = Ginv_j^T Ginv_j; `PsdBlock.schur`), and the factor of its
+reduction.  `_direction`: the predictor and the corrector, one
+`_Newton.solve` each.  `_Iterate.moved`: the step.  No basis of a block's
 symmetric-matrix space is formed; only the block factorizations (Cholesky,
 SVD, eigenvalues) are dense.
 
@@ -99,15 +100,8 @@ first row and column.  Without equality rows N = I, so one Newton solve
 serves every equality count.  Laurent ("Semidefinite representations for
 finite varieties", Math. Prog. 109, 2007) works in R[x]/I for the same
 reason; eliminating inside the Newton solve keeps the start point and the
-iterates of the unreduced problem.  The corrector's solve takes one more
-pass on the residual of G^*(W dS W) as the dual step forms it, so that
-rounding in M does not build up in the dual residual.  The dense kernels
-of the loop call the LAPACK drivers (dsyevr, dpotrf, dpotrs, dgesdd,
-dtrtrs, dgetrf, dgetrs) directly rather than through the scipy.linalg front ends, whose per-call
-overhead dominates on small blocks.  Infeasibility and unboundedness are
-only ever declared from explicit certificates whose violation exceeds the
-certificate residual by a confidence ratio of 1e6; anything less decisive
-ends as MAX_ITERATIONS with the best iterate found.
+iterates of the unreduced problem.  The dense kernels of the loop call the
+LAPACK drivers directly (below).
 """
 
 from __future__ import annotations
@@ -117,7 +111,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 import scipy.linalg as sla
@@ -836,8 +830,6 @@ class _NewtonSystem:
     factored per iteration; `kfac` is None when even a bumped Cholesky of it
     fails.  The system refers to the caller's M and owns kfac, its one
     nfree-wide array; N^T M N itself is dropped once it is factored.
-    `solve_sdp` releases the system before it rebuilds M, so that one
-    iteration never holds two factors.
     """
 
     def __init__(self, eq: _EqualityRows, m: np.ndarray):
@@ -856,22 +848,14 @@ class _NewtonSystem:
         is above the floor and at least halves; a pass that does not reduce it
         is discarded.
         """
-        eq, m = self.eq, self.m
-
-        def refine(dw, q):
-            dw = dw + eq.null(_cho_solve(self.kfac, q))
-            mdw = m @ dw
-            q = eq.reduce(h - mdw)
-            return dw, mdw, q, np.abs(q).max(initial=0.0)
-
-        dw = eq.particular(e)
-        q = eq.reduce(h) - self.mnb @ dw[eq.basic]
-        dw, mdw, q, err = refine(dw, q)
+        dw = self.eq.particular(e)
+        q = self.eq.reduce(h) - self.mnb @ dw[self.eq.basic]
+        dw, mdw, q, err = self._refine(dw, q, h)
         floor = 2.0 * _EPS * self.m_max * np.abs(dw).max(initial=0.0)
         for _ in range(_NEWTON_PASSES - 1):
             if err <= floor:
                 break
-            trial = refine(dw, q)
+            trial = self._refine(dw, q, h)
             if not trial[-1] < err:
                 break
             prev = err
@@ -879,6 +863,13 @@ class _NewtonSystem:
             if not err < 0.5 * prev:
                 break
         return dw, self.multipliers(mdw - h)
+
+    def _refine(self, dw: np.ndarray, q: np.ndarray, h: np.ndarray) -> tuple:
+        """One pass: dw + N (N^T M N)^-1 q, its M dw, N^T (h - M dw) and that residual's max."""
+        dw = dw + self.eq.null(_cho_solve(self.kfac, q))
+        mdw = self.m @ dw
+        q = self.eq.reduce(h - mdw)
+        return dw, mdw, q, np.abs(q).max(initial=0.0)
 
     def correct(self, dw: np.ndarray, h: np.ndarray, mdw: np.ndarray):
         """(dw + d, dy) after one more pass on h - M' dw for an operator M'
@@ -1025,31 +1016,148 @@ def _svd(a: np.ndarray):
     return u, s, vt
 
 
-class _ConeState:
-    """Per-iteration Nesterov-Todd scaling data for one PSD block: G, its
-    inverse and the scaled point Lambda = G^-1 S G^-T = G^T Z G.  lz is Z's
-    lower Cholesky factor when the caller has it."""
+class _Iterate(NamedTuple):
+    """w, the multipliers y of eq's scaled kept rows, and the flat S and Z
+    (`_FlatCone`).  A step makes a new one, so the best is kept uncopied."""
 
-    __slots__ = ("g", "ginv", "lam")
+    w: np.ndarray
+    y: np.ndarray
+    s: np.ndarray
+    z: np.ndarray
 
-    def __init__(self, s: np.ndarray, z: np.ndarray, lz: np.ndarray = None):
-        ls = _cholesky(_finite(s))
+    @classmethod
+    def start(cls, prob, cone, eq) -> "_Iterate":
+        """w = 0, y = 0, S = 10 (1 + max(|C_j|, |b|)) I and Z = (1 + max|c|) I."""
+        data_scale = 1.0 + max(np.abs(cone.const).max(initial=0.0), np.abs(eq.b).max(initial=0.0))
+        beta_d = 1.0 + np.abs(prob.objective).max(initial=0.0)
+        s, z = (cone.diag(np.full(cone.nu, beta)) for beta in (10.0 * data_scale, beta_d))
+        return cls(np.zeros(prob.nfree), np.zeros(len(eq.b)), s, z)
+
+    def moved(self, cone, scaling, step) -> "_Iterate":
+        """The iterate after `_direction`'s step (dw, dy, ds, dz, ap, ad)."""
+        dw, dy, ds, dz, ap, ad = step
+        s = cone.symmetrize(self.s + cone.congruence(scaling.g, ap * ds))
+        z = cone.symmetrize(self.z + cone.congruence(scaling.ginv, ad * dz, transpose=True))
+        return _Iterate(self.w + ap * dw, self.y + ad * dy, s, z)
+
+
+def _residuals(prob, cone, eq, scales, x: _Iterate, it: int) -> tuple:
+    """(lz, s_w, image, r_d, res) at x, logged as iteration it: the Z_j's
+    lower Cholesky factors (None when one fails; a factor shows Z_j is in
+    the cone, so the dual residual takes no eigenvalue of it), S(w), the
+    dual image A^T y + sum_j G_j^*(Z_j), c - image and `_residual_norms`."""
+    try:
+        lz = [_cholesky(_finite(zb)) for zb in cone.views(x.z)]
+    except np.linalg.LinAlgError:
+        lz = None
+    s_w = cone.materialize(x.w)
+    image = eq.a.T @ x.y + cone.adjoint(x.z, prob.nfree)
+    r_d = prob.objective - image
+    res = _residual_norms(prob, cone, scales, x.w, eq.expand(x.y), x.z, s_w, r_d, lz is not None)
+    _LOG.debug("iter %3d  pobj %+.6e  dobj %+.6e  pres %.2e  dres %.2e  gap %.2e", it,
+               res["obj_primal"], res["obj_dual"], res["primal"], res["dual"], res["gap"])
+    return lz, s_w, image, r_d, res
+
+
+def _score(res: dict) -> float:
+    """The largest of the primal, dual and gap residuals, which tol bounds."""
+    return max(res["primal"], res["dual"], res["gap"])
+
+
+class _Progress:
+    """The best iterate, the counters that end a stalled solve, and the fallback."""
+
+    def __init__(self, tol: float):
+        self.accept = max(100.0 * tol, 1e-6)
+        self.best, self.score = None, math.inf
+        self.no_improve = self.stalls = 0
+
+    def record(self, x: _Iterate, res: dict) -> str:
+        """Keep x if it scores best; a reason at the 8th time in a row it does not."""
+        score = _score(res)
+        if self.best is None or score < self.score:
+            self.best, self.score, self.no_improve = (x, res), score, 0
+        else:
+            self.no_improve += 1
+        return "no further progress" if self.no_improve >= 8 else ""
+
+    def stepped(self, ap: float, ad: float) -> str:
+        """Count steps with both lengths below 1e-10; a reason at the 3rd in a row."""
+        self.stalls = self.stalls + 1 if ap < 1e-10 and ad < 1e-10 else 0
+        return "step lengths collapsed" if self.stalls >= 3 else ""
+
+    def fallback(self, prob, eq, cone, unpack, it: int, message: str) -> "SdpSolution":
+        """The solution at the best iterate once the loop ended on message
+        ("" when out of iterations); `solve_sdp` gives its status rule."""
+        (x, res), score = self.best, self.score
+        status = SdpStatus.NUMERICAL_FAILURE if message else SdpStatus.MAX_ITERATIONS
+        if score <= self.accept:
+            detail = f" ({message})" if message else ""
+            status, message = SdpStatus.OPTIMAL, f"reduced accuracy: residual {score:.2e}{detail}"
+        elif not message:
+            message = f"stopped after {it} iterations with residual {score:.2e}"
+        return _finish(status, prob, eq, x.w, x.y, unpack(cone.views(x.z)), res, it, message)
+
+
+class _Scaling:
+    """Nesterov-Todd scaling of every cone block at the flat S and Z: G_j,
+    Ginv_j and Lambda_j = G_j^-1 S_j G_j^-T = G_j^T Z_j G_j, diagonal, whose
+    diagonals `lam` holds flat.  lz: the Z_j's Cholesky factors; None takes them anew."""
+
+    def __init__(self, cone, s: np.ndarray, z: np.ndarray, lz: list = None):
         if lz is None:
-            lz = _cholesky(_finite(z))
-        u, sig, vt = _svd(lz.T @ ls)
-        sig = np.maximum(sig, 1e-300)
-        root = np.sqrt(sig)
-        self.g = ls @ (vt.T / root[np.newaxis, :])
-        lsinv = _tri_solve(ls, np.eye(s.shape[0]))
-        self.ginv = (root[:, np.newaxis] * vt) @ lsinv
-        self.lam = sig
+            lz = [_cholesky(_finite(zb)) for zb in cone.views(z)]
+        self.g, self.ginv, lam = [], [], []
+        for sb, lzb in zip(cone.views(s), lz):
+            ls = _cholesky(_finite(sb))
+            _, sig, vt = _svd(lzb.T @ ls)
+            sig = np.maximum(sig, 1e-300)
+            root = np.sqrt(sig)
+            self.g.append(ls @ (vt.T / root[np.newaxis, :]))
+            self.ginv.append((root[:, np.newaxis] * vt) @ _tri_solve(ls, np.eye(sb.shape[0])))
+            lam.append(sig)
+        self.lam = np.concatenate(lam)
 
 
-def solve_sdp(
-    prob: SdpProblem,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> SdpSolution:
+class _Newton:
+    """The Newton systems of each iteration, in the scaled frame: M, made once
+    per solve and rebuilt in place by `factor`, and the `_NewtonSystem`."""
+
+    def __init__(self, prob, cone, eq, blocks):
+        self.cone, self.eq, self.blocks, self.nfree = cone, eq, blocks, prob.nfree
+        self.m = np.empty((prob.nfree, prob.nfree))
+
+    def factor(self, x: _Iterate, s_w, r_d, scaling: _Scaling) -> str:
+        """Form and factor the system at x; "Schur complement factorization
+        failed" when even a bumped factor of N^T M N fails, else ""."""
+        self.ginv, self.r_d = scaling.ginv, r_d
+        self.rbar = self.cone.congruence(scaling.ginv, s_w - x.s)  # S(w) - S, scaled
+        # the last iteration's factor goes before M is rebuilt: one iteration
+        # holds M and one factor of it, no other n-by-n array
+        self.system = None
+        _schur_complement(self.blocks, scaling.ginv, self.m)
+        self.system = _NewtonSystem(self.eq, self.m)
+        self.r_e = self.eq.b - self.eq.a @ x.w
+        return "" if self.system.kfac is not None else "Schur complement factorization failed"
+
+    def solve(self, target: np.ndarray, exact: bool = False) -> tuple:
+        """(dw, dy, ds, dz) for a flat scaled target of ds + dz.  exact takes
+        one more pass (`_NewtonSystem.correct`) on the operator G^*(W dS W)
+        of the dual step: its dual residual is then off by that operator's
+        rounding, not by its distance from M, which grows with W's condition."""
+        cone, ginv, n = self.cone, self.ginv, self.nfree
+        h = cone.adjoint(cone.congruence(ginv, target - self.rbar, transpose=True), n) - self.r_d
+        dw, dy = self.system.solve(h, self.r_e)
+        ds = cone.congruence(ginv, cone.materialize(dw, include_const=False))
+        if exact:
+            mdw = cone.adjoint(cone.congruence(ginv, ds, transpose=True), n)
+            dw, dy = self.system.correct(dw, h, mdw)
+            ds = cone.congruence(ginv, cone.materialize(dw, include_const=False))
+        ds += self.rbar
+        return dw, dy, ds, target - ds
+
+
+def solve_sdp(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     """Solve the SDP to the requested tolerance.
 
     Status is OPTIMAL when primal feasibility, dual feasibility and the
@@ -1069,145 +1177,41 @@ def solve_sdp(
         raise ValueError("max_iter must be at least 1")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a positive finite number")
-    nfree = prob.nfree
-    c = prob.objective
     blocks, unpack = _pack(_cone_blocks(prob))
     cone = _FlatCone(blocks)
-    nu = cone.nu
     scales = _norm_scales(prob, cone)
-
     eq = _EqualityRows(prob.eq_a, prob.eq_b)
     if not eq.consistent:
         res = {"primal": math.inf, "dual": math.inf, "gap": math.inf,
                "obj_primal": math.nan, "obj_dual": math.inf}
         z_b = unpack([np.zeros((b.side, b.side)) for b in blocks])
-        return _finish(SdpStatus.PRIMAL_INFEASIBLE, prob, eq, np.zeros(nfree),
+        return _finish(SdpStatus.PRIMAL_INFEASIBLE, prob, eq, np.zeros(prob.nfree),
                        np.zeros(len(eq.b)), z_b, res, 0, "equality rows are inconsistent")
-
-    if nu == 0:
+    if cone.nu == 0:
         return _solve_equality_only(prob, eq, tol, cone, scales)
 
-    # -- initial iterate ----------------------------------------------------
-    data_scale = 1.0 + max(np.abs(cone.const).max(initial=0.0), np.abs(eq.b).max(initial=0.0))
-    beta_p = 10.0 * data_scale
-    beta_d = 1.0 + np.abs(c).max(initial=0.0)
-    w = np.zeros(nfree)
-    y = np.zeros(len(eq.b))
-    # S_j and Z_j of every block, flat (`_FlatCone`)
-    s = cone.diag(np.full(nu, beta_p))
-    z = cone.diag(np.full(nu, beta_d))
-
-    # the Schur complement, rebuilt in place by _schur_complement: every block
-    # adds its rows into it, then it is symmetrized once
-    m = np.empty((nfree, nfree))
-
-    accept_tol = max(100.0 * tol, 1e-6)
-    best = None
-    best_score = math.inf
-    stalls = 0
-    no_improve = 0
-    it = 0
-    message = ""
-
+    x = _Iterate.start(prob, cone, eq)
+    progress, newton = _Progress(tol), _Newton(prob, cone, eq, blocks)
     for it in range(1, max_iter + 1):
-        # a Cholesky factor of each Z_j, which the scalings reuse, shows that
-        # Z_j is in the cone, so the residual takes no eigenvalue of it
+        lz, s_w, image, r_d, res = _residuals(prob, cone, eq, scales, x, it)
+        if message := progress.record(x, res):
+            break
+        end = ((SdpStatus.OPTIMAL, "") if _score(res) <= tol
+               else _check_infeasibility(prob, cone, eq, x, image, res["obj_dual"]))
+        if end is not None:
+            return _finish(end[0], prob, eq, x.w, x.y, unpack(cone.views(x.z)), res, it, end[1])
         try:
-            lzs = [_cholesky(_finite(zb)) for zb in cone.views(z)]
-        except np.linalg.LinAlgError:
-            lzs = None
-        s_w = cone.materialize(w)
-        # the dual image A^T y + sum_j G_j^*(Z_j): the dual residual, the
-        # stopping test and the ray test all read this one vector
-        image = eq.a.T @ y + cone.adjoint(z, nfree)
-        r_d = c - image
-        res = _residual_norms(prob, cone, scales, w, eq.expand(y), z, s_w, r_d, lzs is not None)
-        score = max(res["primal"], res["dual"], res["gap"])
-        if best is None or score < best_score:
-            best_score = score
-            best = (w.copy(), y.copy(), z.copy(), res)
-            no_improve = 0
-        else:
-            no_improve += 1
-            if no_improve >= 8:
-                message = "no further progress"
-                break
-        _LOG.debug(
-            "iter %3d  pobj %+.6e  dobj %+.6e  pres %.2e  dres %.2e  gap %.2e",
-            it, res["obj_primal"], res["obj_dual"], res["primal"], res["dual"], res["gap"],
-        )
-        if score <= tol:
-            return _finish(SdpStatus.OPTIMAL, prob, eq, w, y, unpack(cone.views(z)), res, it, "")
-
-        cert = _check_infeasibility(prob, cone, eq, w, y, z, image, res["obj_dual"])
-        if cert is not None:
-            status, msg = cert
-            return _finish(status, prob, eq, w, y, unpack(cone.views(z)), res, it, msg)
-        try:
-            if lzs is None:
-                raise np.linalg.LinAlgError("Z is not positive definite")
-            nts = [_ConeState(sb, zb, lz) for sb, zb, lz in zip(cone.views(s), cone.views(z), lzs)]
+            scaling = _Scaling(cone, x.s, x.z, lz)
         except np.linalg.LinAlgError:
             message = "cone iterate lost definiteness"
             break
-
-        # -- Schur complement and the Newton direction -------------------------
-        ginvs = [nt.ginv for nt in nts]
-        rbar = cone.congruence(ginvs, s_w - s)  # S(w) - S in the scaled frame
-        # the last iteration's factor goes before M is rebuilt: one iteration
-        # holds M and one factor of it, no other n-by-n array
-        system = None
-        _schur_complement(blocks, ginvs, m)
-        system = _NewtonSystem(eq, m)
-        if system.kfac is None:
-            message = "Schur complement factorization failed"
+        if message := newton.factor(x, s_w, r_d, scaling):
             break
-        r_e = eq.b - eq.a @ w
-
-        def newton(target, exact=False):
-            """Solve one Newton system for given scaled complementarity targets.
-
-            exact takes one more pass on the residual of G^*(W dS(dw) W) as
-            the dual step forms it, so that the step's dual residual is off
-            (1 - ad) r_d by that operator's rounding, not by its difference
-            from M, which grows with W's condition.
-            """
-            h = cone.adjoint(cone.congruence(ginvs, target - rbar, transpose=True), nfree) - r_d
-            dw, dy = system.solve(h, r_e)
-            dsb = cone.congruence(ginvs, cone.materialize(dw, include_const=False))
-            if exact:
-                mdw = cone.adjoint(cone.congruence(ginvs, dsb, transpose=True), nfree)
-                dw, dy = system.correct(dw, h, mdw)
-                dsb = cone.congruence(ginvs, cone.materialize(dw, include_const=False))
-            dsb += rbar
-            return dw, dy, dsb, target - dsb
-
-        lam = np.concatenate([nt.lam for nt in nts])
-        dw, dy, dsb, dzb, ap, ad = _direction(cone, newton, lam, float(s @ z) / nu)
-        if ap < 1e-10 and ad < 1e-10:
-            stalls += 1
-            if stalls >= 3:
-                message = "step lengths collapsed"
-                break
-        else:
-            stalls = 0
-
-        w += ap * dw
-        y += ad * dy
-        s = cone.symmetrize(s + cone.congruence([nt.g for nt in nts], ap * dsb))
-        z = cone.symmetrize(z + cone.congruence(ginvs, ad * dzb, transpose=True))
-
-    # out of iterations or numerics broke down; fall back to the best iterate
-    w, y, z, res = best
-    z_b = unpack(cone.views(z))
-    if best_score <= accept_tol:
-        detail = f" ({message})" if message else ""
-        message = f"reduced accuracy: residual {best_score:.2e}{detail}"
-        return _finish(SdpStatus.OPTIMAL, prob, eq, w, y, z_b, res, it, message)
-    status = SdpStatus.NUMERICAL_FAILURE if message else SdpStatus.MAX_ITERATIONS
-    if not message:
-        message = f"stopped after {it} iterations with residual {best_score:.2e}"
-    return _finish(status, prob, eq, w, y, z_b, res, it, message)
+        step = _direction(cone, newton, scaling.lam, float(x.s @ x.z) / cone.nu)
+        if message := progress.stepped(*step[-2:]):
+            break
+        x = x.moved(cone, scaling, step)
+    return progress.fallback(prob, eq, cone, unpack, it, message)
 
 
 def _finish(status, prob, eq, w, y, z_b, res, iterations, message):
@@ -1274,11 +1278,11 @@ def _factor_with_bump(m: np.ndarray):
     return None
 
 
-def _direction(cone: _FlatCone, newton, lam: np.ndarray, mu: float) -> tuple:
+def _direction(cone: _FlatCone, newton: _Newton, lam: np.ndarray, mu: float) -> tuple:
     """Mehrotra's predictor-corrector step (dw, dy, ds, dz, ap, ad), ds and
     dz flat and scaled, ap and ad the step lengths.
 
-    newton(target, exact) solves the Newton system for a flat target of
+    `newton`, factored at this iteration, solves for a flat target of
     ds + dz at Lambda = diag(lam); mu = <S, Z> / nu.  The predictor's dz is
     -Lambda - ds, so one eigvalsh of D = Lambda^-1/2 ds Lambda^-1/2 per
     block gives both its steps, -1 / lambda_min(D) and 1 / (1 + lambda_max(D)).
@@ -1286,7 +1290,7 @@ def _direction(cone: _FlatCone, newton, lam: np.ndarray, mu: float) -> tuple:
     lam_d = cone.diag(lam)
     # a direction d is tested as Lambda^-1/2 d Lambda^-1/2, entry by entry
     root_r, root_c = cone.spread(np.sqrt(lam))
-    _, _, ds, dz = newton(-lam_d)
+    _, _, ds, dz = newton.solve(-lam_d)
     lo, hi = zip(*[_extreme_eigs(d) for d in cone.views(ds / root_r / root_c)])
     ap_aff = -1.0 / min(lo) if min(lo) < 0 else math.inf
     ad_aff = 1.0 / (1.0 + max(hi)) if max(hi) > -1.0 else math.inf
@@ -1302,7 +1306,7 @@ def _direction(cone: _FlatCone, newton, lam: np.ndarray, mu: float) -> tuple:
         out += dzj @ dsj
     lam_r, lam_c = cone.spread(lam)
     target = (cone.diag(sigma * mu - lam * lam) - 0.5 * cross) / (0.5 * (lam_r + lam_c))
-    dw, dy, ds, dz = newton(target, exact=True)
+    dw, dy, ds, dz = newton.solve(target, exact=True)
     tau = min(0.99, 0.9 + 0.09 * min(1.0, ap_aff, ad_aff))
     ap = min(1.0, tau * _max_step(cone, ds / root_r / root_c))
     ad = min(1.0, tau * _max_step(cone, dz / root_r / root_c))
@@ -1316,24 +1320,20 @@ def _max_step(cone: _FlatCone, scaled: np.ndarray) -> float:
     return -1.0 / lo if lo < 0 else math.inf
 
 
-def _check_infeasibility(prob, cone, eq, w, y, z, image, viol):
-    """Farkas-style certificate checks; None when nothing is decisive.
-
-    y holds the multipliers of eq's scaled kept rows, z the duals of the
-    cone blocks (flat, `_FlatCone`), image the dual image
-    A^T y + sum_j G_j^*(Z_j) and viol the dual objective
-    b^T y - sum_j <C_j, Z_j>.
-    """
+def _check_infeasibility(prob, cone, eq, x: _Iterate, image, viol):
+    """Farkas-style certificate checks at x: (status, message), or None when
+    nothing is decisive.  image is the dual image A^T y + sum_j G_j^*(Z_j)
+    and viol the dual objective b^T y - sum_j <C_j, Z_j>."""
     # primal infeasibility: dual ray with positive objective and tiny residual
-    ray_norm = max(np.abs(y).max(initial=0.0), np.abs(z).max(initial=0.0))
+    ray_norm = max(np.abs(x.y).max(initial=0.0), np.abs(x.z).max(initial=0.0))
     if viol > 1e-6 * (1.0 + ray_norm):
         if np.abs(image).max(initial=0.0) * _CERT_RATIO < viol:
             return SdpStatus.PRIMAL_INFEASIBLE, "dual improving ray found"
 
     # dual infeasibility: primal ray with negative objective
-    wnorm = np.abs(w).max(initial=0.0)
+    wnorm = np.abs(x.w).max(initial=0.0)
     if wnorm > 1e5:
-        ray = w / wnorm
+        ray = x.w / wnorm
         drop = float(prob.objective @ ray)
         if drop < 0:
             quality = np.abs(eq.a @ ray).max(initial=0.0)
@@ -1356,7 +1356,7 @@ def _solve_equality_only(prob, eq, tol, cone, scales):
     r_d = prob.objective - eq.a.T @ y
     res = _residual_norms(prob, cone, scales, w, eq.expand(y), np.zeros(0),
                           cone.materialize(w), r_d)
-    ok = max(res["primal"], res["dual"], res["gap"]) <= tol
+    ok = _score(res) <= tol
     status = SdpStatus.OPTIMAL if ok else SdpStatus.DUAL_INFEASIBLE
     zpsd = [np.zeros((0, 0)) for _ in prob.psd_blocks]  # there are no rows
     return _finish(

@@ -374,16 +374,20 @@ def test_bundled_problem_files():
     assert set(kinds) <= set(manifest)
 
 
-def test_verbose_logs_iterations_to_stderr_only(capsys):
+def test_verbose_logs_iterations_to_stderr_only(capsys, tmp_path):
     argv = ["solve", EX35, "--kmin", "3", "--kmax", "3"]
     assert run(*argv) == 0
     quiet = capsys.readouterr()
-    assert run(*argv, "--verbose") == 0
+    out = tmp_path / "report.json"
+    assert run(*argv, "--verbose", "--out", str(out)) == 0
     loud = capsys.readouterr()
     assert loud.out == quiet.out
     assert "iter" not in quiet.err
     lines = loud.err.splitlines()
     assert lines and all(line.startswith("iter ") for line in lines)
+    # one line per iteration, numbered from 1
+    (order,) = json.loads(out.read_text())["orders"]
+    assert [int(line.split()[1]) for line in lines] == list(range(1, order["iterations"] + 1))
     # the handler goes with the run: a later quiet run logs nothing
     assert logging.getLogger("momentsos").handlers == []
     assert run(*argv) == 0

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import logging
 import math
 import re
 import tracemalloc
@@ -130,12 +131,16 @@ def test_linear_program_without_psd_block():
 def test_infeasible_inequality_rows():
     # w >= 1 and -w >= 0 cannot both hold
     prob = SdpProblem(1, [1.0], ineq_b=[[1.0], [-1.0]], ineq_d=[1.0, 0.0])
-    assert solve_sdp(prob).status is SdpStatus.PRIMAL_INFEASIBLE
+    sol = solve_sdp(prob)
+    assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
+    assert sol.message == "dual improving ray found"
 
 
 def test_unbounded_over_inequality_rows():
     prob = SdpProblem(1, [-1.0], ineq_b=[[1.0]], ineq_d=[0.0])
-    assert solve_sdp(prob).status is SdpStatus.DUAL_INFEASIBLE
+    sol = solve_sdp(prob)
+    assert sol.status is SdpStatus.DUAL_INFEASIBLE
+    assert sol.message == "primal improving ray found"
 
 
 def test_equality_and_block():
@@ -240,6 +245,7 @@ def test_infeasible_block():
     prob = SdpProblem(1, [1.0], psd_blocks=[up, dn])
     sol = solve_sdp(prob)
     assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
+    assert sol.message == "dual improving ray found"
 
 
 def test_unbounded_objective():
@@ -247,6 +253,16 @@ def test_unbounded_objective():
     prob = SdpProblem(1, [-1.0], psd_blocks=[blk])
     sol = solve_sdp(prob)
     assert sol.status is SdpStatus.DUAL_INFEASIBLE
+    assert sol.message == "primal improving ray found"
+
+
+def test_unbounded_without_a_cone():
+    # min w1 + w2 s.t. w1 = 1: c is not in the span of the rows
+    prob = SdpProblem(2, [1.0, 1.0], eq_a=[[1.0, 0.0]], eq_b=[1.0])
+    sol = solve_sdp(prob)
+    assert sol.status is SdpStatus.DUAL_INFEASIBLE
+    assert sol.message == "objective unbounded over the affine feasible set"
+    assert sol.iterations == 0
 
 
 def test_psd_block_canonicalization():
@@ -862,6 +878,12 @@ def test_lapack_kernels_equal_scipy_front_ends(side):
     assert relative_error(lower_tall @ np.triu(lu[:side]), tall[order]) <= 1e-13
 
 
+def one_block_scaling(s, z):
+    """The solver's Nesterov-Todd scaling of a single block at (S, Z)."""
+    cone = sdp_module._FlatCone([PsdBlock(len(s), [], [], [], [])])
+    return sdp_module._Scaling(cone, np.ravel(s), np.ravel(z))
+
+
 def test_lapack_kernels_fail_like_scipy():
     nan_sym = np.array([[1.0, np.nan], [np.nan, 1.0]])
     not_pd = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -869,7 +891,7 @@ def test_lapack_kernels_fail_like_scipy():
     with pytest.raises(np.linalg.LinAlgError):
         sdp_module._cholesky(not_pd)
     with pytest.raises(np.linalg.LinAlgError):
-        sdp_module._ConeState(not_pd, np.eye(2))
+        one_block_scaling(not_pd, np.eye(2))
     with pytest.raises(np.linalg.LinAlgError):  # singular triangular factor
         sdp_module._tri_solve(np.asfortranarray([[1.0, 0.0], [1.0, 0.0]]), np.ones(2))
     assert sdp_module._factor_with_bump(-np.eye(2)) is None
@@ -878,9 +900,9 @@ def test_lapack_kernels_fail_like_scipy():
     with pytest.raises(ValueError):
         sdp_module._svd(nan_sym)
     with pytest.raises(ValueError):
-        sdp_module._ConeState(nan_sym, np.eye(2))
+        one_block_scaling(nan_sym, np.eye(2))
     with pytest.raises(ValueError):
-        sdp_module._ConeState(np.eye(2), nan_sym)
+        one_block_scaling(np.eye(2), nan_sym)
     with pytest.raises(ValueError):
         sdp_module._cho_solve(lower, np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
@@ -902,8 +924,8 @@ def test_lapack_kernels_fail_like_scipy():
 def test_empty_cone_kernels():
     empty = np.zeros((0, 0))
     assert sdp_module._min_eig(empty) == math.inf
-    cone = sdp_module._ConeState(empty, empty)
-    assert cone.g.shape == cone.ginv.shape == (0, 0) and cone.lam.shape == (0,)
+    scaling = one_block_scaling(empty, empty)
+    assert scaling.g[0].shape == scaling.ginv[0].shape == (0, 0) and scaling.lam.shape == (0,)
     # the Newton solve of a problem without equality rows runs on these
     factor = sdp_module._factor_with_bump(empty)
     assert factor.shape == (0, 0)
@@ -1053,14 +1075,43 @@ def test_stops_at_max_iter_with_the_best_residual():
     assert sol.iterations == 1
 
 
-def test_numerical_failure_when_progress_stalls():
+def test_numerical_failure_when_progress_stalls(caplog):
     # the plain Motzkin relaxation has an unbounded moment side: the best
     # residual stops improving for eight iterations, far above tol
     prob = compile_relaxation(motzkin_pop(), "plain", 3).sdp
-    sol = solve_sdp(prob)
+    with caplog.at_level(logging.DEBUG, logger="momentsos.sdp"):
+        sol = solve_sdp(prob)
     assert sol.status is SdpStatus.NUMERICAL_FAILURE
     assert sol.message == "no further progress"
     assert sol.iterations == 14
+    # one log line per iteration, the one that stops the solve included
+    numbers = [int(rec.getMessage().split()[1]) for rec in caplog.records
+               if rec.name == "momentsos.sdp"]
+    assert numbers == list(range(1, 15))
+
+
+@pytest.mark.parametrize("fake, message, iterations", [
+    ("_max_step", "step lengths collapsed", 3),
+    ("_factor_with_bump", "Schur complement factorization failed", 1),
+    ("_svd", "cone iterate lost definiteness", 1),
+])
+def test_breakdown_exits(monkeypatch, fake, message, iterations):
+    """Each breakdown of the loop ends as NUMERICAL_FAILURE on the best
+    iterate, its cause in the message: steps that stay below 1e-10 three
+    times in a row, a Schur complement without even a bumped factor, and a
+    scaling whose factorization fails."""
+    def lost(a):
+        raise np.linalg.LinAlgError("dgesdd failed")
+
+    stand_in = {"_max_step": lambda cone, scaled: 0.0,
+                "_factor_with_bump": lambda m: None, "_svd": lost}[fake]
+    monkeypatch.setattr(sdp_module, fake, stand_in)
+    rng = np.random.default_rng(3)
+    prob, _ = random_psd_problem(rng)
+    sol = solve_sdp(prob)
+    assert sol.status is SdpStatus.NUMERICAL_FAILURE
+    assert sol.message == message
+    assert sol.iterations == iterations
 
 
 def test_newton_path_holds_m_and_one_factor(monkeypatch):
