@@ -215,10 +215,23 @@ def _check_writable(path: str) -> None:
         raise _InputError(f"cannot write {path}: {os.strerror(code)}")
 
 
+def _json_value(value):
+    """value with every non-finite float, which strict JSON cannot hold
+    (the residuals of an order with inconsistent equalities are
+    infinite), replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    return value
+
+
 def _write_report(report: dict, out: Optional[str]) -> None:
     if out:
         with _open_output(out) as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(_json_value(report), fh, indent=2, allow_nan=False)
             fh.write("\n")
 
 

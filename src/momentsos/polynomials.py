@@ -171,13 +171,16 @@ class Polynomial:
     def __init__(self, nvars: int, terms: Mapping | None = None):
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
+        self._merge(nvars, terms.items() if terms else ())
+
+    def _merge(self, nvars: int, terms: Iterable) -> None:
+        """Set the polynomial to the sum of the (exponent, coeff) pairs, each
+        exponent validated once."""
         object.__setattr__(self, "nvars", int(nvars))
         merged: dict = {}
-        if terms:
-            for exponent, coeff in terms.items():
-                e = _validate_exponent(nvars, exponent)
-                c = merged.get(e, 0.0) + float(coeff)
-                merged[e] = c
+        for exponent, coeff in terms:
+            e = _validate_exponent(nvars, exponent)
+            merged[e] = merged.get(e, 0.0) + float(coeff)
         object.__setattr__(
             self, "_terms", {e: c for e, c in merged.items() if c != 0.0}
         )
@@ -213,11 +216,11 @@ class Polynomial:
     @classmethod
     def from_terms(cls, nvars: int, terms: Iterable) -> "Polynomial":
         """Build from an iterable of (exponent, coeff) pairs, merging duplicates."""
-        d: dict = {}
-        for exponent, coeff in terms:
-            e = _validate_exponent(nvars, exponent)
-            d[e] = d.get(e, 0.0) + float(coeff)
-        return cls(nvars, d)
+        if nvars < 1:
+            raise ValueError("nvars must be >= 1")
+        poly = cls.__new__(cls)
+        poly._merge(nvars, terms)
+        return poly
 
     # -- inspection ---------------------------------------------------------
 

@@ -64,23 +64,42 @@ iterate when the loop ends early.  The stopping test, then the ray tests of
 `_check_infeasibility`, which declare infeasibility or unboundedness only
 from a certificate whose violation exceeds its residual by a ratio of 1e6.
 `_Scaling`: the Nesterov-Todd scaling of every block.  `_Newton.factor`:
-the Schur complement M, to which block j adds <G_u, W_j G_v W_j> at u >= v
-(W_j = Ginv_j^T Ginv_j; `PsdBlock.schur`), and the factor of its
-reduction.  `_direction`: the predictor and the corrector, one
-`_Newton.solve` each.  `_Iterate.moved`: the step.  No basis of a block's
-symmetric-matrix space is formed; only the block factorizations (Cholesky,
-SVD, eigenvalues) are dense.
+the Schur complement M, M_uv = sum_j <G_ju, W_j G_jv W_j> with
+W_j = Ginv_j^T Ginv_j, and the factor of its reduction.  `_direction`: the
+predictor and the corrector, one `_Newton.solve` each.  `_Iterate.moved`:
+the step.
+
+The Newton system is formed in one of two ways, chosen once per solve from
+nfree and the block sides (`_newton_maps`), as Fujisawa, Kojima and Nakata
+(Math. Prog. 79, 1997) choose a Schur formula by the size of each
+constraint.  On the batched path (`_BlockMaps`) block j adds its
+<G_u, W_j G_v W_j> at u >= v into M from its stored entries
+(`PsdBlock.schur`, `_schur_complement`), and each map of a Newton solve is
+a chain of congruences with the Ginv_j and one scatter: h needs
+G^*(Ginv^T X Ginv) and ds is Ginv G(dw) Ginv^T.  No basis of a block's
+symmetric-matrix space is formed there; only the block factorizations
+(Cholesky, SVD, eigenvalues) are dense.  On tiny cones those chains cost
+more in calls than in arithmetic, so there the V path (`_ScaledRowMaps`)
+forms the dense matrix V of scaled rows, V[v] the flat Ginv_j G_jv Ginv_j^T
+of every block, with two matrix products per block from a coefficient
+array built once per solve.  Then M = V V^T, h's map is V x, ds = V^T dw
+and the exact pass's G^*(W dS W) is V ds.  The V path is taken while
+forming V and V V^T costs at most _DENSE_SCHUR multiply-adds: the `small`
+benchmark's order-2 quartics, ex35, ex43, ex46, Motzkin and the ladder's
+rungs n = 3, k = 2 and 3 and n = 4, k = 2 take it; the other rungs, ex36
+and ex48 do not.
 
 M is dense in the moments, so the nfree-by-nfree arrays, not the
 arithmetic, set how large a relaxation fits in memory.  One iteration holds
 two of them: M, allocated once per solve and rebuilt in place, and the
 Cholesky factor of the reduced Schur complement (below); the last
 iteration's factor is released before M is rebuilt.  Besides these it
-holds the batch work arrays of `PsdBlock.schur`, within _SCHUR_BUDGET
-doubles, the read-off tables of its groups (a few hundred KB on the largest
-blocks), one _SYM_TILE tile while M is mirrored and, when the null space
-has a nonzero T, the r-by-nfree rows M[B] that T^T multiplies and the
-(nfree - r)-by-nfree rows of N^T M.
+holds, on the batched path, the batch work arrays of `PsdBlock.schur`,
+within _SCHUR_BUDGET doubles, the read-off tables of its groups (a few
+hundred KB on the largest blocks) and one _SYM_TILE tile while M is
+mirrored; on the V path, V and the coefficient array, nfree sum_j side_j^2
+doubles each; and, when the null space has a nonzero T, the r-by-nfree
+rows M[B] that T^T multiplies and the (nfree - r)-by-nfree rows of N^T M.
 
 The equality rows have one owner, `_EqualityRows`, built once per solve: it
 keeps an independent subset of the rows, scales them, checks the dropped
@@ -180,6 +199,20 @@ _SCHUR_BUDGET = 1 << 19
 # 256 and 4.4 ms for `m += m.T` (timeit, 1 BLAS thread, shared 2-vCPU VM).
 _SYM_TILE = 128
 
+# Most multiply-adds per iteration, nfree (nfree sum_j side_j^2 + 2 sum_j
+# side_j^3), of forming the dense scaled rows V and M = V V^T, for which the
+# Newton system takes the V path (`_ScaledRowMaps`) rather than the batched
+# one (`_schur_complement` and the per-block map chains, `_BlockMaps`).  Solve
+# times of the V path over the batched one (medians of 5, then of 11
+# interleaved solves; 1 BLAS thread, shared 2-vCPU VM), by that count:
+# 0.79-0.93 up to 2.3 M (the `small` quartics, nfree 15 or 35 and one packed
+# block of side 9-22; ex35; Motzkin at every order), ex43 (2.7 M) 1.04 and
+# 0.98, ex46 (2.8 M) 0.91 and 0.91, the ball quartic n = 4, k = 2 (3.1 M) 1.01
+# and 1.00 and n = 3, k = 3 (5.0 M) 0.83 and 0.88; the box quartic n = 3,
+# k = 3 (9.2 M) 1.01 and 0.94, the ball quartic n = 5, k = 2 (10.0 M) 0.85
+# and 1.16, and 1.4-2.4 from n = 6, k = 2 (46 M) on.
+_DENSE_SCHUR = 1 << 23
+
 
 class SdpStatus(str, Enum):
     OPTIMAL = "optimal"
@@ -262,7 +295,21 @@ class PsdBlock:
         if (np.abs(const - const.T) > 1e-12 + 1e-5 * np.abs(const.T)).any():
             raise ValueError("const must be symmetric")
         self.const = 0.5 * (const + const.T)
+        self._lay_out()
 
+    @classmethod
+    def _canonical(cls, side: int, var, row, col, coef, const) -> "PsdBlock":
+        """The block of entries that are canonical already and an exactly
+        symmetric const, taken as they are: what the constructor would make
+        of them, without its checks, sort and merge."""
+        blk = cls.__new__(cls)
+        blk.side, blk.var, blk.row, blk.col, blk.coef, blk.const = side, var, row, col, coef, const
+        blk._lay_out()
+        return blk
+
+    def _lay_out(self) -> None:
+        """The index arrays of the per-iteration operations."""
+        side, var, row, col, coef = self.side, self.var, self.row, self.col, self.coef
         # every entry in both triangles: G_var[tgt, src] += coef
         off = np.flatnonzero(row != col)
         ent = np.concatenate([np.arange(len(var)), off])
@@ -530,15 +577,25 @@ def _pack(blocks: list):
 
 
 def _packed_block(group: list) -> PsdBlock:
-    """One PsdBlock whose map is w -> blockdiag(S_j(w)) over the group."""
-    offsets = np.cumsum([0] + [b.side for b in group])
-    return PsdBlock(
+    """One PsdBlock whose map is w -> blockdiag(S_j(w)) over the group.
+
+    The members' entries are canonical and their rows and columns are
+    offset past those of the members before them, so one stable sort by
+    variable puts all entries in (var, row, col) order.
+    """
+    offsets = np.cumsum([0] + [b.side for b in group]).tolist()
+    var = np.concatenate([b.var for b in group])
+    order = np.argsort(var, kind="stable")
+    const = np.zeros((offsets[-1], offsets[-1]))
+    for b, lo in zip(group, offsets):
+        const[lo : lo + b.side, lo : lo + b.side] = b.const
+    return PsdBlock._canonical(
         offsets[-1],
-        np.concatenate([b.var for b in group]),
-        np.concatenate([b.row + off for b, off in zip(group, offsets)]),
-        np.concatenate([b.col + off for b, off in zip(group, offsets)]),
-        np.concatenate([b.coef for b in group]),
-        sla.block_diag(*[b.const for b in group]),
+        var[order],
+        np.concatenate([b.row + off for b, off in zip(group, offsets)])[order],
+        np.concatenate([b.col + off for b, off in zip(group, offsets)])[order],
+        np.concatenate([b.coef for b in group])[order],
+        const,
     )
 
 
@@ -1119,23 +1176,93 @@ class _Scaling:
         self.lam = np.concatenate(lam)
 
 
+class _BlockMaps:
+    """The scaled maps of the Newton system on the batched path: M from
+    `_schur_complement`, and each map as a chain over the blocks."""
+
+    def __init__(self, cone: _FlatCone, blocks: list, nfree: int):
+        self.cone, self.blocks, self.nfree = cone, blocks, nfree
+
+    def schur(self, ginv: list, m: np.ndarray) -> None:
+        """M_uv = <G_u, W G_v W> summed over the blocks, into m."""
+        self.ginv = ginv
+        _schur_complement(self.blocks, ginv, m)
+
+    def pull(self, x: np.ndarray) -> np.ndarray:
+        """G^*(Ginv^T X Ginv) for a flat scaled X: entries <V_v, X>."""
+        return self.cone.adjoint(self.cone.congruence(self.ginv, x, transpose=True), self.nfree)
+
+    def push(self, dw: np.ndarray) -> np.ndarray:
+        """Ginv G(dw) Ginv^T, flat: sum_v dw_v V_v."""
+        return self.cone.congruence(self.ginv, self.cone.materialize(dw, include_const=False))
+
+
+class _ScaledRowMaps:
+    """The same maps on the V path, through the dense matrix V of scaled
+    rows: V[v] holds V_v = Ginv_j G_jv Ginv_j^T of every block j at its flat
+    segment, so M = V V^T, pull is V x and push is V^T dw.
+
+    The coefficients are one dense array, built once per solve: block j's
+    segment is the nfree-by-side-by-side stack of its G_jv.  Each iteration
+    two products per block turn it into V: X_v = G_jv Ginv_j^T for all v in
+    one matrix product, then Ginv_j X_v for all v in one stacked one.
+    """
+
+    def __init__(self, cone: _FlatCone, blocks: list, nfree: int):
+        # G_jv[row, col] at nfree * offset_j + v side_j^2 + row side_j + col
+        starts = [nfree * off for off in cone.offsets[:-1].tolist()]
+        pos = _cat([start + b._sym_var * b.side**2 + b._sym_pos for b, start in zip(blocks, starts)],
+                   np.int64)
+        weights = _cat([b._sym_coef for b in blocks])
+        coef = np.bincount(pos, weights=weights, minlength=nfree * cone.size).astype(float, copy=False)
+        self._coef = [coef[start : start + nfree * s * s].reshape(nfree * s, s)
+                      for start, s in zip(starts, cone.sides.tolist())]
+        self.v = np.empty((nfree, cone.size))
+        self._segments = [self.v[:, lo:hi].reshape(nfree, s, s)
+                          for (lo, hi, _), s in zip(cone._segments, cone.sides.tolist())]
+        self._lower = np.tri(nfree, k=-1, dtype=bool)
+
+    def schur(self, ginv: list, m: np.ndarray) -> None:
+        """V at this scaling, and m = V V^T with its lower triangle mirrored
+        from the upper one, so that m is exactly symmetric."""
+        for a, coef, seg in zip(ginv, self._coef, self._segments):
+            np.matmul(a, (coef @ a.T).reshape(seg.shape), out=seg)
+        np.matmul(self.v, self.v.T, out=m)
+        np.copyto(m, m.T, where=self._lower)
+
+    def pull(self, x: np.ndarray) -> np.ndarray:
+        return self.v @ x
+
+    def push(self, dw: np.ndarray) -> np.ndarray:
+        return dw @ self.v
+
+
+def _newton_maps(cone: _FlatCone, blocks: list, nfree: int):
+    """The V path's maps when forming V and V V^T takes at most _DENSE_SCHUR
+    multiply-adds, else the batched path's."""
+    work = nfree * (nfree * cone.size + 2 * int((cone.sides**3).sum()))
+    return (_ScaledRowMaps if work <= _DENSE_SCHUR else _BlockMaps)(cone, blocks, nfree)
+
+
 class _Newton:
     """The Newton systems of each iteration, in the scaled frame: M, made once
-    per solve and rebuilt in place by `factor`, and the `_NewtonSystem`."""
+    per solve and rebuilt in place by `factor`, the scaled maps of
+    `_newton_maps` and the `_NewtonSystem`."""
 
     def __init__(self, prob, cone, eq, blocks):
-        self.cone, self.eq, self.blocks, self.nfree = cone, eq, blocks, prob.nfree
+        self.cone, self.eq = cone, eq
+        self.maps = _newton_maps(cone, blocks, prob.nfree)
         self.m = np.empty((prob.nfree, prob.nfree))
 
     def factor(self, x: _Iterate, s_w, r_d, scaling: _Scaling) -> str:
         """Form and factor the system at x; "Schur complement factorization
         failed" when even a bumped factor of N^T M N fails, else ""."""
-        self.ginv, self.r_d = scaling.ginv, r_d
+        self.r_d = r_d
         self.rbar = self.cone.congruence(scaling.ginv, s_w - x.s)  # S(w) - S, scaled
         # the last iteration's factor goes before M is rebuilt: one iteration
         # holds M and one factor of it, no other n-by-n array
         self.system = None
-        _schur_complement(self.blocks, scaling.ginv, self.m)
+        self.maps.schur(scaling.ginv, self.m)
         self.system = _NewtonSystem(self.eq, self.m)
         self.r_e = self.eq.b - self.eq.a @ x.w
         return "" if self.system.kfac is not None else "Schur complement factorization failed"
@@ -1145,14 +1272,13 @@ class _Newton:
         one more pass (`_NewtonSystem.correct`) on the operator G^*(W dS W)
         of the dual step: its dual residual is then off by that operator's
         rounding, not by its distance from M, which grows with W's condition."""
-        cone, ginv, n = self.cone, self.ginv, self.nfree
-        h = cone.adjoint(cone.congruence(ginv, target - self.rbar, transpose=True), n) - self.r_d
+        maps = self.maps
+        h = maps.pull(target - self.rbar) - self.r_d
         dw, dy = self.system.solve(h, self.r_e)
-        ds = cone.congruence(ginv, cone.materialize(dw, include_const=False))
+        ds = maps.push(dw)
         if exact:
-            mdw = cone.adjoint(cone.congruence(ginv, ds, transpose=True), n)
-            dw, dy = self.system.correct(dw, h, mdw)
-            ds = cone.congruence(ginv, cone.materialize(dw, include_const=False))
+            dw, dy = self.system.correct(dw, h, maps.pull(ds))
+            ds = maps.push(dw)
         ds += self.rbar
         return dw, dy, ds, target - ds
 

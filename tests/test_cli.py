@@ -1,6 +1,7 @@
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -278,6 +279,31 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"n": 1, "f": [{"c": 1.0, "e": [1]}], "set": {}}))
     code = run("solve", str(path), "--kmin", "1", "--kmax", "1")
     assert code == 3
+
+
+def strict_json(text):
+    """JSON as RFC 8259 has it: NaN, Infinity and -Infinity are rejected."""
+    def reject(name):
+        raise ValueError(f"report holds {name}, which is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reports_are_strict_json(tmp_path):
+    """x1 = 0 and x1 - 1 = 0 are inconsistent, so every order's residuals
+    are infinite; the report writes them as null."""
+    path = tmp_path / "inconsistent.json"
+    path.write_text(json.dumps({
+        "n": 1, "f": [{"c": 1.0, "e": [1]}],
+        "set": {"eq": [[{"c": 1.0, "e": [1]}], [{"c": 1.0, "e": [1]}, {"c": -1.0, "e": [0]}]]},
+    }))
+    out = tmp_path / "report.json"
+    assert run("solve", str(path), "--out", str(out)) == 3
+    report = strict_json(out.read_text())
+    assert [rec["status"] for rec in report["orders"]] == ["primal_infeasible"] * 3
+    assert all(rec["residuals"] == {"primal": None, "dual": None, "gap": None}
+               for rec in report["orders"])
+    assert cli._json_value({"a": [1.5, -math.inf, (math.nan, 2)], "b": "x"}) == \
+        {"a": [1.5, None, [None, 2]], "b": "x"}
 
 
 def test_input_error_exits(tmp_path, capsys):

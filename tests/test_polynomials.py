@@ -292,6 +292,37 @@ def test_json_terms_round_trip():
     assert Polynomial.from_json_terms(2, data) == f
 
 
+def test_parsed_terms_are_validated_once(monkeypatch):
+    """from_json_terms and from_terms check each exponent once: a dense
+    quartic in three variables, one duplicate and one cancelling pair."""
+    import momentsos.polynomials as polynomials
+
+    calls = []
+    real = polynomials._validate_exponent
+
+    def counted(nvars, exponent):
+        calls.append(exponent)
+        return real(nvars, exponent)
+
+    monkeypatch.setattr(polynomials, "_validate_exponent", counted)
+    rng = np.random.default_rng(44)
+    exps = [e for e in np.ndindex(5, 5, 5) if sum(e) <= 4]
+    data = [{"c": float(c), "e": list(e)} for e, c in zip(exps, rng.standard_normal(len(exps)))]
+    data += [{"c": 1.0, "e": [1, 0, 0]}, {"c": 2.0, "e": [0, 0, 4]}, {"c": -2.0, "e": [0, 0, 4]}]
+    f = Polynomial.from_json_terms(3, data)
+    assert len(calls) == len(data) == 38
+    terms = {tuple(t["e"]): t["c"] for t in data[:35]}
+    terms[(1, 0, 0)] += 1.0
+    assert f.terms == pytest.approx(terms, rel=1e-15, abs=1e-15)
+    calls.clear()
+    Polynomial.from_terms(3, [((1, 0, 0), 1.0), ((1, 0, 0), 2.0)])
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="length"):
+        Polynomial.from_terms(3, [((1, 0), 1.0)])
+    with pytest.raises(ValueError, match="nvars"):
+        Polynomial.from_terms(0, [])
+
+
 def test_str_is_readable():
     f = Polynomial(2, {(2, 0): 1.0, (0, 1): -2.0})
     s = str(f)

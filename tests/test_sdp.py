@@ -818,6 +818,46 @@ def test_permuting_blocks_permutes_duals():
     assert np.allclose(again.z_ineq, sol.z_ineq, atol=1e-6)
 
 
+@pytest.mark.parametrize("case", ["ex36", "ex46", "box quartic", "packing"])
+def test_packed_block_equals_the_constructed_one(case):
+    """`_packed_block` takes its members' canonical entries as they are;
+    the block equals what the constructor makes of the offset entries and
+    the block-diagonal constant, index arrays included."""
+    if case == "box quartic":
+        prob = quartic_relaxation(3, 2, box=True)
+    elif case == "packing":
+        prob = packing_problem()
+    else:
+        variant = "plain" if case == "ex36" else "homogenized"
+        prob = compile_relaxation(load_problem(f"{case}.json"), variant, 3).sdp
+    caller = sdp_module._cone_blocks(prob)
+    packed, _ = sdp_module._pack(caller)
+    members = iter(caller)
+    checked = 0
+    for blk in packed:
+        group = [next(members)]
+        if group[0] is blk:
+            continue
+        while sum(b.side for b in group) < blk.side:
+            group.append(next(members))
+        offsets = np.cumsum([0] + [b.side for b in group])
+        want = PsdBlock(
+            offsets[-1],
+            np.concatenate([b.var for b in group]),
+            np.concatenate([b.row + off for b, off in zip(group, offsets)]),
+            np.concatenate([b.col + off for b, off in zip(group, offsets)]),
+            np.concatenate([b.coef for b in group]),
+            sla.block_diag(*[b.const for b in group]),
+        )
+        assert blk.side == want.side
+        for name in ("var", "row", "col", "coef", "const", "_sym_pos", "_sym_var",
+                     "_sym_coef", "_flat", "_wcoef", "active"):
+            got, expected = getattr(blk, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+        checked += 1
+    assert checked and next(members, None) is None
+
+
 # -- the solver's LAPACK kernels against the scipy.linalg front ends -----------
 
 KERNEL_SIDES = (1, 2, 3, 6, 10, 28, 84)
@@ -1273,3 +1313,93 @@ def test_extreme_eigs_equal_the_scipy_front_end():
     assert sdp_module._extreme_eigs(np.zeros((0, 0))) == (math.inf, -math.inf)
     with pytest.raises(ValueError):
         sdp_module._extreme_eigs(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+# -- the two ways of forming the Newton system ---------------------------------
+
+
+def packed_cone(prob):
+    blocks, _ = sdp_module._pack(sdp_module._cone_blocks(prob))
+    return blocks, sdp_module._FlatCone(blocks)
+
+
+# A box quartic (blocks 10 + 4 + 4 + 4, packed into one), ex35 on its orbits,
+# Motzkin `denominator` k = 3 in its symmetry-adapted basis and
+# `packing_problem`, whose blocks are packed, alone and of side 0 and whose
+# equality row has a nonzero T.
+NEWTON_CASES = {
+    "box quartic": lambda: quartic_relaxation(3, 2, box=True),
+    "ex35": lambda: compile_relaxation(load_problem("ex35.json"), "plain", 3).sdp,
+    "motzkin denominator": lambda: compile_relaxation(motzkin_pop(), "denominator", 3).sdp,
+    "packing": packing_problem,
+}
+
+
+@pytest.mark.parametrize("case", list(NEWTON_CASES))
+def test_scaled_rows_maps_equal_the_block_maps(case):
+    """On the V path M = V V^T is exactly symmetric and equals
+    `_schur_complement`'s M, and pull (h's G^*(Ginv^T X Ginv)) and push (ds =
+    Ginv G(dw) Ginv^T) equal the batched path's congruence chains, all
+    within rounding, for scalings that are not block diagonal."""
+    prob = NEWTON_CASES[case]()
+    blocks, cone = packed_cone(prob)
+    if case == "box quartic":
+        assert [b.side for b in blocks] == [22]
+    if case == "packing":
+        assert sdp_module._EqualityRows(prob.eq_a, prob.eq_b).tt is not None
+    rng = np.random.default_rng(24)
+    ginv = [np.eye(b.side) + 0.3 * rng.standard_normal((b.side, b.side)) for b in blocks]
+    dense = sdp_module._ScaledRowMaps(cone, blocks, prob.nfree)
+    batched = sdp_module._BlockMaps(cone, blocks, prob.nfree)
+    m_dense, m_batched = (np.full((prob.nfree, prob.nfree), np.nan) for _ in range(2))
+    dense.schur(ginv, m_dense)
+    # the V path never builds the tables of PsdBlock.schur
+    assert not any("_schur_groups" in vars(b) for b in blocks)
+    batched.schur(ginv, m_batched)
+    assert np.array_equal(m_dense, m_dense.T)
+    assert relative_error(m_dense, m_batched) <= 1e-12
+    x = cone.symmetrize(rng.standard_normal(cone.size))
+    assert relative_error(dense.pull(x), batched.pull(x)) <= 1e-12
+    dw = rng.standard_normal(prob.nfree)
+    assert relative_error(dense.push(dw), batched.push(dw)) <= 1e-12
+
+
+def tiny_quartics(count=40, seed=7):
+    """Order-2 relaxations of dense random quartics in 2 or 3 variables,
+    alternately on the box and on the unit ball, as the `small` benchmark
+    draws them."""
+    rng = np.random.default_rng(seed)
+    return [quartic_relaxation(int(rng.integers(2, 4)), 2, box=i % 2 == 0, seed=[seed, i])
+            for i in range(count)]
+
+
+def test_both_newton_paths_solve_alike(monkeypatch):
+    """Forced onto either path, the tiny quartics and `packing_problem`
+    end with the same status, iteration counts within one and values
+    within 1e-9."""
+    probs = tiny_quartics() + [packing_problem()]
+    sols = {}
+    for path, bound in (("V", 1 << 62), ("batched", -1)):
+        monkeypatch.setattr(sdp_module, "_DENSE_SCHUR", bound)
+        sols[path] = [solve_sdp(prob) for prob in probs]
+    for a, b in zip(sols["V"], sols["batched"]):
+        assert a.status is b.status is SdpStatus.OPTIMAL, (a.message, b.message)
+        assert abs(a.iterations - b.iterations) <= 1
+        assert abs(a.obj_primal - b.obj_primal) <= 1e-9 * (1.0 + abs(b.obj_primal))
+
+
+def test_newton_path_follows_the_size_rule():
+    """A box quartic takes the V path; the ladder's n = 6, k = 3 rung and
+    ex36 take the batched one."""
+    cases = {
+        "box quartic": quartic_relaxation(3, 2, box=True),
+        "rung n6 k3": quartic_relaxation(6, 3),
+        "ex36": compile_relaxation(load_problem("ex36.json"), "plain", 3).sdp,
+    }
+    kinds = {}
+    for name, prob in cases.items():
+        blocks, cone = packed_cone(prob)
+        kinds[name] = type(sdp_module._newton_maps(cone, blocks, prob.nfree))
+    assert kinds == {"box quartic": sdp_module._ScaledRowMaps,
+                     "rung n6 k3": sdp_module._BlockMaps,
+                     "ex36": sdp_module._BlockMaps}
