@@ -90,16 +90,16 @@ rungs n = 3, k = 2 and 3 and n = 4, k = 2 take it; the other rungs, ex36
 and ex48 do not.
 
 M is dense in the moments, so the nfree-by-nfree arrays, not the
-arithmetic, set how large a relaxation fits in memory.  One iteration holds
-two of them: M, allocated once per solve and rebuilt in place, and the
-Cholesky factor of the reduced Schur complement (below); the last
-iteration's factor is released before M is rebuilt.  Besides these it
-holds, on the batched path, the batch work arrays of `PsdBlock.schur`,
-within _SCHUR_BUDGET doubles, the read-off tables of its groups (a few
-hundred KB on the largest blocks) and one _SYM_TILE tile while M is
-mirrored; on the V path, V and the coefficient array, nfree sum_j side_j^2
-doubles each; and, when the null space has a nonzero T, the r-by-nfree
-rows M[B] that T^T multiplies and the (nfree - r)-by-nfree rows of N^T M.
+arithmetic, set how large a relaxation fits in memory.  A solve without
+rows holds one: M, allocated once, rebuilt and Cholesky-factored in place
+each iteration, as every product with M then goes through the maps,
+pull(push(.)).  Rows of a nonzero T add the reduced Schur complement
+(below), factored where it is built, and M[B] and N^T M, r and nfree - r
+rows of nfree.  Besides these a solve holds, on the batched path, the batch
+work arrays of `PsdBlock.schur`, within _SCHUR_BUDGET doubles, the read-off
+tables of its groups (a few hundred KB on the largest blocks) and one
+_SYM_TILE tile while M is mirrored; on the V path, V and the coefficient
+array, nfree sum_j side_j^2 doubles each.
 
 The equality rows have one owner, `_EqualityRows`, built once per solve: it
 keeps an independent subset of the rows, scales them, checks the dropped
@@ -109,25 +109,27 @@ are dropped before a pivoted QR picks independent rows (ex36: 631 rows,
 187 distinct, rank 152).  LU with partial pivoting of A^T picks r basic
 variables B with A_B nonsingular; the others, F, are free, and N = [T; I]
 on (B, F) with T = -A_B^-1 A_F spans the null space of A; T is a dense
-array, or None when it is zero.  Each Newton system [[M, -A^T], [A, 0]] (dw, dy) = (h, e)
-is then solved as dw = dw_p + N du, with dw_p[B] = A_B^-1 e, N^T M N du =
+array, or None when it is zero.  When T is zero the kept rows fix
+w_B = A_B^-1 b, and `_substituted` puts w_B into the block constants and
+iterates on the free variables without rows, as GloptiPoly (Henrion and
+Lasserre, ACM TOMS 29, 2003) puts y_0 = 1 into the moment matrix's constant
+term.  Otherwise each Newton system [[M, -A^T], [A, 0]] (dw, dy) = (h, e)
+is solved as dw = dw_p + N du, with dw_p[B] = A_B^-1 e, N^T M N du =
 N^T (h - M dw_p) and A_B^T dy = (M dw - h)[B], which is the step of the
 range-space form (M^-1 and A M^-1 A^T) in exact arithmetic.  The reduced
 Schur complement N^T M N, nfree - r wide, is the only matrix
-Cholesky-factored per iteration; with one row y_0 = 1 it is M without its
-first row and column.  Without equality rows N = I, so one Newton solve
-serves every equality count.  Laurent ("Semidefinite representations for
-finite varieties", Math. Prog. 109, 2007) works in R[x]/I for the same
-reason; eliminating inside the Newton solve keeps the start point and the
-iterates of the unreduced problem.  The dense kernels of the loop call the
-LAPACK drivers directly (below).
+Cholesky-factored per iteration.  Without equality rows N = I, so one
+Newton solve serves every equality count.  Laurent ("Semidefinite
+representations for finite varieties", Math. Prog. 109, 2007) works in
+R[x]/I for the same reason.  The dense kernels of the loop call the LAPACK
+drivers directly (below).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence, TextIO
@@ -681,17 +683,19 @@ class _FlatCone:
         return out
 
 
-def _norm_scales(prob: SdpProblem, cone: _FlatCone) -> tuple:
-    """The residuals' denominators: 1 + max(1, |b|, |C_j|) and 1 + max|c|."""
-    rhs = max(1.0, np.abs(prob.eq_b).max(initial=0.0), np.abs(cone.const).max(initial=0.0))
-    return 1.0 + rhs, 1.0 + np.abs(prob.objective).max(initial=0.0)
+def _norm_scales(prob: SdpProblem, offset: float = 0.0) -> tuple:
+    """The residuals' denominators, 1 + max(1, |b|, |C_j|, |d|) and 1 + max|c|, and
+    offset, both objectives' constant term (c_B^T w_B once `_substituted` fixed w_B)."""
+    consts = [prob.eq_b, prob.ineq_d] + [b.const for b in prob.psd_blocks]
+    rhs = max([1.0] + [np.abs(a).max(initial=0.0) for a in consts])
+    return 1.0 + rhs, 1.0 + np.abs(prob.objective).max(initial=0.0), offset
 
 
 def _residual_norms(prob, cone, scales, w, y, z, s_w, r_d, z_in_cone=False) -> dict:
     """Normalized primal/dual/gap residuals; the solver's own stopping test.
 
     cone is the `_FlatCone` of the cone blocks (packed or not: the norms
-    are the same) and scales its `_norm_scales`; y holds the multipliers of
+    are the same) and scales the caller's `_norm_scales`; y holds the multipliers of
     prob's rows, z the duals and s_w the values S_j(w), both flat, and r_d is
     c - A^T y - sum_j G_j^*(Z_j).  z_in_cone says that every Z_j has a
     Cholesky factor, so that its max(0, -lambda_min(Z_j)) term is zero.
@@ -707,8 +711,8 @@ def _residual_norms(prob, cone, scales, w, y, z, s_w, r_d, z_in_cone=False) -> d
             dres = max(dres, max(0.0, -_min_eig(zb)))
     dres /= scales[1]
 
-    pobj = float(prob.objective @ w)
-    dobj = float(prob.eq_b @ y) - float(cone.const @ z)
+    pobj = float(prob.objective @ w) + scales[2]
+    dobj = float(prob.eq_b @ y) - float(cone.const @ z) + scales[2]
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return {
         "primal": float(pres),
@@ -727,7 +731,7 @@ def compute_residuals(prob: SdpProblem, sol: SdpSolution) -> dict:
         zpsd.append(np.diag(sol.z_ineq))
     z = cone.flatten(zpsd)
     r_d = prob.objective - prob.eq_a.T @ sol.y_eq - cone.adjoint(z, prob.nfree)
-    r = _residual_norms(prob, cone, _norm_scales(prob, cone), sol.x, sol.y_eq, z,
+    r = _residual_norms(prob, cone, _norm_scales(prob), sol.x, sol.y_eq, z,
                         cone.materialize(sol.x), r_d)
     return {"primal": r["primal"], "dual": r["dual"], "gap": r["gap"]}
 
@@ -856,25 +860,22 @@ class _EqualityRows:
             return v[self.free]
         return v[self.free] + self.tt @ v[self.basic]
 
-    def schur(self, m: np.ndarray):
-        """(N^T M N, (N^T M)[:, B]) for exactly symmetric M.
-
-        `_factor_with_bump` copies the first into Fortran order, so it is
-        handed out in that order.  Without T it is M[F, F] (a view of m when
-        F is a slice) as its transpose, which holds the same numbers because
-        M is exactly symmetric.  With T, P = N^T M = T^T M_B + M_F, and
-        N^T M N = (T^T P_B^T)^T + P_F with P_B = P[:, B], the second
-        matrix; the transpose of the C-ordered product is in Fortran order.
+    def schur(self, m: np.ndarray) -> np.ndarray:
+        """N^T M N for exactly symmetric M, in the Fortran order in which
+        `_factor_with_bump` factors it in place.  Without T it is M[F, F] as
+        its transpose, which holds the same numbers: in the loop, which runs
+        without the rows with T = 0 (`_substituted`), that is m.T, M's own
+        buffer.  With T, P = N^T M = T^T M_B + M_F and
+        N^T M N = (T^T P_B^T)^T + P_F with P_B = P[:, B]; the transpose of
+        the C-ordered product is in Fortran order.
         """
         if self.tt is None:
-            p = m[self.free]
-            return p[:, self.free].T, p[:, self.basic]
+            return m[self.free][:, self.free].T
         p = self.tt @ m[self.basic]
         p += m[self.free]
-        pb = p[:, self.basic]
-        k = (self.tt @ pb.T).T
+        k = (self.tt @ p[:, self.basic].T).T
         k += p[:, self.free]
-        return k, pb
+        return k
 
 
 class _NewtonSystem:
@@ -884,16 +885,16 @@ class _NewtonSystem:
     null space: dw = dw_p + N du with dw_p[B] = A_B^-1 e, so A dw = e holds
     to the accuracy of the LU solve; N^T M N du = N^T (h - M dw_p); and
     A_B^T dy = (M dw - h)[B].  N^T M N, nfree - rank wide, is the one matrix
-    factored per iteration; `kfac` is None when even a bumped Cholesky of it
-    fails.  The system refers to the caller's M and owns kfac, its one
-    nfree-wide array; N^T M N itself is dropped once it is factored.
+    factored per iteration, in the buffer `_EqualityRows.schur` builds it in:
+    without rows that is m itself.  So the system keeps no M: `kfac` is the
+    factor, None when even a bumped Cholesky fails, and every product with M
+    is `mul` (`_Newton.factor` chooses it).
     """
 
-    def __init__(self, eq: _EqualityRows, m: np.ndarray):
-        self.eq, self.m = eq, m
-        kmat, self.mnb = eq.schur(m)
-        self.kfac = _factor_with_bump(kmat)
+    def __init__(self, eq: _EqualityRows, m: np.ndarray, mul):
+        self.eq, self.mul = eq, mul
         self.m_max = m.diagonal().max(initial=0.0)  # M is PSD: its largest entry
+        self.kfac = _factor_with_bump(eq.schur(m))
 
     def solve(self, h: np.ndarray, e: np.ndarray):
         """(dw, dy) for the right-hand side (h, e).
@@ -906,7 +907,7 @@ class _NewtonSystem:
         is discarded.
         """
         dw = self.eq.particular(e)
-        q = self.eq.reduce(h) - self.mnb @ dw[self.eq.basic]
+        q = self.eq.reduce(h - self.mul(dw) if len(e) else h)
         dw, mdw, q, err = self._refine(dw, q, h)
         floor = 2.0 * _EPS * self.m_max * np.abs(dw).max(initial=0.0)
         for _ in range(_NEWTON_PASSES - 1):
@@ -919,12 +920,12 @@ class _NewtonSystem:
             dw, mdw, q, err = trial
             if not err < 0.5 * prev:
                 break
-        return dw, self.multipliers(mdw - h)
+        return dw, self.eq.solve_basic((mdw - h)[self.eq.basic], trans=0)  # dy
 
     def _refine(self, dw: np.ndarray, q: np.ndarray, h: np.ndarray) -> tuple:
         """One pass: dw + N (N^T M N)^-1 q, its M dw, N^T (h - M dw) and that residual's max."""
         dw = dw + self.eq.null(_cho_solve(self.kfac, q))
-        mdw = self.m @ dw
+        mdw = self.mul(dw)
         q = self.eq.reduce(h - mdw)
         return dw, mdw, q, np.abs(q).max(initial=0.0)
 
@@ -933,11 +934,8 @@ class _NewtonSystem:
         near M, given mdw = M' dw: d = N (N^T M N)^-1 N^T (h - mdw) and
         A_B^T dy = (mdw + M d - h)[B], M d standing in for the small M' d."""
         d = self.eq.null(_cho_solve(self.kfac, self.eq.reduce(h - mdw)))
-        return dw + d, self.multipliers(mdw + self.m @ d - h)
-
-    def multipliers(self, r: np.ndarray) -> np.ndarray:
-        """dy from A_B^T dy = r[B] for r = M dw - h."""
-        return self.eq.solve_basic(r[self.eq.basic], trans=0)
+        r = mdw + self.mul(d) - h if len(self.eq.b) else mdw  # dy is empty without rows
+        return dw + d, self.eq.solve_basic(r[self.eq.basic], trans=0)
 
 
 # -- dense kernels of the solve loop ------------------------------------------
@@ -1246,8 +1244,8 @@ def _newton_maps(cone: _FlatCone, blocks: list, nfree: int):
 
 class _Newton:
     """The Newton systems of each iteration, in the scaled frame: M, made once
-    per solve and rebuilt in place by `factor`, the scaled maps of
-    `_newton_maps` and the `_NewtonSystem`."""
+    per solve and rebuilt in place by `factor` (and, without rows, factored
+    in place), the scaled maps of `_newton_maps` and the `_NewtonSystem`."""
 
     def __init__(self, prob, cone, eq, blocks):
         self.cone, self.eq = cone, eq
@@ -1259,11 +1257,17 @@ class _Newton:
         failed" when even a bumped factor of N^T M N fails, else ""."""
         self.r_d = r_d
         self.rbar = self.cone.congruence(scaling.ginv, s_w - x.s)  # S(w) - S, scaled
-        # the last iteration's factor goes before M is rebuilt: one iteration
-        # holds M and one factor of it, no other n-by-n array
+        # the last iteration's factor goes before M is rebuilt; without rows
+        # it is M itself, and M is the solve's one n-by-n array
         self.system = None
         self.maps.schur(scaling.ginv, self.m)
-        self.system = _NewtonSystem(self.eq, self.m)
+        # M dw: rows of a nonzero T leave M intact, and a product with it is
+        # the cheapest; without rows M holds its factor, and M dw is
+        # pull(push(dw)).  Neither refers to self, which holds the system: a
+        # cycle would keep M past the solve
+        maps, m = self.maps, self.m
+        mul = m.__matmul__ if len(self.eq.b) else lambda dw: maps.pull(maps.push(dw))
+        self.system = _NewtonSystem(self.eq, m, mul)
         self.r_e = self.eq.b - self.eq.a @ x.w
         return "" if self.system.kfac is not None else "Schur complement factorization failed"
 
@@ -1297,22 +1301,60 @@ def solve_sdp(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSo
 
     The inequality rows are solved as one more PSD block, diag(B w - d), and
     small blocks are packed into block-diagonal ones (module docstring); the
-    solution has one dual per caller block and one z entry per row.
+    solution has one dual per caller block and one z entry per row.  Rows
+    that fix their variables are substituted before the loop (`_substituted`).
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a positive finite number")
-    blocks, unpack = _pack(_cone_blocks(prob))
-    cone = _FlatCone(blocks)
-    scales = _norm_scales(prob, cone)
     eq = _EqualityRows(prob.eq_a, prob.eq_b)
     if not eq.consistent:
         res = {"primal": math.inf, "dual": math.inf, "gap": math.inf,
                "obj_primal": math.nan, "obj_dual": math.inf}
-        z_b = unpack([np.zeros((b.side, b.side)) for b in blocks])
+        z_b = [np.zeros((b.side, b.side)) for b in _cone_blocks(prob)]
         return _finish(SdpStatus.PRIMAL_INFEASIBLE, prob, eq, np.zeros(prob.nfree),
                        np.zeros(len(eq.b)), z_b, res, 0, "equality rows are inconsistent")
+    if eq.tt is None and len(eq.b):
+        return _substituted(prob, eq, tol, max_iter)
+    return _solve(prob, eq, tol, max_iter, _norm_scales(prob))
+
+
+def _substituted(prob, eq, tol, max_iter) -> SdpSolution:
+    """Solve prob, whose kept rows fix w_B (T = 0), on the free variables: w_B
+    goes into the block constants and the inequality rows, and `_solve` runs
+    without rows, with prob's denominators and c_B^T w_B added to both
+    objectives.  Back in prob: w_B, y from A_B^T y = (c - B^T z - sum_j
+    G_j^*(Z_j))_B, and the dual residual on B."""
+    w, free = eq.particular(eq.b), np.arange(prob.nfree)[eq.free]
+    index = np.full(prob.nfree, -1)  # each free variable's index in the reduced problem
+    index[free] = np.arange(len(free))
+    blocks = []
+    for blk in prob.psd_blocks:
+        k = index[blk.var] >= 0
+        blocks.append(PsdBlock._canonical(blk.side, index[blk.var[k]], blk.row[k], blk.col[k],
+                                          blk.coef[k], blk.materialize(w)))
+    # prob's rows on the free variables, b less what w_B gives, so that the
+    # loop's primal residual is the caller's; they constrain nothing (T = 0)
+    sub = SdpProblem(len(free), prob.objective[free], prob.eq_a[:, free], prob.eq_b - prob.eq_a @ w,
+                     prob.ineq_b[:, free], prob.ineq_d - prob.ineq_b @ w, blocks)
+    no_rows = _EqualityRows(np.zeros_like(sub.eq_a), np.zeros_like(sub.eq_b))
+    scales = _norm_scales(prob, float(prob.objective @ w))
+    sol = _solve(sub, no_rows, tol, max_iter, scales)
+    w[free] = sol.x
+    r = prob.objective - prob.ineq_b.T @ sol.z_ineq
+    for blk, z in zip(prob.psd_blocks, sol.psd_duals):
+        r -= blk.adjoint(z, prob.nfree)
+    y_eq = eq.expand(eq.solve_basic(r[eq.basic], trans=0))
+    dual = np.abs(r - prob.eq_a.T @ y_eq).max() / scales[1]
+    res = dict(sol.residuals, dual=max(sol.residuals["dual"], dual))
+    return replace(sol, x=w, y_eq=y_eq, residuals=res)
+
+
+def _solve(prob, eq, tol, max_iter, scales) -> SdpSolution:
+    """The interior-point loop on prob and eq's consistent rows, residuals taken with `scales`."""
+    blocks, unpack = _pack(_cone_blocks(prob))
+    cone = _FlatCone(blocks)
     if cone.nu == 0:
         return _solve_equality_only(prob, eq, tol, cone, scales)
 
@@ -1322,8 +1364,8 @@ def solve_sdp(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSo
         lz, s_w, image, r_d, res = _residuals(prob, cone, eq, scales, x, it)
         if message := progress.record(x, res):
             break
-        end = ((SdpStatus.OPTIMAL, "") if _score(res) <= tol
-               else _check_infeasibility(prob, cone, eq, x, image, res["obj_dual"]))
+        end = ((SdpStatus.OPTIMAL, "") if _score(res) <= tol else _check_infeasibility(
+            prob, cone, eq, x, image, res["obj_dual"] - scales[2]))
         if end is not None:
             return _finish(end[0], prob, eq, x.w, x.y, unpack(cone.views(x.z)), res, it, end[1])
         try:
@@ -1372,6 +1414,12 @@ def _schur_complement(blocks, ginvs, m: np.ndarray) -> np.ndarray:
     m.fill(0.0)
     for blk, ginv in zip(blocks, ginvs):
         blk.schur(ginv.T @ ginv, m)
+    _mirror_upper(m)
+    return m
+
+
+def _mirror_upper(m: np.ndarray) -> None:
+    """Copy square m's upper triangle into its lower one, one _SYM_TILE tile at a time."""
     n = m.shape[0]
     low = np.tri(_SYM_TILE, k=-1, dtype=bool)
     for i in range(0, n, _SYM_TILE):
@@ -1379,23 +1427,24 @@ def _schur_complement(blocks, ginvs, m: np.ndarray) -> np.ndarray:
         np.copyto(diag, diag.T, where=low[: len(diag), : len(diag)])
         for j in range(i + _SYM_TILE, n, _SYM_TILE):
             m[j : j + _SYM_TILE, i : i + _SYM_TILE] = m[i : i + _SYM_TILE, j : j + _SYM_TILE].T
-    return m
 
 
-def _factor_with_bump(m: np.ndarray):
-    """Lower Cholesky factor of m, else of m + bump I with escalating bumps, or None.
+def _factor_with_bump(a: np.ndarray):
+    """Lower Cholesky factor of a, else of a + bump I with escalating bumps, or None.
 
-    The plain factor is tried first; only when it fails is m bumped, by
-    1e-13 (1 + max diag m) and then 1e4 times more on each of at most four
-    bumped attempts.  Each attempt copies m once, in the Fortran order dpotrf
-    factors in place; `_EqualityRows.schur` builds m in that order, so that
-    the copy is a straight one.
+    The plain factor is tried first; only when it fails is a bumped, by
+    1e-13 (1 + max diag a) and then 1e4 times more on each of at most four
+    bumped attempts.  A Fortran-ordered a, as `_EqualityRows.schur` hands it
+    out, is factored in place (dpotrf's wrapper copies any other); dpotrf
+    leaves the upper triangle, so a bumped retry rebuilds the lower one from
+    it and the diagonal from a saved copy.
     """
-    n = m.shape[0]
-    first = 1e-13 * (1.0 + np.abs(np.diag(m)).max(initial=0.0))
+    diag = a.diagonal().copy()
+    first = 1e-13 * (1.0 + np.abs(diag).max(initial=0.0))
     for bump in (0.0, first, 1e4 * first, 1e8 * first, 1e12 * first):
-        a = np.array(m, order="F")
-        a.ravel(order="F")[:: n + 1] += bump
+        if bump:
+            _mirror_upper(a)
+            np.fill_diagonal(a, diag + bump)
         try:
             # checked once here; the solves with it do not check it again
             return _finite(_cholesky(a, clean=0, overwrite=1))
